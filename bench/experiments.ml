@@ -1498,12 +1498,12 @@ let e16 () =
           Printf.eprintf "[e16 kill %s: %.2fs wall]\n%!" spec
             (Unix.gettimeofday () -. t0);
           let after = Metrics.snapshot () in
+          let d c = Metrics.get after c - Metrics.get before c in
           [
             spec;
             Table.i 2;
-            Table.i (after.Metrics.shard_spawns - before.Metrics.shard_spawns);
-            Table.i
-              (after.Metrics.shard_restarts - before.Metrics.shard_restarts);
+            Table.i (d Metrics.shard_spawns);
+            Table.i (d Metrics.shard_restarts);
             digest got;
             (if got = referee then "yes" else "NO");
           ])
@@ -1706,14 +1706,14 @@ let e17 () =
           wall
           (float_of_int n /. Float.max wall 1e-9);
         let after = Metrics.snapshot () in
-        let d f = f after - f before in
-        let hits = d (fun m -> m.Metrics.serve_cache_hits) in
-        let misses = d (fun m -> m.Metrics.serve_cache_misses) in
+        let d c = Metrics.get after c - Metrics.get before c in
+        let hits = d Metrics.serve_cache_hits in
+        let misses = d Metrics.serve_cache_misses in
         [
           Table.i batch_size;
-          Table.i (d (fun m -> m.Metrics.serve_requests));
-          Table.i (d (fun m -> m.Metrics.serve_batches));
-          Table.i (d (fun m -> m.Metrics.serve_coalesced));
+          Table.i (d Metrics.serve_requests);
+          Table.i (d Metrics.serve_batches);
+          Table.i (d Metrics.serve_coalesced);
           Table.i hits;
           Table.i misses;
           Table.f ~digits:3
@@ -1761,10 +1761,9 @@ let e17 () =
       (float_of_int n /. Float.max wall_b 1e-9)
       stats_b.Protocol.st_batches;
     let after = Metrics.snapshot () in
-    let hits = after.Metrics.serve_cache_hits - before.Metrics.serve_cache_hits in
-    let misses =
-      after.Metrics.serve_cache_misses - before.Metrics.serve_cache_misses
-    in
+    let d c = Metrics.get after c - Metrics.get before c in
+    let hits = d Metrics.serve_cache_hits in
+    let misses = d Metrics.serve_cache_misses in
     (* Part C — tiny queue, deep burst: admission control must reject. *)
     let before_c = Metrics.snapshot () in
     let stats_c =
@@ -1775,9 +1774,8 @@ let e17 () =
         ()
     in
     let after_c = Metrics.snapshot () in
-    let rejected_obs =
-      after_c.Metrics.serve_rejections - before_c.Metrics.serve_rejections
-    in
+    let d_c c = Metrics.get after_c c - Metrics.get before_c c in
+    let rejected_obs = d_c Metrics.serve_rejections in
     Printf.eprintf "[e17 admission: %d/%d rejected (queue bound 2)]\n%!"
       stats_c.Protocol.st_rejected burst;
     (match Unix.waitpid [] pid_b with
@@ -1812,11 +1810,8 @@ let e17 () =
           Table.i burst;
           Table.i stats_c.Protocol.st_requests;
           Table.i stats_c.Protocol.st_rejected;
-          Table.i
-            (after_c.Metrics.serve_cache_hits - before_c.Metrics.serve_cache_hits);
-          Table.i
-            (after_c.Metrics.serve_cache_misses
-            - before_c.Metrics.serve_cache_misses);
+          Table.i (d_c Metrics.serve_cache_hits);
+          Table.i (d_c Metrics.serve_cache_misses);
           (if rejected_obs >= 1 && rejected_obs = stats_c.Protocol.st_rejected
            then "yes"
            else "NO");

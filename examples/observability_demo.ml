@@ -2,7 +2,9 @@
 
    A Trace.t records every broadcast phase, every fault verdict actually
    applied, every supervision attempt and every decomposition as typed
-   events; Metrics keeps the aggregate counters.  Three scenes:
+   events; Metrics keeps the aggregate counters — one registry of named
+   counters, printed at the end as one line per group with a non-zero
+   counter.  Three scenes:
 
      1. a traced faulty flood — what the event stream looks like, and
         the delayed-copy carry-over across a phase boundary;
@@ -81,5 +83,10 @@ let () =
   Printf.printf "  sample ok=%b over %d rounds\n" r.Local_sampler.success
     r.Local_sampler.rounds;
 
-  Printf.printf "\n";
-  Metrics.print stdout (Metrics.snapshot ())
+  (* Any counter reads back from a snapshot through its registry handle;
+     the table is a loop over the same registry. *)
+  let s = Metrics.snapshot () in
+  Printf.printf "\nretries per supervised attempt: %d/%d\n"
+    (Metrics.get s Metrics.retries)
+    (Metrics.get s Metrics.attempts);
+  Metrics.print stdout s

@@ -416,11 +416,17 @@ let shrink_candidates s =
     ]
 
 (* Greedy minimization: repeatedly take the first one-step simplification
-   that still violates some invariant, until none does.  Deterministic,
-   and every accepted step strictly shrinks the schedule, so it
-   terminates. *)
+   that still violates one of the invariants [s0] violates, until none
+   does.  A candidate failing only some other invariant is rejected: it
+   would trade the failure being shrunk for a different one.
+   Deterministic, and every accepted step strictly shrinks the schedule,
+   so it terminates. *)
 let shrink ?check ?async ?shards ?trials s0 =
-  let still_fails c = run_spec ?check ?async ?shards ?trials c <> [] in
+  let names s =
+    List.map (fun v -> v.invariant) (run_spec ?check ?async ?shards ?trials s)
+  in
+  let original = names s0 in
+  let still_fails c = List.exists (fun n -> List.mem n original) (names c) in
   let rec go s =
     match List.find_opt still_fails (shrink_candidates s) with
     | Some c -> go c

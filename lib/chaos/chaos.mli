@@ -123,9 +123,11 @@ val shrink :
   spec
 (** Greedy minimization of a failing schedule: repeatedly apply the first
     one-step simplification (drop an interval, zero a rate, collapse a
-    bound) that still violates some invariant.  Returns its fixed point —
-    a minimal reproducer under this candidate set.  On a passing schedule
-    it returns the schedule unchanged. *)
+    bound) that still violates one of the invariants the input schedule
+    violates — a candidate failing only a different invariant is
+    rejected.  Returns its fixed point — a minimal reproducer under this
+    candidate set.  On a passing schedule it returns the schedule
+    unchanged. *)
 
 type failure = {
   index : int;  (** Which generated schedule failed (0-based). *)

@@ -507,8 +507,15 @@ let shrink_candidates (sch : schedule) =
       sys { q with Sysfault.fork_fail = 0. };
     ]
 
+(* A candidate must still violate one of the invariants [s0] violates:
+   one failing only some other invariant would trade the failure being
+   shrunk for a different one. *)
 let shrink ?check ~requests ~baseline s0 =
-  let still_fails c = run_spec ?check ~requests ~baseline c <> [] in
+  let names s =
+    List.map (fun v -> v.invariant) (run_spec ?check ~requests ~baseline s)
+  in
+  let original = names s0 in
+  let still_fails c = List.exists (fun n -> List.mem n original) (names c) in
   let rec go s =
     match List.find_opt still_fails (shrink_candidates s) with
     | Some c -> go c

@@ -93,8 +93,10 @@ val shrink :
   baseline:string array ->
   schedule ->
   schedule
-(** Greedily zero fault dimensions while the schedule still fails;
-    fixed point = minimal reproducer. *)
+(** Greedily zero fault dimensions while the schedule still violates one
+    of the invariants the input schedule violates (a candidate failing
+    only a different invariant is rejected); fixed point = minimal
+    reproducer. *)
 
 type failure = {
   index : int;  (** Which generated schedule failed (0-based). *)

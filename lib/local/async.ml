@@ -279,7 +279,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
   let retrans_log = Array.make rounds [] in
   let bump_control k =
     cfg.s_control_msgs <- cfg.s_control_msgs + k;
-    if metrics then Metrics.record_control k
+    if metrics then Metrics.add Metrics.control_msgs k
   in
   (* Carry-in: previously parked copies of this phase's message type land
      directly in their slot's parked half (the ordering keys travel with
@@ -413,7 +413,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
                           :: I.pending net)
                     | None ->
                         I.add_dead_letters net 1;
-                        if metrics then Metrics.record_dead_letters 1
+                        if metrics then Metrics.add Metrics.dead_letters 1
                 end)
               f.Linksem.f_copies)
           nbrs.(v)
@@ -443,7 +443,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
     if not closed.(v).(r) then begin
       closed.(v).(r) <- true;
       cfg.s_barriers <- cfg.s_barriers + 1;
-      if metrics then Metrics.record_barrier ();
+      if metrics then Metrics.bump Metrics.barriers;
       let abs = base + r in
       (match ctl with
       | Some s -> Trace.emit s (Trace.Barrier { node = v; round = abs })
@@ -458,7 +458,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
       end
       else if k > 0 then begin
         I.add_dead_letters net k;
-        if metrics then Metrics.record_dead_letters k
+        if metrics then Metrics.add Metrics.dead_letters k
       end;
       parked.(v).(r) <- [];
       fresh.(v).(r) <- [];
@@ -520,8 +520,8 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
               I.add_dead_letters net 1;
               cfg.s_late <- cfg.s_late + 1;
               if metrics then begin
-                Metrics.record_dead_letters 1;
-                Metrics.record_late_letters 1
+                Metrics.add Metrics.dead_letters 1;
+                Metrics.add Metrics.late_letters 1
               end
             end
             else begin
@@ -530,7 +530,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
             end)
         | Ack_arrive { sender; r; from_; copy } ->
             cfg.s_acks <- cfg.s_acks + 1;
-            if metrics then Metrics.record_ack ();
+            if metrics then Metrics.bump Metrics.acks;
             (match ctl with
             | Some s ->
                 Trace.emit s (Trace.Ack { round = base + r; src = sender; dst = from_; copy })
@@ -553,7 +553,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
                 let u = nbrs.(v).(pos) in
                 let abs = base + r in
                 cfg.s_timeouts <- cfg.s_timeouts + 1;
-                if metrics then Metrics.record_timeout ();
+                if metrics then Metrics.bump Metrics.timeouts;
                 (match ctl with
                 | Some s ->
                     Trace.emit s (Trace.Timeout { node = v; nbr = u; round = abs; attempt })
@@ -611,19 +611,19 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
             (match tr with
             | Some s -> Trace.emit s (Trace.Heal { round = abs })
             | None -> ());
-            if metrics then Metrics.record_heal ()
+            if metrics then Metrics.bump Metrics.heals
           end;
           I.set_partition_active net (Some idx);
           (match tr with
           | Some s -> Trace.emit s (Trace.Partition { round = abs; parts })
           | None -> ());
-          if metrics then Metrics.record_partition ()
+          if metrics then Metrics.bump Metrics.partitions
       | None, Some _ ->
           I.set_partition_active net None;
           (match tr with
           | Some s -> Trace.emit s (Trace.Heal { round = abs })
           | None -> ());
-          if metrics then Metrics.record_heal ()
+          if metrics then Metrics.bump Metrics.heals
       | _ -> ()
     end;
     for v = 0 to n - 1 do
@@ -631,21 +631,21 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
         (match tr with
         | Some s -> Trace.emit s (Trace.Checkpoint { node = v; round = abs })
         | None -> ());
-        if metrics then Metrics.record_checkpoint ()
+        if metrics then Metrics.bump Metrics.checkpoints
       end;
       if (not (I.crash_seen net v)) && crash_at.(v) <= abs then begin
         I.set_crash_seen net v;
         (match tr with
         | Some s -> Trace.emit s (Trace.Crash { node = v; round = crash_at.(v) })
         | None -> ());
-        if metrics then Metrics.record_crash ()
+        if metrics then Metrics.bump Metrics.crashes
       end;
       if recover_at.(v) = abs then begin
         let missed = abs - crash_at.(v) in
         (match tr with
         | Some s -> Trace.emit s (Trace.Restore { node = v; round = abs; missed })
         | None -> ());
-        if metrics then Metrics.record_restore ()
+        if metrics then Metrics.bump Metrics.restores
       end
     done;
     List.iter
@@ -658,7 +658,7 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
         (match tr with
         | Some s -> Trace.emit s (Trace.Retransmit { round = abs; src; dst; attempt })
         | None -> ());
-        if metrics then Metrics.record_retransmit ())
+        if metrics then Metrics.bump Metrics.retransmits)
       (List.rev retrans_log.(r))
   done;
   (* Executor-agnostic round charging: every node completes exactly
@@ -679,10 +679,12 @@ let run_broadcast cfg net ~rounds ?size ?corrupt ?digest ?ckpt ?carry
              messages = Network.messages net - msgs0;
            })
   | None -> ());
-  if metrics then
-    Metrics.record_phase ~rounds:(rounds + !catchup)
-      ~bits:(Network.bits net - bits0)
-      ~messages:(Network.messages net - msgs0);
+  if metrics then begin
+    Metrics.bump Metrics.phases;
+    Metrics.add Metrics.rounds (rounds + !catchup);
+    Metrics.add Metrics.bits (Network.bits net - bits0);
+    Metrics.add Metrics.messages (Network.messages net - msgs0)
+  end;
   cfg.s_phases <- cfg.s_phases + 1;
   cfg.s_makespan <- cfg.s_makespan +. !tmax;
   states

@@ -85,11 +85,11 @@ let events_of_fate ~round ~src ~dst f =
    exposed so a parent process replaying shipped events bumps exactly the
    counters the in-process path would have. *)
 let record_event_metrics = function
-  | Trace.Fault_drop _ -> Metrics.record_drop ()
-  | Trace.Fault_duplicate _ -> Metrics.record_duplicate ()
-  | Trace.Fault_delay _ -> Metrics.record_delay ()
-  | Trace.Fault_corrupt _ -> Metrics.record_corruption ()
-  | Trace.Quarantine _ -> Metrics.record_quarantine ()
+  | Trace.Fault_drop _ -> Metrics.bump Metrics.drops
+  | Trace.Fault_duplicate _ -> Metrics.bump Metrics.duplicates
+  | Trace.Fault_delay _ -> Metrics.bump Metrics.delays
+  | Trace.Fault_corrupt _ -> Metrics.bump Metrics.corruptions
+  | Trace.Quarantine _ -> Metrics.bump Metrics.quarantines
   | _ -> ()
 
 let record ?trace ~metrics ~round ~src ~dst f =

@@ -131,7 +131,7 @@ let finish t =
       let k = List.length ps in
       t.pending <- [];
       t.dead_letters <- t.dead_letters + k;
-      if Metrics.enabled () then Metrics.record_dead_letters k
+      if Metrics.enabled () then Metrics.add Metrics.dead_letters k
 
 (* Explicit sink wins, then the network's own, then the ambient one. *)
 let sink t trace =
@@ -296,19 +296,19 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
             (match tr with
             | Some s -> Trace.emit s (Trace.Heal { round = abs })
             | None -> ());
-            if metrics then Metrics.record_heal ()
+            if metrics then Metrics.bump Metrics.heals
           end;
           t.partition_active <- Some idx;
           (match tr with
           | Some s -> Trace.emit s (Trace.Partition { round = abs; parts })
           | None -> ());
-          if metrics then Metrics.record_partition ()
+          if metrics then Metrics.bump Metrics.partitions
       | None, Some _ ->
           t.partition_active <- None;
           (match tr with
           | Some s -> Trace.emit s (Trace.Heal { round = abs })
           | None -> ());
-          if metrics then Metrics.record_heal ()
+          if metrics then Metrics.bump Metrics.heals
       | _ -> ()
     end;
     (* Crash/recovery bookkeeping runs unconditionally: checkpoints and
@@ -321,14 +321,14 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
         (match tr with
         | Some s -> Trace.emit s (Trace.Checkpoint { node = v; round = abs })
         | None -> ());
-        if metrics then Metrics.record_checkpoint ()
+        if metrics then Metrics.bump Metrics.checkpoints
       end;
       if (not t.crash_seen.(v)) && t.crash_at.(v) <= abs then begin
         t.crash_seen.(v) <- true;
         (match tr with
         | Some s -> Trace.emit s (Trace.Crash { node = v; round = t.crash_at.(v) })
         | None -> ());
-        if metrics then Metrics.record_crash ()
+        if metrics then Metrics.bump Metrics.crashes
       end;
       if t.recover_at.(v) = abs then begin
         (match ckpt with
@@ -347,7 +347,7 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
         (match tr with
         | Some s -> Trace.emit s (Trace.Restore { node = v; round = abs; missed })
         | None -> ());
-        if metrics then Metrics.record_restore ()
+        if metrics then Metrics.bump Metrics.restores
       end
     done;
     let outgoing =
@@ -392,7 +392,7 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
                       | None ->
                           (* No carrier to park on: lost in transit. *)
                           t.dead_letters <- t.dead_letters + 1;
-                          if metrics then Metrics.record_dead_letters 1
+                          if metrics then Metrics.add Metrics.dead_letters 1
                   end)
                 f.Linksem.f_copies)
             (Graph.neighbors t.graph v)
@@ -409,7 +409,7 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
         let k = List.length inbox in
         if k > 0 then begin
           t.dead_letters <- t.dead_letters + k;
-          if metrics then Metrics.record_dead_letters k
+          if metrics then Metrics.add Metrics.dead_letters k
         end
       end
     done
@@ -492,9 +492,12 @@ let run_broadcast t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
              messages = t.msgs - msgs0;
            })
   | None -> ());
-  if metrics then
-    Metrics.record_phase ~rounds:(rounds + catchup) ~bits:(t.bits - bits0)
-      ~messages:(t.msgs - msgs0);
+  if metrics then begin
+    Metrics.bump Metrics.phases;
+    Metrics.add Metrics.rounds (rounds + catchup);
+    Metrics.add Metrics.bits (t.bits - bits0);
+    Metrics.add Metrics.messages (t.msgs - msgs0)
+  end;
   states
 
 (* All flood phases over one network share a carrier, so a copy delayed

@@ -65,7 +65,10 @@ let run_classified ?trace ?(label = "resilient") pol ?(charge = fun _ -> ()) f =
     (match tr with
     | Some s -> Trace.emit s (Trace.Attempt { label; attempt; ok; detail })
     | None -> ());
-    if metrics () then Metrics.record_attempt ~retry:(attempt > 0)
+    if metrics () then begin
+      Metrics.bump Metrics.attempts;
+      if attempt > 0 then Metrics.bump Metrics.retries
+    end
   in
   let reasons = ref [] in
   let backoff = ref 0 in
@@ -96,7 +99,7 @@ let run_classified ?trace ?(label = "resilient") pol ?(charge = fun _ -> ()) f =
               Trace.emit s
                 (Trace.Degraded { label; attempts = attempt + 1; detail })
           | None -> ());
-          if metrics () then Metrics.record_degraded ();
+          if metrics () then Metrics.bump Metrics.degradations;
           ( None,
             {
               attempts = attempt + 1;
@@ -112,7 +115,7 @@ let run_classified ?trace ?(label = "resilient") pol ?(charge = fun _ -> ()) f =
               Trace.emit s
                 (Trace.Backoff { label; attempt = attempt + 1; rounds = delay })
           | None -> ());
-          if metrics () then Metrics.record_backoff ~rounds:delay;
+          if metrics () then Metrics.add Metrics.backoff_rounds delay;
           charge delay;
           backoff := !backoff + delay;
           go (attempt + 1) (delay * pol.backoff_factor)
@@ -179,7 +182,10 @@ let collect_views ?trace ?async ?(label = "collect_views") net ~policy:pol
                detail = Printf.sprintf "%d node(s) stalled" stalled_count;
              })
     | None -> ());
-    if metrics then Metrics.record_attempt ~retry:(attempt > 0)
+    if metrics then begin
+      Metrics.bump Metrics.attempts;
+      if attempt > 0 then Metrics.bump Metrics.retries
+    end
   in
   let reasons = ref [] in
   let backoff = ref 0 in
@@ -199,7 +205,7 @@ let collect_views ?trace ?async ?(label = "collect_views") net ~policy:pol
     | Some s ->
         Trace.emit s (Trace.Backoff { label; attempt = !attempts; rounds = !delay })
     | None -> ());
-    if metrics then Metrics.record_backoff ~rounds:!delay;
+    if metrics then Metrics.add Metrics.backoff_rounds !delay;
     Network.charge net !delay;
     backoff := !backoff + !delay;
     delay := !delay * pol.backoff_factor;
@@ -234,7 +240,7 @@ let collect_views ?trace ?async ?(label = "collect_views") net ~policy:pol
                detail = Printf.sprintf "%d node(s) failed" n_failed;
              })
     | None -> ());
-    if metrics then Metrics.record_degraded ()
+    if metrics then Metrics.bump Metrics.degradations
   end;
   let report =
     {

@@ -120,8 +120,8 @@ let run_plan plan ?trace ~run () =
              decomposition_rounds = plan.p_decomposition_rounds;
            })
   | None -> ());
-  if Ls_obs.Metrics.enabled () then
-    Ls_obs.Metrics.record_decomposition ~failures:plan.p_failures;
+  Ls_obs.Metrics.(bump decompositions);
+  Ls_obs.Metrics.(add decomposition_failures) plan.p_failures;
   {
     rounds = plan.p_rounds;
     decomposition_rounds = plan.p_decomposition_rounds;

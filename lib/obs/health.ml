@@ -25,7 +25,7 @@ let set_degraded ~subsystem ~reason =
   Mutex.unlock m;
   if fresh then begin
     Trace.to_ambient (Trace.Degraded_enter { subsystem; reason });
-    Metrics.record_degraded_enter ()
+    Metrics.bump Metrics.degraded_enters
   end
 
 let clear ~subsystem =
@@ -35,7 +35,7 @@ let clear ~subsystem =
   Mutex.unlock m;
   if had then begin
     Trace.to_ambient (Trace.Degraded_exit { subsystem });
-    Metrics.record_degraded_exit ()
+    Metrics.bump Metrics.degraded_exits
   end
 
 (* Sorted for deterministic wire payloads and [describe] strings. *)

@@ -1,120 +1,98 @@
 (* Global counters, enabled-flag guarded.  Sums are order-independent, so
-   every field except [per_domain] is invariant under the domain count. *)
+   every value except the per-domain split is invariant under the domain
+   count. *)
 
-type snapshot = {
-  phases : int;
-  rounds : int;
-  bits : int;
-  messages : int;
-  drops : int;
-  duplicates : int;
-  delays : int;
-  corruptions : int;
-  crashes : int;
-  partitions : int;
-  heals : int;
-  checkpoints : int;
-  restores : int;
-  quarantines : int;
-  dead_letters : int;
-  attempts : int;
-  retries : int;
-  backoff_rounds : int;
-  degradations : int;
-  decompositions : int;
-  decomposition_failures : int;
-  timeouts : int;
-  retransmits : int;
-  acks : int;
-  barriers : int;
-  control_msgs : int;
-  late_letters : int;
-  sketch_adds : int;
-  sketch_merges : int;
-  sketch_evictions : int;
-  shard_spawns : int;
-  shard_restarts : int;
-  shard_probes : int;
-  serve_requests : int;
-  serve_batches : int;
-  serve_coalesced : int;
-  serve_cache_hits : int;
-  serve_cache_misses : int;
-  serve_cache_evictions : int;
-  serve_rejections : int;
-  serve_expired : int;
-  serve_snapshot_hits : int;
-  serve_drains : int;
-  serve_restarts : int;
-  sysfaults : int;
-  degraded_enters : int;
-  degraded_exits : int;
-  fork_retries : int;
-  ckpt_skips : int;
-  serve_snapshot_failures : int;
-  serve_shed : int;
-  latency_hist : int array;
+type counter = {
+  name : string;
+  group : string;  (* the [--metrics] line it prints on *)
+  cell : int Atomic.t;
+  mutable slot : int;  (* index into [snapshot.counts]; fixed at init *)
+}
+
+type pool = {
   batches : int;
   items : int;
   max_queue : int;
   per_domain : int array;
 }
 
+type snapshot = { counts : int array; latency_hist : int array; pool : pool }
+
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
+let add c k = if enabled () then ignore (Atomic.fetch_and_add c.cell k)
+let bump c = add c 1
 
-let phases = Atomic.make 0
-let rounds = Atomic.make 0
-let bits = Atomic.make 0
-let messages = Atomic.make 0
-let drops = Atomic.make 0
-let duplicates = Atomic.make 0
-let delays = Atomic.make 0
-let corruptions = Atomic.make 0
-let crashes = Atomic.make 0
-let partitions = Atomic.make 0
-let heals = Atomic.make 0
-let checkpoints = Atomic.make 0
-let restores = Atomic.make 0
-let quarantines = Atomic.make 0
-let dead_letters = Atomic.make 0
-let attempts = Atomic.make 0
-let retries = Atomic.make 0
-let backoff_rounds = Atomic.make 0
-let degradations = Atomic.make 0
-let decompositions = Atomic.make 0
-let decomposition_failures = Atomic.make 0
-let timeouts = Atomic.make 0
-let retransmits = Atomic.make 0
-let acks = Atomic.make 0
-let barriers = Atomic.make 0
-let control_msgs = Atomic.make 0
-let late_letters = Atomic.make 0
-let sketch_adds = Atomic.make 0
-let sketch_merges = Atomic.make 0
-let sketch_evictions = Atomic.make 0
-let shard_spawns = Atomic.make 0
-let shard_restarts = Atomic.make 0
-let shard_probes = Atomic.make 0
-let serve_requests = Atomic.make 0
-let serve_batches = Atomic.make 0
-let serve_coalesced = Atomic.make 0
-let serve_cache_hits = Atomic.make 0
-let serve_cache_misses = Atomic.make 0
-let serve_cache_evictions = Atomic.make 0
-let serve_rejections = Atomic.make 0
-let serve_expired = Atomic.make 0
-let serve_snapshot_hits = Atomic.make 0
-let serve_drains = Atomic.make 0
-let serve_restarts = Atomic.make 0
-let sysfaults = Atomic.make 0
-let degraded_enters = Atomic.make 0
-let degraded_exits = Atomic.make 0
-let fork_retries = Atomic.make 0
-let ckpt_skips = Atomic.make 0
-let serve_snapshot_failures = Atomic.make 0
-let serve_shed = Atomic.make 0
+(* The registry.  Each counter is declared exactly once, below, grouped by
+   display line in print order; the docs live on the [val]s in the .mli. *)
+let declared = ref []
+
+let def group name =
+  let c = { name; group; cell = Atomic.make 0; slot = -1 } in
+  declared := c :: !declared;
+  c
+
+let phases = def "local" "phases"
+let rounds = def "local" "rounds"
+let bits = def "local" "bits"
+let messages = def "local" "messages"
+let drops = def "faults" "drops"
+let duplicates = def "faults" "duplicates"
+let delays = def "faults" "delays"
+let corruptions = def "faults" "corruptions"
+let crashes = def "faults" "crashes"
+let partitions = def "recovery" "partitions"
+let heals = def "recovery" "heals"
+let checkpoints = def "recovery" "checkpoints"
+let restores = def "recovery" "restores"
+let quarantines = def "recovery" "quarantines"
+let dead_letters = def "recovery" "dead_letters"
+let attempts = def "supervision" "attempts"
+let retries = def "supervision" "retries"
+let backoff_rounds = def "supervision" "backoff_rounds"
+let degradations = def "supervision" "degradations"
+let decompositions = def "decomposition" "decompositions"
+let decomposition_failures = def "decomposition" "decomposition_failures"
+let timeouts = def "async" "timeouts"
+let retransmits = def "async" "retransmits"
+let acks = def "async" "acks"
+let barriers = def "async" "barriers"
+let control_msgs = def "async" "control_msgs"
+let late_letters = def "async" "late_letters"
+let sketch_adds = def "sketch" "sketch_adds"
+let sketch_merges = def "sketch" "sketch_merges"
+let sketch_evictions = def "sketch" "sketch_evictions"
+let shard_spawns = def "shards" "shard_spawns"
+let shard_restarts = def "shards" "shard_restarts"
+let shard_probes = def "shards" "shard_probes"
+let serve_requests = def "serve" "serve_requests"
+let serve_batches = def "serve" "serve_batches"
+let serve_coalesced = def "serve" "serve_coalesced"
+let serve_cache_hits = def "serve" "serve_cache_hits"
+let serve_cache_misses = def "serve" "serve_cache_misses"
+let serve_cache_evictions = def "serve" "serve_cache_evictions"
+let serve_rejections = def "serve" "serve_rejections"
+let serve_expired = def "serve-robustness" "serve_expired"
+let serve_snapshot_hits = def "serve-robustness" "serve_snapshot_hits"
+let serve_drains = def "serve-robustness" "serve_drains"
+let serve_restarts = def "serve-robustness" "serve_restarts"
+let sysfaults = def "resource-faults" "sysfaults"
+let degraded_enters = def "resource-faults" "degraded_enters"
+let degraded_exits = def "resource-faults" "degraded_exits"
+let fork_retries = def "resource-faults" "fork_retries"
+let ckpt_skips = def "resource-faults" "ckpt_skips"
+let serve_snapshot_failures = def "resource-faults" "serve_snapshot_failures"
+let serve_shed = def "resource-faults" "serve_shed"
+
+(* Print order is declaration order; snapshot slots are name order, so a
+   snapshot's layout depends on the set of names alone. *)
+let in_print_order = List.rev !declared
+let counters = List.sort (fun a b -> compare a.name b.name) in_print_order
+let registry = Array.of_list counters
+let () = Array.iteri (fun i c -> c.slot <- i) registry
+let name c = c.name
+let get s c = s.counts.(c.slot)
 
 (* Virtual-latency histogram: exponential buckets doubling from 0.25
    virtual time units; the last bucket is open-ended. *)
@@ -124,433 +102,90 @@ let latency_bounds =
 let latency_buckets = Array.length latency_bounds + 1
 let latency_hist = Array.init latency_buckets (fun _ -> Atomic.make 0)
 
-(* The pool-utilization group is updated, read and reset as ONE unit under
-   [pool_lock]: a batch recorded while a snapshot or reset runs either
-   lands entirely before it or entirely after, so derived invariants
-   (items = sum of per_domain; items consistent with batches) never
-   observe a torn update.  These were separate atomics once — a snapshot
-   taken mid-[record_batch] could see the new [batches] with the old
-   [per_domain]. *)
-let pool_lock = Mutex.create ()
-let batches = ref 0
-let items = ref 0
-let max_queue = ref 0
-let per_domain = ref [||]
-
-let add c k = if enabled () then ignore (Atomic.fetch_and_add c k)
-let bump c = add c 1
-
-let record_phase ~rounds:r ~bits:b ~messages:m =
-  if enabled () then begin
-    bump phases;
-    add rounds r;
-    add bits b;
-    add messages m
-  end
-
-let record_drop () = bump drops
-let record_duplicate () = bump duplicates
-let record_delay () = bump delays
-let record_corruption () = bump corruptions
-let record_crash () = bump crashes
-let record_partition () = bump partitions
-let record_heal () = bump heals
-let record_checkpoint () = bump checkpoints
-let record_restore () = bump restores
-let record_quarantine () = bump quarantines
-let record_dead_letters k = add dead_letters k
-
-let record_attempt ~retry =
-  if enabled () then begin
-    bump attempts;
-    if retry then bump retries
-  end
-
-let record_backoff ~rounds:r = add backoff_rounds r
-let record_degraded () = bump degradations
-
-let record_decomposition ~failures =
-  if enabled () then begin
-    bump decompositions;
-    add decomposition_failures failures
-  end
-
-let record_timeout () = bump timeouts
-let record_retransmit () = bump retransmits
-let record_ack () = bump acks
-let record_barrier () = bump barriers
-let record_control k = add control_msgs k
-let record_late_letters k = add late_letters k
-let record_sketch_add () = bump sketch_adds
-let record_sketch_merge () = bump sketch_merges
-let record_sketch_eviction () = bump sketch_evictions
-let record_shard_spawn () = bump shard_spawns
-let record_shard_restart () = bump shard_restarts
-let record_shard_probe () = bump shard_probes
-
-let record_serve_batch ~requests ~coalesced =
-  if enabled () then begin
-    add serve_requests requests;
-    bump serve_batches;
-    add serve_coalesced coalesced
-  end
-
-let record_serve_cache ~hit =
-  if hit then bump serve_cache_hits else bump serve_cache_misses
-
-let record_serve_cache_eviction () = bump serve_cache_evictions
-let record_serve_rejection () = bump serve_rejections
-let record_serve_expiry () = bump serve_expired
-let record_serve_snapshot_hit () = bump serve_snapshot_hits
-let record_serve_drain () = bump serve_drains
-let record_serve_restart () = bump serve_restarts
-let record_sysfault () = bump sysfaults
-let record_degraded_enter () = bump degraded_enters
-let record_degraded_exit () = bump degraded_exits
-let record_fork_retry () = bump fork_retries
-let record_ckpt_skip () = bump ckpt_skips
-let record_serve_snapshot_failure () = bump serve_snapshot_failures
-let record_serve_shed () = bump serve_shed
-
-let latency_bucket l =
-  let rec go i =
-    if i >= Array.length latency_bounds then Array.length latency_bounds
-    else if l < latency_bounds.(i) then i
-    else go (i + 1)
+let record_latency l =
+  let rec bucket i =
+    if i < Array.length latency_bounds && not (l < latency_bounds.(i)) then
+      bucket (i + 1)
+    else i
   in
-  go 0
+  if enabled () then ignore (Atomic.fetch_and_add latency_hist.(bucket 0) 1)
 
-let record_latency l = if enabled () then bump latency_hist.(latency_bucket l)
+(* The pool-utilization group is one immutable record, replaced as a unit
+   under [pool_lock]: a batch recorded while a snapshot or reset runs
+   either lands entirely before it or entirely after, so derived
+   invariants (items = sum of per_domain; items consistent with batches)
+   never observe a torn update. *)
+let pool_lock = Mutex.create ()
+let no_pool = { batches = 0; items = 0; max_queue = 0; per_domain = [||] }
+let pool = ref no_pool
 
-let record_batch ~items:n ~per_worker =
-  if enabled () then begin
-    Mutex.lock pool_lock;
-    incr batches;
-    items := !items + n;
-    if n > !max_queue then max_queue := n;
-    let need = Array.length per_worker in
-    if Array.length !per_domain < need then begin
-      let grown = Array.make need 0 in
-      Array.blit !per_domain 0 grown 0 (Array.length !per_domain);
-      per_domain := grown
-    end;
-    Array.iteri (fun i k -> !per_domain.(i) <- !per_domain.(i) + k) per_worker;
-    Mutex.unlock pool_lock
-  end
+(* Shared by [record_batch] and [absorb]; the caller checks [enabled]. *)
+let add_pool d =
+  Mutex.protect pool_lock (fun () ->
+      let p = !pool in
+      let at a i = if i < Array.length a then a.(i) else 0 in
+      let n = max (Array.length p.per_domain) (Array.length d.per_domain) in
+      pool :=
+        {
+          batches = p.batches + d.batches;
+          items = p.items + d.items;
+          max_queue = max p.max_queue d.max_queue;
+          per_domain =
+            Array.init n (fun i -> at p.per_domain i + at d.per_domain i);
+        })
+
+let record_batch ~items ~per_worker =
+  if enabled () then
+    add_pool { batches = 1; items; max_queue = items; per_domain = per_worker }
 
 let snapshot () =
-  Mutex.lock pool_lock;
-  let b = !batches and it = !items and mq = !max_queue in
-  let pd = Array.copy !per_domain in
-  Mutex.unlock pool_lock;
   {
-    phases = Atomic.get phases;
-    rounds = Atomic.get rounds;
-    bits = Atomic.get bits;
-    messages = Atomic.get messages;
-    drops = Atomic.get drops;
-    duplicates = Atomic.get duplicates;
-    delays = Atomic.get delays;
-    corruptions = Atomic.get corruptions;
-    crashes = Atomic.get crashes;
-    partitions = Atomic.get partitions;
-    heals = Atomic.get heals;
-    checkpoints = Atomic.get checkpoints;
-    restores = Atomic.get restores;
-    quarantines = Atomic.get quarantines;
-    dead_letters = Atomic.get dead_letters;
-    attempts = Atomic.get attempts;
-    retries = Atomic.get retries;
-    backoff_rounds = Atomic.get backoff_rounds;
-    degradations = Atomic.get degradations;
-    decompositions = Atomic.get decompositions;
-    decomposition_failures = Atomic.get decomposition_failures;
-    timeouts = Atomic.get timeouts;
-    retransmits = Atomic.get retransmits;
-    acks = Atomic.get acks;
-    barriers = Atomic.get barriers;
-    control_msgs = Atomic.get control_msgs;
-    late_letters = Atomic.get late_letters;
-    sketch_adds = Atomic.get sketch_adds;
-    sketch_merges = Atomic.get sketch_merges;
-    sketch_evictions = Atomic.get sketch_evictions;
-    shard_spawns = Atomic.get shard_spawns;
-    shard_restarts = Atomic.get shard_restarts;
-    shard_probes = Atomic.get shard_probes;
-    serve_requests = Atomic.get serve_requests;
-    serve_batches = Atomic.get serve_batches;
-    serve_coalesced = Atomic.get serve_coalesced;
-    serve_cache_hits = Atomic.get serve_cache_hits;
-    serve_cache_misses = Atomic.get serve_cache_misses;
-    serve_cache_evictions = Atomic.get serve_cache_evictions;
-    serve_rejections = Atomic.get serve_rejections;
-    serve_expired = Atomic.get serve_expired;
-    serve_snapshot_hits = Atomic.get serve_snapshot_hits;
-    serve_drains = Atomic.get serve_drains;
-    serve_restarts = Atomic.get serve_restarts;
-    sysfaults = Atomic.get sysfaults;
-    degraded_enters = Atomic.get degraded_enters;
-    degraded_exits = Atomic.get degraded_exits;
-    fork_retries = Atomic.get fork_retries;
-    ckpt_skips = Atomic.get ckpt_skips;
-    serve_snapshot_failures = Atomic.get serve_snapshot_failures;
-    serve_shed = Atomic.get serve_shed;
+    counts = Array.map (fun c -> Atomic.get c.cell) registry;
     latency_hist = Array.map Atomic.get latency_hist;
-    batches = b;
-    items = it;
-    max_queue = mq;
-    per_domain = pd;
+    pool = Mutex.protect pool_lock (fun () -> !pool);
   }
 
 let reset () =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      phases;
-      rounds;
-      bits;
-      messages;
-      drops;
-      duplicates;
-      delays;
-      corruptions;
-      crashes;
-      partitions;
-      heals;
-      checkpoints;
-      restores;
-      quarantines;
-      dead_letters;
-      attempts;
-      retries;
-      backoff_rounds;
-      degradations;
-      decompositions;
-      decomposition_failures;
-      timeouts;
-      retransmits;
-      acks;
-      barriers;
-      control_msgs;
-      late_letters;
-      sketch_adds;
-      sketch_merges;
-      sketch_evictions;
-      shard_spawns;
-      shard_restarts;
-      shard_probes;
-      serve_requests;
-      serve_batches;
-      serve_coalesced;
-      serve_cache_hits;
-      serve_cache_misses;
-      serve_cache_evictions;
-      serve_rejections;
-      serve_expired;
-      serve_snapshot_hits;
-      serve_drains;
-      serve_restarts;
-      sysfaults;
-      degraded_enters;
-      degraded_exits;
-      fork_retries;
-      ckpt_skips;
-      serve_snapshot_failures;
-      serve_shed;
-    ];
+  Array.iter (fun c -> Atomic.set c.cell 0) registry;
   Array.iter (fun c -> Atomic.set c 0) latency_hist;
-  Mutex.lock pool_lock;
-  batches := 0;
-  items := 0;
-  max_queue := 0;
-  per_domain := [||];
-  Mutex.unlock pool_lock
+  Mutex.protect pool_lock (fun () -> pool := no_pool)
 
 let empty =
   {
-    phases = 0;
-    rounds = 0;
-    bits = 0;
-    messages = 0;
-    drops = 0;
-    duplicates = 0;
-    delays = 0;
-    corruptions = 0;
-    crashes = 0;
-    partitions = 0;
-    heals = 0;
-    checkpoints = 0;
-    restores = 0;
-    quarantines = 0;
-    dead_letters = 0;
-    attempts = 0;
-    retries = 0;
-    backoff_rounds = 0;
-    degradations = 0;
-    decompositions = 0;
-    decomposition_failures = 0;
-    timeouts = 0;
-    retransmits = 0;
-    acks = 0;
-    barriers = 0;
-    control_msgs = 0;
-    late_letters = 0;
-    sketch_adds = 0;
-    sketch_merges = 0;
-    sketch_evictions = 0;
-    shard_spawns = 0;
-    shard_restarts = 0;
-    shard_probes = 0;
-    serve_requests = 0;
-    serve_batches = 0;
-    serve_coalesced = 0;
-    serve_cache_hits = 0;
-    serve_cache_misses = 0;
-    serve_cache_evictions = 0;
-    serve_rejections = 0;
-    serve_expired = 0;
-    serve_snapshot_hits = 0;
-    serve_drains = 0;
-    serve_restarts = 0;
-    sysfaults = 0;
-    degraded_enters = 0;
-    degraded_exits = 0;
-    fork_retries = 0;
-    ckpt_skips = 0;
-    serve_snapshot_failures = 0;
-    serve_shed = 0;
-    latency_hist = [||];
-    batches = 0;
-    items = 0;
-    max_queue = 0;
-    per_domain = [||];
+    counts = Array.make (Array.length registry) 0;
+    latency_hist = Array.make latency_buckets 0;
+    pool = no_pool;
   }
 
 (* Merge a worker process's counter delta into this process's counters —
    the shard runtime resets in the (forked) worker, snapshots at its end,
-   ships the snapshot, and the parent absorbs it here.  Every field is a
-   sum except [max_queue] (a max); [per_domain] adds index-wise. *)
-let absorb (d : snapshot) =
+   ships the snapshot, and the parent absorbs it here.  Everything sums
+   except the max queue depth (a max); arrays add index-wise. *)
+let absorb d =
   if enabled () then begin
-    add phases d.phases;
-    add rounds d.rounds;
-    add bits d.bits;
-    add messages d.messages;
-    add drops d.drops;
-    add duplicates d.duplicates;
-    add delays d.delays;
-    add corruptions d.corruptions;
-    add crashes d.crashes;
-    add partitions d.partitions;
-    add heals d.heals;
-    add checkpoints d.checkpoints;
-    add restores d.restores;
-    add quarantines d.quarantines;
-    add dead_letters d.dead_letters;
-    add attempts d.attempts;
-    add retries d.retries;
-    add backoff_rounds d.backoff_rounds;
-    add degradations d.degradations;
-    add decompositions d.decompositions;
-    add decomposition_failures d.decomposition_failures;
-    add timeouts d.timeouts;
-    add retransmits d.retransmits;
-    add acks d.acks;
-    add barriers d.barriers;
-    add control_msgs d.control_msgs;
-    add late_letters d.late_letters;
-    add sketch_adds d.sketch_adds;
-    add sketch_merges d.sketch_merges;
-    add sketch_evictions d.sketch_evictions;
-    add shard_spawns d.shard_spawns;
-    add shard_restarts d.shard_restarts;
-    add shard_probes d.shard_probes;
-    add serve_requests d.serve_requests;
-    add serve_batches d.serve_batches;
-    add serve_coalesced d.serve_coalesced;
-    add serve_cache_hits d.serve_cache_hits;
-    add serve_cache_misses d.serve_cache_misses;
-    add serve_cache_evictions d.serve_cache_evictions;
-    add serve_rejections d.serve_rejections;
-    add serve_expired d.serve_expired;
-    add serve_snapshot_hits d.serve_snapshot_hits;
-    add serve_drains d.serve_drains;
-    add serve_restarts d.serve_restarts;
-    add sysfaults d.sysfaults;
-    add degraded_enters d.degraded_enters;
-    add degraded_exits d.degraded_exits;
-    add fork_retries d.fork_retries;
-    add ckpt_skips d.ckpt_skips;
-    add serve_snapshot_failures d.serve_snapshot_failures;
-    add serve_shed d.serve_shed;
-    Array.iteri (fun i k -> add latency_hist.(i) k) d.latency_hist;
-    Mutex.lock pool_lock;
-    batches := !batches + d.batches;
-    items := !items + d.items;
-    if d.max_queue > !max_queue then max_queue := d.max_queue;
-    let need = Array.length d.per_domain in
-    if Array.length !per_domain < need then begin
-      let grown = Array.make need 0 in
-      Array.blit !per_domain 0 grown 0 (Array.length !per_domain);
-      per_domain := grown
-    end;
-    Array.iteri (fun i k -> !per_domain.(i) <- !per_domain.(i) + k) d.per_domain;
-    Mutex.unlock pool_lock
+    Array.iteri (fun i k -> add registry.(i) k) d.counts;
+    Array.iteri
+      (fun i k -> ignore (Atomic.fetch_and_add latency_hist.(i) k))
+      d.latency_hist;
+    add_pool d.pool
   end
 
 let print oc s =
   let p fmt = Printf.fprintf oc fmt in
   p "metrics:\n";
-  p "  phases %d  rounds %d  bits %d  messages %d\n" s.phases s.rounds s.bits
-    s.messages;
-  p "  faults: drop %d  duplicate %d  delay %d  corrupt %d  crash %d\n" s.drops
-    s.duplicates s.delays s.corruptions s.crashes;
-  p
-    "  recovery: partitions %d  heals %d  checkpoints %d  restores %d  \
-     quarantines %d  dead_letters %d\n"
-    s.partitions s.heals s.checkpoints s.restores s.quarantines s.dead_letters;
-  p "  supervision: attempts %d  retries %d  backoff_rounds %d  degraded %d\n"
-    s.attempts s.retries s.backoff_rounds s.degradations;
-  p "  decompositions %d (failures %d)\n" s.decompositions
-    s.decomposition_failures;
-  if
-    s.timeouts > 0 || s.retransmits > 0 || s.acks > 0 || s.barriers > 0
-    || s.control_msgs > 0 || s.late_letters > 0
-  then
-    p
-      "  async: timeouts %d  retransmits %d  acks %d  barriers %d  \
-       control_msgs %d  late_letters %d\n"
-      s.timeouts s.retransmits s.acks s.barriers s.control_msgs s.late_letters;
-  if s.sketch_adds > 0 || s.sketch_merges > 0 || s.sketch_evictions > 0 then
-    p "  sketch: adds %d  merges %d  evictions %d\n" s.sketch_adds
-      s.sketch_merges s.sketch_evictions;
-  if s.shard_spawns > 0 || s.shard_restarts > 0 then
-    p "  shards: spawns %d  restarts %d  probes %d\n" s.shard_spawns
-      s.shard_restarts s.shard_probes;
-  if s.serve_requests > 0 || s.serve_rejections > 0 then
-    p
-      "  serve: requests %d  batches %d  coalesced %d  cache %d/%d \
-       (evictions %d)  rejected %d\n"
-      s.serve_requests s.serve_batches s.serve_coalesced s.serve_cache_hits
-      (s.serve_cache_hits + s.serve_cache_misses)
-      s.serve_cache_evictions s.serve_rejections;
-  if
-    s.serve_expired > 0 || s.serve_snapshot_hits > 0 || s.serve_drains > 0
-    || s.serve_restarts > 0
-  then
-    p
-      "  serve-robustness: expired %d  snapshot_hits %d  drains %d  \
-       restarts %d\n"
-      s.serve_expired s.serve_snapshot_hits s.serve_drains s.serve_restarts;
-  if
-    s.sysfaults > 0 || s.degraded_enters > 0 || s.fork_retries > 0
-    || s.ckpt_skips > 0 || s.serve_snapshot_failures > 0 || s.serve_shed > 0
-  then
-    p
-      "  resource-faults: injected %d  degraded %d/%d  fork_retries %d  \
-       ckpt_skips %d  snapshot_failures %d  shed %d\n"
-      s.sysfaults s.degraded_enters s.degraded_exits s.fork_retries
-      s.ckpt_skips s.serve_snapshot_failures s.serve_shed;
+  let rec groups = function
+    | [] -> ()
+    | c :: _ as cs ->
+        let mine, rest = List.partition (fun d -> d.group = c.group) cs in
+        if List.exists (fun d -> get s d <> 0) mine then
+          p "  %s: %s\n" c.group
+            (String.concat "  "
+               (List.map
+                  (fun d -> Printf.sprintf "%s %d" d.name (get s d))
+                  mine));
+        groups rest
+  in
+  groups in_print_order;
   if Array.exists (fun k -> k > 0) s.latency_hist then begin
     p "  latency:";
     Array.iteri
@@ -562,6 +197,7 @@ let print oc s =
       s.latency_hist;
     p "\n"
   end;
-  p "  pool: batches %d  items %d  max_queue %d  per_domain [%s]\n" s.batches
-    s.items s.max_queue
-    (String.concat "; " (Array.to_list (Array.map string_of_int s.per_domain)))
+  let q = s.pool in
+  p "  pool: batches %d  items %d  max_queue %d  per_domain [%s]\n" q.batches
+    q.items q.max_queue
+    (String.concat "; " (Array.to_list (Array.map string_of_int q.per_domain)))

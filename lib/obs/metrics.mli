@@ -1,162 +1,185 @@
 (** Process-global counters for the LOCAL runtime.
 
     Where {!Trace} records the {e sequence} of events, this module keeps
-    cheap aggregate counters: phases/rounds/bits/messages, applied fault
-    verdicts, supervision attempts and backoff, decompositions, and
-    {!Ls_par} pool utilization (batches, items, per-domain item counts,
-    max queue depth).  All counters are atomics or mutex-guarded sums, so
-    totals are domain-count invariant — only the [per_domain] split
-    depends on scheduling.
+    cheap aggregate counters: a registry of named counters (LOCAL cost,
+    fault verdicts, supervision, sketches, shards, serving, resource
+    faults), a virtual-latency histogram, and {!Ls_par} pool utilization.
+    All are atomics or mutex-guarded sums, so totals are domain-count
+    invariant — only the [per_domain] split depends on scheduling.
 
-    Recording is off by default; every producer guards on {!enabled}, so a
-    disabled run pays one atomic read per phase, nothing per message. *)
+    {!snapshot}, {!reset}, {!empty}, {!absorb} and {!print} are loops over
+    the registry.  Adding a counter is one line in [metrics.ml]
+    ([let c = def "group" "c"], the group being its [--metrics] line) plus
+    its documented [val c : counter] below.
 
-type snapshot = {
-  phases : int;
-  rounds : int;  (** Rounds charged by traced broadcast phases. *)
-  bits : int;
-  messages : int;  (** Transmitted copies (duplicates pay twice). *)
-  drops : int;
-  duplicates : int;
-  delays : int;
-  corruptions : int;
-  crashes : int;
-  partitions : int;  (** Partition intervals that came into force. *)
-  heals : int;  (** Partition intervals that ended. *)
-  checkpoints : int;  (** Node states snapshotted at crash time. *)
-  restores : int;  (** Recovering nodes that restored a checkpoint. *)
-  quarantines : int;  (** Corrupted copies detected by an integrity digest. *)
-  dead_letters : int;  (** Copies that arrived at a crashed receiver. *)
-  attempts : int;  (** Supervised attempts, including the first of each run. *)
-  retries : int;
-  backoff_rounds : int;
-  degradations : int;
-  decompositions : int;
-  decomposition_failures : int;
-  timeouts : int;  (** Adaptive-mode async deadlines that fired. *)
-  retransmits : int;  (** Payload copies re-sent after a nack. *)
-  acks : int;  (** Synchronizer-mode per-copy acknowledgements. *)
-  barriers : int;  (** Local round barriers completed. *)
-  control_msgs : int;
-      (** Control-plane messages (acks, safes, nacks) — metered separately
-          from [messages], which counts payload copies only, so the
-          conservation invariant is executor-independent. *)
-  late_letters : int;
-      (** Copies arriving after their slot closed (adaptive mode); a
-          subset of [dead_letters]. *)
-  sketch_adds : int;  (** Items recorded into {!Ls_sketch} sketches. *)
-  sketch_merges : int;  (** Sketch merge operations (CMS and bottom-k). *)
-  sketch_evictions : int;
-      (** Bottom-k keys displaced after admission — a saturation signal. *)
-  shard_spawns : int;  (** Worker processes forked by {!Ls_shard}. *)
-  shard_restarts : int;
-      (** Workers re-forked after a death ([kill -9], crash, hang). *)
-  shard_probes : int;
-      (** Supervisor liveness probes fired on heartbeat silence.  Wall-
-          clock driven, so scheduling-dependent like [per_domain]. *)
-  serve_requests : int;  (** Requests admitted by the {!Ls_serve} engine. *)
-  serve_batches : int;  (** Engine batch executions. *)
-  serve_coalesced : int;
-      (** Requests that shared a compiled instance with an earlier request
-          in the same batch (same-model coalescing). *)
-  serve_cache_hits : int;  (** Instance/plan LRU hits. *)
-  serve_cache_misses : int;
-  serve_cache_evictions : int;
-  serve_rejections : int;
-      (** Requests rejected [Overloaded] by admission control.  Timing-
-          dependent, so {e not} covered by the determinism contract. *)
-  serve_expired : int;
-      (** Requests answered [Expired]: their deadline elapsed in the
-          admission queue.  Timing-dependent, like rejections. *)
-  serve_snapshot_hits : int;
-      (** Cache hits on entries restored from a warm-start snapshot. *)
-  serve_drains : int;  (** Graceful drains completed (SIGTERM path). *)
-  serve_restarts : int;
-      (** Supervised worker respawns after a death or hang. *)
-  sysfaults : int;
-      (** Syscall faults injected through the {!Ls_shard.Sysio} hook
-          (ENOSPC, EMFILE, EAGAIN, short writes, synthetic EINTR). *)
-  degraded_enters : int;
-      (** Subsystems that entered a degraded mode ({!Health}). *)
-  degraded_exits : int;
-      (** Subsystems that recovered to ok.  At a clean daemon exit,
-          enters = exits — the pairing invariant the chaos suite checks. *)
-  fork_retries : int;
-      (** [fork] attempts retried after [EAGAIN] (consume backoff, not
-          restart budget). *)
-  ckpt_skips : int;
-      (** Checkpoint writes skipped after a disk fault — the shard
-          continued checkpoint-free on its last good checkpoint. *)
-  serve_snapshot_failures : int;
-      (** Serve cache-snapshot writes that failed (circuit-breaks
-          snapshotting with capped retry-after). *)
-  serve_shed : int;
-      (** Accept-backoff windows entered after [EMFILE]/[ENFILE]: new
-          connections wait in the backlog while existing ones are
-          served. *)
-  latency_hist : int array;
-      (** Virtual link-latency histogram over {!latency_bounds} buckets
-          (last bucket open-ended). *)
-  batches : int;  (** Parallel fan-outs executed by {!Ls_par}. *)
-  items : int;  (** Work items across all batches. *)
-  max_queue : int;  (** Largest batch installed (initial queue depth). *)
-  per_domain : int array;
-      (** Items executed per domain index (0 = the submitting domain).
-          The only scheduling-dependent field. *)
-}
+    Recording is off by default; producers go through {!add}/{!bump},
+    which guard on {!enabled}, so a disabled run pays one atomic read per
+    call. *)
+
+type counter
+(** A named [int Atomic.t] in the registry. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 (** {1 Recording} (no-ops while disabled) *)
 
-val record_phase : rounds:int -> bits:int -> messages:int -> unit
-val record_drop : unit -> unit
-val record_duplicate : unit -> unit
-val record_delay : unit -> unit
-val record_corruption : unit -> unit
-val record_crash : unit -> unit
-val record_partition : unit -> unit
-val record_heal : unit -> unit
-val record_checkpoint : unit -> unit
-val record_restore : unit -> unit
-val record_quarantine : unit -> unit
-val record_dead_letters : int -> unit
-val record_attempt : retry:bool -> unit
-val record_backoff : rounds:int -> unit
-val record_degraded : unit -> unit
-val record_decomposition : failures:int -> unit
-val record_timeout : unit -> unit
-val record_retransmit : unit -> unit
-val record_ack : unit -> unit
-val record_barrier : unit -> unit
-val record_control : int -> unit
-val record_late_letters : int -> unit
-val record_sketch_add : unit -> unit
-val record_sketch_merge : unit -> unit
-val record_sketch_eviction : unit -> unit
-val record_shard_spawn : unit -> unit
-val record_shard_restart : unit -> unit
-val record_shard_probe : unit -> unit
+val add : counter -> int -> unit
+(** [add c k] adds [k] to [c]: one {!enabled} read and one
+    [Atomic.fetch_and_add] — never a lookup by name. *)
 
-val record_serve_batch : requests:int -> coalesced:int -> unit
-(** One engine batch: [requests] admitted requests executed together, of
-    which [coalesced] shared a compiled instance with an earlier one. *)
+val bump : counter -> unit
+(** [bump c] is [add c 1]. *)
 
-val record_serve_cache : hit:bool -> unit
-val record_serve_cache_eviction : unit -> unit
-val record_serve_rejection : unit -> unit
-val record_serve_expiry : unit -> unit
-val record_serve_snapshot_hit : unit -> unit
-val record_serve_drain : unit -> unit
-val record_serve_restart : unit -> unit
-val record_sysfault : unit -> unit
-val record_degraded_enter : unit -> unit
-val record_degraded_exit : unit -> unit
-val record_fork_retry : unit -> unit
-val record_ckpt_skip : unit -> unit
-val record_serve_snapshot_failure : unit -> unit
-val record_serve_shed : unit -> unit
+(** {1 Counters}, grouped by their [--metrics] line *)
+
+(** {2 LOCAL cost ([local])} *)
+
+val phases : counter
+val bits : counter
+val rounds : counter  (** Rounds charged by traced broadcast phases. *)
+
+val messages : counter  (** Transmitted copies (duplicates pay twice). *)
+
+(** {2 Applied fault verdicts ([faults])} *)
+
+val drops : counter
+val duplicates : counter
+val delays : counter
+val corruptions : counter
+val crashes : counter
+
+(** {2 Crash recovery ([recovery])} *)
+
+val partitions : counter  (** Partition intervals that came into force. *)
+
+val heals : counter  (** Partition intervals that ended. *)
+
+val checkpoints : counter  (** Node states snapshotted at crash time. *)
+
+val restores : counter  (** Recovering nodes that restored a checkpoint. *)
+
+val quarantines : counter
+(** Corrupted copies detected by an integrity digest. *)
+
+val dead_letters : counter  (** Copies that arrived at a crashed receiver. *)
+
+(** {2 Supervision ([supervision])} *)
+
+val retries : counter
+val backoff_rounds : counter
+val degradations : counter
+
+val attempts : counter
+(** Supervised attempts, including the first of each run. *)
+
+(** {2 Network decomposition ([decomposition])} *)
+
+val decompositions : counter
+val decomposition_failures : counter
+
+(** {2 Asynchronous executors ([async])} *)
+
+val timeouts : counter  (** Adaptive-mode async deadlines that fired. *)
+
+val retransmits : counter  (** Payload copies re-sent after a nack. *)
+
+val acks : counter  (** Synchronizer-mode per-copy acknowledgements. *)
+
+val barriers : counter  (** Local round barriers completed. *)
+
+val control_msgs : counter
+(** Control-plane messages (acks, safes, nacks) — metered separately from
+    [messages], which counts payload copies only, so the conservation
+    invariant is executor-independent. *)
+
+val late_letters : counter
+(** Copies arriving after their slot closed (adaptive mode); a subset of
+    [dead_letters]. *)
+
+(** {2 Sketches ([sketch])} *)
+
+val sketch_adds : counter  (** Items recorded into {!Ls_sketch} sketches. *)
+
+val sketch_merges : counter  (** Sketch merge operations (CMS and bottom-k). *)
+
+val sketch_evictions : counter
+(** Bottom-k keys displaced after admission — a saturation signal. *)
+
+(** {2 Worker processes ([shards])} *)
+
+val shard_spawns : counter  (** Worker processes forked by {!Ls_shard}. *)
+
+val shard_restarts : counter
+(** Workers re-forked after a death ([kill -9], crash, hang). *)
+
+val shard_probes : counter
+(** Supervisor liveness probes fired on heartbeat silence.  Wall-clock
+    driven, so scheduling-dependent like [per_domain]. *)
+
+(** {2 Serving engine ([serve])} *)
+
+val serve_cache_misses : counter
+val serve_cache_evictions : counter
+val serve_requests : counter
+(** Requests admitted by the {!Ls_serve} engine. *)
+
+val serve_batches : counter  (** Engine batch executions. *)
+
+val serve_coalesced : counter
+(** Requests that shared a compiled instance with an earlier request in
+    the same batch (same-model coalescing). *)
+
+val serve_cache_hits : counter  (** Instance/plan LRU hits. *)
+
+val serve_rejections : counter
+(** Requests rejected [Overloaded] by admission control.  Timing-
+    dependent, so {e not} covered by the determinism contract. *)
+
+(** {2 Serving robustness ([serve-robustness])} *)
+
+val serve_expired : counter
+(** Requests answered [Expired]: their deadline elapsed in the admission
+    queue.  Timing-dependent, like rejections. *)
+
+val serve_snapshot_hits : counter
+(** Cache hits on entries restored from a warm-start snapshot. *)
+
+val serve_drains : counter  (** Graceful drains completed (SIGTERM path). *)
+
+val serve_restarts : counter
+(** Supervised worker respawns after a death or hang. *)
+
+(** {2 Resource faults ([resource-faults])} *)
+
+val sysfaults : counter
+(** Syscall faults injected through the {!Ls_shard.Sysio} hook (ENOSPC,
+    EMFILE, EAGAIN, short writes, synthetic EINTR). *)
+
+val degraded_enters : counter
+(** Subsystems that entered a degraded mode ({!Health}). *)
+
+val degraded_exits : counter
+(** Subsystems that recovered to ok.  At a clean daemon exit, enters =
+    exits — the pairing invariant the chaos suite checks. *)
+
+val fork_retries : counter
+(** [fork] attempts retried after [EAGAIN] (consume backoff, not restart
+    budget). *)
+
+val ckpt_skips : counter
+(** Checkpoint writes skipped after a disk fault — the shard continued
+    checkpoint-free on its last good checkpoint. *)
+
+val serve_snapshot_failures : counter
+(** Serve cache-snapshot writes that failed (circuit-breaks snapshotting
+    with capped retry-after). *)
+
+val serve_shed : counter
+(** Accept-backoff windows entered after [EMFILE]/[ENFILE]: new
+    connections wait in the backlog while existing ones are served. *)
+
+(** {1 Latency and pool utilization} *)
 
 val latency_bounds : float array
 (** Upper bounds of the latency histogram buckets (exponential, doubling
@@ -173,21 +196,51 @@ val record_batch : items:int -> per_worker:int array -> unit
 
 (** {1 Reading} *)
 
+type pool = {
+  batches : int;  (** Parallel fan-outs executed by {!Ls_par}. *)
+  items : int;  (** Work items across all batches. *)
+  max_queue : int;  (** Largest batch installed (initial queue depth). *)
+  per_domain : int array;
+      (** Items executed per domain index (0 = the submitting domain).
+          The only scheduling-dependent field. *)
+}
+
+type snapshot = private {
+  counts : int array;  (** Counter values by registry slot; read with {!get}. *)
+  latency_hist : int array;
+      (** Virtual link-latency histogram over {!latency_bounds} buckets
+          (last bucket open-ended). *)
+  pool : pool;
+}
+(** An immutable, marshalable value ({!Ls_shard} ships it between
+    processes).  Slots follow the registry's name order, never the order
+    of recording. *)
+
+val counters : counter list
+(** The registry, in name order. *)
+
+val name : counter -> string
+(** The counter's snake_case name, as [--metrics] prints it. *)
+
+val get : snapshot -> counter -> int
+
 val snapshot : unit -> snapshot
 val reset : unit -> unit
 
 val empty : snapshot
-(** The all-zero snapshot ([latency_hist] and [per_domain] empty) — the
-    identity of {!absorb}, and a base for record updates when building a
-    delta by hand. *)
+(** The all-zero snapshot — what {!snapshot} reads right after {!reset},
+    and the identity of {!absorb}. *)
 
 val absorb : snapshot -> unit
-(** Merge a snapshot into the live counters: every field adds, except
-    [max_queue] (pointwise max) and [per_domain]/[latency_hist] (index-
-    wise add).  This is how {!Ls_shard} folds a worker process's counter
-    delta — the worker {!reset}s its (forked, private) copy, runs,
-    {!snapshot}s, and ships the result to the parent.  No-op while
-    disabled. *)
+(** Merge a snapshot into the live counters: every counter adds, as do
+    [batches] and [items]; [max_queue] takes the max and
+    [per_domain]/[latency_hist] add index-wise.  This is how {!Ls_shard}
+    folds a worker process's counter delta — the worker {!reset}s its
+    (forked, private) copy, runs, {!snapshot}s, and ships the result to
+    the parent.  No-op while disabled. *)
 
 val print : out_channel -> snapshot -> unit
-(** Human-readable summary table (the [--metrics] output). *)
+(** Human-readable summary table (the [--metrics] output): a [metrics:]
+    header, then one line per display group that has a non-zero counter
+    — [  group: name value  name value ...] in declaration order — then
+    the non-empty latency buckets and the [pool:] line. *)

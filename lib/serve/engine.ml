@@ -273,11 +273,11 @@ let create ?(instance_cache = 64) ?(plan_cache = 1024) ?(max_vertices = 100_000)
 
 let note_rejection t =
   t.rejected <- t.rejected + 1;
-  Metrics.record_serve_rejection ()
+  Metrics.bump Metrics.serve_rejections
 
 let note_expiry t =
   t.expired <- t.expired + 1;
-  Metrics.record_serve_expiry ()
+  Metrics.bump Metrics.serve_expired
 
 let set_restarts t n = t.restarts <- n
 let note_queue_depth t depth = if depth > t.max_queue then t.max_queue <- depth
@@ -302,22 +302,22 @@ let cache_lookup t lru key =
   match Lru.find lru key with
   | Some v ->
       t.cache_hits <- t.cache_hits + 1;
-      Metrics.record_serve_cache ~hit:true;
+      Metrics.bump Metrics.serve_cache_hits;
       if Hashtbl.mem t.restored key then begin
         t.snapshot_hits <- t.snapshot_hits + 1;
-        Metrics.record_serve_snapshot_hit ()
+        Metrics.bump Metrics.serve_snapshot_hits
       end;
       Some v
   | None ->
       t.cache_misses <- t.cache_misses + 1;
-      Metrics.record_serve_cache ~hit:false;
+      Metrics.bump Metrics.serve_cache_misses;
       None
 
 let cache_insert _t lru key v =
   let before = Lru.evictions lru in
   Lru.add lru key v;
   for _ = 1 to Lru.evictions lru - before do
-    Metrics.record_serve_cache_eviction ()
+    Metrics.bump Metrics.serve_cache_evictions
   done
 
 (* Per-trial sample seeds: the same split shape as the CLI's non-faulty
@@ -498,7 +498,9 @@ let run_batch t ?domains ?trace (requests : Protocol.request list) :
                 Ok (Protocol.Health_r { reasons = Health.degraded () })))
       resolved
   in
-  Metrics.record_serve_batch ~requests:n_requests ~coalesced:!coalesced;
+  Metrics.add Metrics.serve_requests n_requests;
+  Metrics.bump Metrics.serve_batches;
+  Metrics.add Metrics.serve_coalesced !coalesced;
   (match Trace.resolve trace with
   | Some s ->
       Trace.emit s

@@ -260,7 +260,7 @@ let save_snapshot ~dir engine ~batches =
   with Unix.Unix_error _ | Sys_error _ ->
     (* Persistence is best-effort: a full disk must not kill serving.
        The caller owns the circuit breaker; this layer just reports. *)
-    Metrics.record_serve_snapshot_failure ();
+    Metrics.bump Metrics.serve_snapshot_failures;
     Log.warn (fun m -> m "cache snapshot write to %s failed" dir);
     false
 
@@ -439,7 +439,7 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
           | Unix.ENFILE -> "ENFILE"
           | _ -> "EAGAIN"
         in
-        Metrics.record_serve_shed ();
+        Metrics.bump Metrics.serve_shed;
         accept_degraded := true;
         Health.set_degraded ~subsystem:"accept"
           ~reason:(name ^ ": shedding new connections");
@@ -611,7 +611,7 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
          always closes its own trace brackets. *)
       Health.clear_all ();
       if !stop_flag then begin
-        Metrics.record_serve_drain ();
+        Metrics.bump Metrics.serve_drains;
         Log.info (fun m -> m "drained: all admitted requests answered")
       end);
   Engine.stats engine
@@ -804,7 +804,7 @@ let run_supervised ?(cfg = config ()) ?(policy = default_supervision) ?trace
           backoff := !backoff * policy.Supervisor.backoff_factor;
           incr incarnation;
           term_sent := false;
-          Metrics.record_serve_restart ();
+          Metrics.bump Metrics.serve_restarts;
           Log.warn (fun m ->
               m "worker died; restarting (incarnation %d, %d restarts left)"
                 !incarnation !budget);

@@ -125,11 +125,11 @@ let save_best_effort ~dir meta payload =
     Ls_obs.Health.clear ~subsystem:"checkpoint"
   with
   | Unix.Unix_error (e, _, _) ->
-      Ls_obs.Metrics.record_ckpt_skip ();
+      Ls_obs.Metrics.bump Ls_obs.Metrics.ckpt_skips;
       Ls_obs.Health.set_degraded ~subsystem:"checkpoint"
         ~reason:("checkpoint write failed: " ^ Unix.error_message e)
   | Sys_error msg ->
-      Ls_obs.Metrics.record_ckpt_skip ();
+      Ls_obs.Metrics.bump Ls_obs.Metrics.ckpt_skips;
       Ls_obs.Health.set_degraded ~subsystem:"checkpoint"
         ~reason:("checkpoint write failed: " ^ msg)
 

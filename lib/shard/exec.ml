@@ -598,19 +598,19 @@ let run_phase cfg (t : 'i Network.t) ~rounds ~(size : ('m -> int) option)
             (match trace with
             | Some s -> Trace.emit s (Trace.Heal { round = abs })
             | None -> ());
-            if metrics then Metrics.record_heal ()
+            if metrics then Metrics.bump Metrics.heals
           end;
           Network.Internal.set_partition_active t (Some idx);
           (match trace with
           | Some s -> Trace.emit s (Trace.Partition { round = abs; parts })
           | None -> ());
-          if metrics then Metrics.record_partition ()
+          if metrics then Metrics.bump Metrics.partitions
       | None, Some _ ->
           Network.Internal.set_partition_active t None;
           (match trace with
           | Some s -> Trace.emit s (Trace.Heal { round = abs })
           | None -> ());
-          if metrics then Metrics.record_heal ()
+          if metrics then Metrics.bump Metrics.heals
       | _ -> ()
     end;
     for v = 0 to n - 1 do
@@ -618,14 +618,14 @@ let run_phase cfg (t : 'i Network.t) ~rounds ~(size : ('m -> int) option)
         (match trace with
         | Some s -> Trace.emit s (Trace.Checkpoint { node = v; round = abs })
         | None -> ());
-        if metrics then Metrics.record_checkpoint ()
+        if metrics then Metrics.bump Metrics.checkpoints
       end;
       if (not (Network.Internal.crash_seen t v)) && crash_at.(v) <= abs then begin
         Network.Internal.set_crash_seen t v;
         (match trace with
         | Some s -> Trace.emit s (Trace.Crash { node = v; round = crash_at.(v) })
         | None -> ());
-        if metrics then Metrics.record_crash ()
+        if metrics then Metrics.bump Metrics.crashes
       end;
       if recover_at.(v) = abs then begin
         let missed = abs - crash_at.(v) in
@@ -633,7 +633,7 @@ let run_phase cfg (t : 'i Network.t) ~rounds ~(size : ('m -> int) option)
         (match trace with
         | Some s -> Trace.emit s (Trace.Restore { node = v; round = abs; missed })
         | None -> ());
-        if metrics then Metrics.record_restore ()
+        if metrics then Metrics.bump Metrics.restores
       end
     done;
     List.iter
@@ -658,7 +658,7 @@ let run_phase cfg (t : 'i Network.t) ~rounds ~(size : ('m -> int) option)
       Network.Internal.add_delivered t sm.sm_delivered;
       if sm.sm_dead > 0 then begin
         Network.Internal.add_dead_letters t sm.sm_dead;
-        if metrics then Metrics.record_dead_letters sm.sm_dead
+        if metrics then Metrics.add Metrics.dead_letters sm.sm_dead
       end;
       (match ckpt with
       | None -> ()

@@ -101,7 +101,7 @@ let fork_with_retry ?(attempts = 5) ?(backoff_ms = 20) ~site () =
         if retried then Health.clear ~subsystem:"fork";
         pid
     | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
-        Metrics.record_fork_retry ();
+        Metrics.bump Metrics.fork_retries;
         Health.set_degraded ~subsystem:"fork" ~reason:"fork EAGAIN";
         if attempt + 1 >= attempts then begin
           Health.clear ~subsystem:"fork";
@@ -209,7 +209,7 @@ let run ?(policy = default_policy) ?trace
               Trace.emit s
                 (Trace.Shard_spawn { shard = w.w_shard; incarnation })
           | None -> ());
-          if metrics then Metrics.record_shard_spawn ()
+          if metrics then Metrics.bump Metrics.shard_spawns
         end
         else begin
           (match tr with
@@ -222,7 +222,7 @@ let run ?(policy = default_policy) ?trace
                      restored_round = restored_round ~shard:w.w_shard;
                    })
           | None -> ());
-          if metrics then Metrics.record_shard_restart ()
+          if metrics then Metrics.bump Metrics.shard_restarts
         end
   in
   let ctx =
@@ -368,7 +368,7 @@ let run ?(policy = default_policy) ?trace
                 && now -. w.w_last_heard
                    >= float_of_int policy.hang_timeout_ms /. 1000.
               then begin
-                if metrics then Metrics.record_shard_probe ();
+                if metrics then Metrics.bump Metrics.shard_probes;
                 if reaped w then handle_deaths w
                 else begin
                   w.w_probes <- w.w_probes + 1;

@@ -67,7 +67,7 @@ let consult ~op ~site =
   | None -> Pass
   | Some h ->
       let verdict = h ~op ~site ~count:(next_count op site) in
-      (match verdict with Pass -> () | _ -> Metrics.record_sysfault ());
+      (match verdict with Pass -> () | _ -> Metrics.bump Metrics.sysfaults);
       verdict
 
 (* The one EINTR-retry discipline (satellite of the Frame full-IO

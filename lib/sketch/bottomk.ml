@@ -77,7 +77,7 @@ let find_worst t =
 let add ?(count = 1) t key =
   if count < 0 then invalid_arg "Bottomk.add: count must be >= 0";
   t.total <- t.total + count;
-  Metrics.record_sketch_add ();
+  Metrics.bump Metrics.sketch_adds;
   match Tbl.find_opt t.entries key with
   | Some e -> e.count <- e.count + count
   | None -> (
@@ -92,7 +92,7 @@ let add ?(count = 1) t key =
             Tbl.remove t.entries wk;
             Tbl.replace t.entries (Array.copy key) { rank = r; count };
             t.evictions <- t.evictions + 1;
-            Metrics.record_sketch_eviction ();
+            Metrics.bump Metrics.sketch_evictions;
             t.worst <- find_worst t
         | _ -> ())
 
@@ -152,7 +152,7 @@ let merge a b =
     all;
   if Tbl.length m.entries = m.k then m.worst <- find_worst m;
   m.total <- a.total + b.total;
-  Metrics.record_sketch_merge ();
+  Metrics.bump Metrics.sketch_merges;
   m
 
 let magic = "BKS1"

@@ -57,7 +57,7 @@ let add ?(count = 1) t key =
     t.rows.(row).(i) <- t.rows.(row).(i) + count
   done;
   t.total <- t.total + count;
-  Metrics.record_sketch_add ()
+  Metrics.bump Metrics.sketch_adds
 
 let total t = t.total
 
@@ -83,7 +83,7 @@ let merge a b =
     done
   done;
   m.total <- a.total + b.total;
-  Metrics.record_sketch_merge ();
+  Metrics.bump Metrics.sketch_merges;
   m
 
 let magic = "CMS1"

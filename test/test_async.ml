@@ -249,10 +249,14 @@ let test_async_metrics_recorded () =
   ignore (Async.flood_views cfg net ~radius:2);
   let s = Metrics.snapshot () in
   let st = Async.stats cfg in
-  checki "timeout metric matches stats" st.Async.timeouts s.Metrics.timeouts;
-  checki "retransmit metric matches stats" st.Async.retransmits s.Metrics.retransmits;
-  checki "barrier metric matches stats" st.Async.barriers s.Metrics.barriers;
-  checki "control metric matches stats" st.Async.control_msgs s.Metrics.control_msgs;
+  checki "timeout metric matches stats" st.Async.timeouts
+    (Metrics.get s Metrics.timeouts);
+  checki "retransmit metric matches stats" st.Async.retransmits
+    (Metrics.get s Metrics.retransmits);
+  checki "barrier metric matches stats" st.Async.barriers
+    (Metrics.get s Metrics.barriers);
+  checki "control metric matches stats" st.Async.control_msgs
+    (Metrics.get s Metrics.control_msgs);
   checkb "latency histogram populated" true
     (Array.fold_left ( + ) 0 s.Metrics.latency_hist > 0)
 

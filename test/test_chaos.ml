@@ -76,6 +76,31 @@ let test_injected_failure_is_caught_and_shrunk () =
   checkb "replaying reproduces the failures exactly" true
     (s.Chaos.failures = s'.Chaos.failures)
 
+let test_shrink_ignores_decoy () =
+  (* A decoy invariant fires on exactly the schedules the planted bug
+     spares, so every candidate that drops a guilty dimension trips it.
+     The shrinker must keep the planted failure, not trade it for the
+     decoy. *)
+  let planted spec = spec.Chaos.drop > 0. && spec.Chaos.partitions <> [] in
+  let check spec =
+    if planted spec then
+      Some { Chaos.invariant = "injected"; detail = "drop with partition" }
+    else
+      Some { Chaos.invariant = "decoy"; detail = "a guilty dimension zeroed" }
+  in
+  let s =
+    Chaos.run
+      ~check:(fun spec -> if planted spec then check spec else None)
+      ~schedules:8 ~trials:10 ~seed:2026L ()
+  in
+  match s.Chaos.failures with
+  | [] -> Alcotest.fail "some schedule trips the planted bug"
+  | f :: _ ->
+      let m = Chaos.shrink ~check ~trials:10 f.Chaos.f_spec in
+      checkb "shrunk keeps the planted failure" true (planted m);
+      checki "shrunk keeps exactly one partition" 1
+        (List.length m.Chaos.partitions)
+
 let test_shrink_is_identity_on_passing_specs () =
   let spec = Chaos.quiet 9L in
   checkb "nothing to shrink on a passing schedule" true
@@ -145,6 +170,8 @@ let suite =
       test_replay_is_deterministic;
     Alcotest.test_case "injected failure caught and shrunk" `Quick
       test_injected_failure_is_caught_and_shrunk;
+    Alcotest.test_case "shrink ignores a decoy invariant" `Quick
+      test_shrink_ignores_decoy;
     Alcotest.test_case "shrink is identity on passing specs" `Quick
       test_shrink_is_identity_on_passing_specs;
     Alcotest.test_case "async executors pass the suite" `Slow

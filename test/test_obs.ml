@@ -129,52 +129,100 @@ let test_pristine_message_meter () =
   ignore (Network.flood_views net ~radius:3);
   checki "messages = radius * 2m" (3 * 2 * Graph.m g) (Network.messages net)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let print_to_string snap =
+  let file = Filename.temp_file "metrics" ".txt" in
+  Out_channel.with_open_text file (fun oc -> Metrics.print oc snap);
+  let text = In_channel.with_open_text file In_channel.input_all in
+  Sys.remove file;
+  text
+
 let test_metrics_aggregation () =
   Metrics.set_enabled true;
   Fun.protect ~finally:(fun () ->
       Metrics.reset ();
       Metrics.set_enabled false)
   @@ fun () ->
+  (* Generic over the registry, never a hand-picked few counters. *)
+  let names = List.map Metrics.name Metrics.counters in
+  checki "counter names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  checkb "the registry is in name order" true (names = List.sort compare names);
+  (* Snapshot layout is the registry's, whatever the recording order. *)
+  let valued = List.mapi (fun i c -> (c, i + 1)) Metrics.counters in
+  let record_all order =
+    Metrics.reset ();
+    List.iter (fun (c, v) -> Metrics.add c v) order;
+    Metrics.snapshot ()
+  in
+  let forward = record_all valued and backward = record_all (List.rev valued) in
+  checkb "snapshot order is independent of recording order" true
+    (forward = backward
+    && Marshal.to_string forward [] = Marshal.to_string backward []);
+  (* Sums: k recorded as 1 + (k - 1) reads k; absorbing a snapshot of
+     itself doubles every counter. *)
+  let k = 7 in
   Metrics.reset ();
-  Metrics.record_phase ~rounds:3 ~bits:10 ~messages:5;
-  Metrics.record_phase ~rounds:2 ~bits:0 ~messages:7;
-  Metrics.record_drop ();
-  Metrics.record_delay ();
-  Metrics.record_delay ();
-  Metrics.record_attempt ~retry:false;
-  Metrics.record_attempt ~retry:true;
-  Metrics.record_backoff ~rounds:4;
-  Metrics.record_decomposition ~failures:2;
+  List.iter
+    (fun c ->
+      Metrics.bump c;
+      Metrics.add c (k - 1))
+    Metrics.counters;
+  let once = Metrics.snapshot () in
+  Metrics.absorb once;
+  let doubled = Metrics.snapshot () in
+  List.iter
+    (fun c ->
+      checki (Metrics.name c ^ " accumulates") k (Metrics.get once c);
+      checki (Metrics.name c ^ " doubles under absorb") (2 * k)
+        (Metrics.get doubled c))
+    Metrics.counters;
+  let back : Metrics.snapshot =
+    Marshal.from_string (Marshal.to_string doubled []) 0
+  in
+  checkb "a snapshot survives a Marshal round-trip" true (back = doubled);
+  let text = print_to_string doubled in
+  List.iter
+    (fun c ->
+      checkb (Metrics.name c ^ " is printed") true
+        (contains text (Printf.sprintf " %s %d" (Metrics.name c) (2 * k))))
+    Metrics.counters;
+  (* A group prints iff one of its counters is non-zero — whichever one. *)
+  Metrics.reset ();
+  Metrics.bump Metrics.shard_probes;
+  Metrics.bump Metrics.degraded_exits;
+  let text = print_to_string (Metrics.snapshot ()) in
+  checkb "a probe-only run prints its shards line" true
+    (contains text "shards: shard_spawns 0  shard_restarts 0  shard_probes 1");
+  checkb "degraded exits alone print the resource-faults line" true
+    (contains text "degraded_exits 1");
+  checkb "all-zero groups stay silent" false (contains text "serve:");
+  (* The pool group: sums, a max, and an index-wise per-domain split. *)
+  Metrics.reset ();
   Metrics.record_batch ~items:6 ~per_worker:[| 2; 4 |];
   Metrics.record_batch ~items:3 ~per_worker:[| 3 |];
-  let s = Metrics.snapshot () in
-  checki "phases" 2 s.Metrics.phases;
-  checki "rounds" 5 s.Metrics.rounds;
-  checki "bits" 10 s.Metrics.bits;
-  checki "messages" 12 s.Metrics.messages;
-  checki "drops" 1 s.Metrics.drops;
-  checki "delays" 2 s.Metrics.delays;
-  checki "attempts" 2 s.Metrics.attempts;
-  checki "retries" 1 s.Metrics.retries;
-  checki "backoff rounds" 4 s.Metrics.backoff_rounds;
-  checki "decompositions" 1 s.Metrics.decompositions;
-  checki "decomposition failures" 2 s.Metrics.decomposition_failures;
-  checki "batches" 2 s.Metrics.batches;
-  checki "items" 9 s.Metrics.items;
-  checki "max queue" 6 s.Metrics.max_queue;
-  checkb "per-domain sums to items" true
-    (Array.fold_left ( + ) 0 s.Metrics.per_domain = 9);
+  let pool = (Metrics.snapshot ()).Metrics.pool in
+  checki "batches" 2 pool.Metrics.batches;
+  checki "items" 9 pool.Metrics.items;
+  checki "max queue" 6 pool.Metrics.max_queue;
+  checkb "per-domain adds index-wise" true
+    (pool.Metrics.per_domain = [| 5; 4 |]);
   Metrics.reset ();
-  let z = Metrics.snapshot () in
-  checki "reset zeroes phases" 0 z.Metrics.phases;
-  checki "reset zeroes items" 0 z.Metrics.items
+  checkb "reset zeroes every counter and the pool" true
+    (Metrics.snapshot () = Metrics.empty)
 
 let test_metrics_disabled_is_inert () =
   Metrics.reset ();
   checkb "metrics start disabled in tests" false (Metrics.enabled ());
-  Metrics.record_phase ~rounds:9 ~bits:9 ~messages:9;
-  Metrics.record_crash ();
-  checki "disabled recorders do not count" 0 (Metrics.snapshot ()).Metrics.phases
+  List.iter Metrics.bump Metrics.counters;
+  Metrics.record_batch ~items:3 ~per_worker:[| 3 |];
+  Metrics.record_latency 1.;
+  checkb "disabled recorders do not count" true
+    (Metrics.snapshot () = Metrics.empty)
 
 let test_metrics_match_trace_counts () =
   (* The two observers agree: aggregate counters equal the event tallies
@@ -196,13 +244,13 @@ let test_metrics_match_trace_counts () =
   let count p = List.length (List.filter p (Trace.events t)) in
   checki "drops agree"
     (count (function Trace.Fault_drop _ -> true | _ -> false))
-    s.Metrics.drops;
+    (Metrics.get s Metrics.drops);
   checki "delays agree"
     (count (function Trace.Fault_delay _ -> true | _ -> false))
-    s.Metrics.delays;
+    (Metrics.get s Metrics.delays);
   checki "phases agree"
     (count (function Trace.Phase_end _ -> true | _ -> false))
-    s.Metrics.phases
+    (Metrics.get s Metrics.phases)
 
 let test_snapshot_batch_race_hammer () =
   (* The pool-utilization group (batches / items / max_queue / per_domain)
@@ -227,7 +275,7 @@ let test_snapshot_batch_race_hammer () =
     (fun () ->
       let torn = ref 0 in
       for i = 1 to 5000 do
-        let s = Metrics.snapshot () in
+        let s = (Metrics.snapshot ()).Metrics.pool in
         let pd_sum = Array.fold_left ( + ) 0 s.Metrics.per_domain in
         if pd_sum <> s.Metrics.items then incr torn;
         if s.Metrics.items <> 3 * s.Metrics.batches then incr torn;

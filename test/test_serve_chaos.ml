@@ -124,38 +124,54 @@ let test_quiet_transparency () =
         (Printf.sprintf "quiet proxy violated %s: %s"
            v.Serve_chaos.invariant v.Serve_chaos.detail)
 
+(* The planted-failure schedule: the duplicate dimension is guilty, the
+   rest innocent. *)
+let planted_schedule =
+  {
+    Serve_chaos.net =
+      {
+        (Proxy.quiet 11L) with
+        Proxy.duplicate = 0.05;
+        corrupt = 0.05;
+        delay = 0.1;
+        delay_ms = 2;
+      };
+    sys = { (Ls_chaos.Sysfault.quiet 11L) with Ls_chaos.Sysfault.eintr = 0.2 };
+  }
+
+let planted sch =
+  if sch.Serve_chaos.net.Proxy.duplicate > 0. then
+    Some
+      { Serve_chaos.invariant = "planted"; detail = "duplicate dimension live" }
+  else None
+
+(* Shrink under [check] and insist the duplicate dimension survives; on
+   failure, name the violations the shrunk schedule still shows. *)
+let shrink_keeps_duplicate ~check ~requests ~baseline =
+  let shrunk = Serve_chaos.shrink ~check ~requests ~baseline planted_schedule in
+  if not (shrunk.Serve_chaos.net.Proxy.duplicate > 0.) then
+    Alcotest.failf
+      "shrink keeps the guilty dimension: shrunk to %s, violating [%s]"
+      (Serve_chaos.describe_schedule shrunk)
+      (String.concat "; "
+         (List.map
+            (fun v -> v.Serve_chaos.invariant ^ ": " ^ v.Serve_chaos.detail)
+            (Serve_chaos.run_spec ~check ~requests ~baseline shrunk)));
+  shrunk
+
 let test_planted_failure_shrinks () =
   (* Plant a failure that fires exactly when the duplicate dimension is
      live: the shrinker must zero every innocent dimension and keep the
      guilty one. *)
   let requests = Serve_chaos.gen_requests ~seed:5L ~n:4 in
   let baseline = Serve_chaos.baseline_run requests in
-  let check sch =
-    if sch.Serve_chaos.net.Proxy.duplicate > 0. then
-      Some
-        { Serve_chaos.invariant = "planted"; detail = "duplicate dimension live" }
-    else None
+  let check = planted in
+  let violations =
+    Serve_chaos.run_spec ~check ~requests ~baseline planted_schedule
   in
-  let sch =
-    {
-      Serve_chaos.net =
-        {
-          (Proxy.quiet 11L) with
-          Proxy.duplicate = 0.05;
-          corrupt = 0.05;
-          delay = 0.1;
-          delay_ms = 2;
-        };
-      sys =
-        { (Ls_chaos.Sysfault.quiet 11L) with Ls_chaos.Sysfault.eintr = 0.2 };
-    }
-  in
-  let violations = Serve_chaos.run_spec ~check ~requests ~baseline sch in
   checkb "the planted invariant fires" true
     (List.exists (fun v -> v.Serve_chaos.invariant = "planted") violations);
-  let shrunk = Serve_chaos.shrink ~check ~requests ~baseline sch in
-  checkb "shrink keeps the guilty dimension" true
-    (shrunk.Serve_chaos.net.Proxy.duplicate > 0.);
+  let shrunk = shrink_keeps_duplicate ~check ~requests ~baseline in
   checkb "shrink zeroes the innocent dimensions" true
     (shrunk.Serve_chaos.net.Proxy.corrupt = 0.
     && shrunk.Serve_chaos.net.Proxy.delay = 0.
@@ -163,6 +179,21 @@ let test_planted_failure_shrinks () =
     && shrunk.Serve_chaos.net.Proxy.reset = 0.);
   checkb "shrink zeroes the innocent syscall dimension" true
     (Ls_chaos.Sysfault.is_quiet shrunk.Serve_chaos.sys)
+
+let test_shrink_ignores_decoy () =
+  (* A decoy invariant that fires exactly on the candidates with the
+     duplicate dimension zeroed: a shrinker that accepted any violation
+     would trade the planted failure for the decoy and drop the guilty
+     dimension. *)
+  let requests = Serve_chaos.gen_requests ~seed:5L ~n:4 in
+  let baseline = Serve_chaos.baseline_run requests in
+  let check sch =
+    match planted sch with
+    | Some v -> Some v
+    | None ->
+        Some { Serve_chaos.invariant = "decoy"; detail = "duplicate zeroed" }
+  in
+  ignore (shrink_keeps_duplicate ~check ~requests ~baseline)
 
 let test_chaos_run_small () =
   (* A short full run: baseline, transparency, two generated schedules —
@@ -183,6 +214,8 @@ let suite =
       test_quiet_transparency;
     Alcotest.test_case "planted failure shrinks to its dimension" `Quick
       test_planted_failure_shrinks;
+    Alcotest.test_case "shrink ignores a decoy invariant" `Quick
+      test_shrink_ignores_decoy;
     Alcotest.test_case "serve invariants hold under chaos" `Quick
       test_chaos_run_small;
   ]

@@ -457,8 +457,9 @@ let test_supervisor_hang_probe () =
       checki "hung shard finished on incarnation 1" 1 finished.(0);
       checkb "exactly one restart" true (restarts = [ (0, 1) ]);
       let m = Metrics.snapshot () in
-      checkb "liveness probes were metered" true (m.Metrics.shard_probes >= 2);
-      checki "restart metered" 1 m.Metrics.shard_restarts)
+      checkb "liveness probes were metered" true
+        (Metrics.get m Metrics.shard_probes >= 2);
+      checki "restart metered" 1 (Metrics.get m Metrics.shard_restarts))
 
 (* --- kill specs -------------------------------------------------------- *)
 
@@ -559,7 +560,7 @@ let test_exec_kill_recovery_deterministic () =
               in
               rm_rf dir;
               checkb "the kill fired (restart metered)" true
-                ((Metrics.snapshot ()).Metrics.shard_restarts >= 1);
+                (Metrics.get (Metrics.snapshot ()) Metrics.shard_restarts >= 1);
               checkb "killed run bit-identical to in-process" true
                 (got = unsharded))
             [ (); () ])
@@ -644,8 +645,8 @@ let test_sweep_kill_recovery () =
       rm_rf dir;
       checkb "doubly-killed sweep bit-identical to Par" true (got = base);
       let m = Metrics.snapshot () in
-      checki "three spawns metered" 3 m.Metrics.shard_spawns;
-      checki "two restarts metered" 2 m.Metrics.shard_restarts)
+      checki "three spawns metered" 3 (Metrics.get m Metrics.shard_spawns);
+      checki "two restarts metered" 2 (Metrics.get m Metrics.shard_restarts))
 
 let test_supervisor_sleep_signal_storm () =
   (* Regression: sleep_ms was a single Unix.sleepf call, which a signal
