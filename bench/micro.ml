@@ -31,6 +31,21 @@ let tests () =
   let glauber_rng = Rng.create 2L in
   let decomposition_rng = Rng.create 3L in
   let oracle = Inference.ssm_oracle ~t:2 inst64 in
+  (* The Linial–Saks plan of Local_sampler.sample alone, at growing n:
+     every BFS on its path is cut at a ball radius, so at fixed t the
+     cost should grow about linearly in n. *)
+  let plan_rows =
+    List.map
+      (fun n ->
+        let inst =
+          Instance.unpinned (Models.hardcore (Generators.cycle n) ~lambda:1.)
+        in
+        let oracle = Inference.ssm_oracle ~t:2 inst in
+        Test.make
+          ~name:(Printf.sprintf "local_sampler/plan (hardcore cycle:%d, t=2)" n)
+          (Staged.stage (fun () -> ignore (Local_sampler.plan oracle inst ~seed:1L))))
+      [ 256; 1024; 4096 ]
+  in
   [
     (* Ablation 1: enumeration vs forest DP on the same radius-4 ball. *)
     Test.make ~name:"ball_marginal/enumeration"
@@ -91,6 +106,7 @@ let tests () =
                     Glauber.sweep st rng
                   done))));
   ]
+  @ plan_rows
 
 let run () =
   let grouped = Test.make_grouped ~name:"locsample" (tests ()) in

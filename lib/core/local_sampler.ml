@@ -23,10 +23,10 @@ type result = {
    the same [seed] to reproduce [sample] bit for bit. *)
 
 let plan (oracle : Inference.oracle) inst ~seed =
-  let n = Instance.n inst in
-  let streams = Rng.streams seed (n + 1) in
+  (* Stream 0 alone: [streams] splits its children off one master in
+     index order, so the first split of a fresh master is stream 0. *)
   Scheduler.compile_plan ~graph:(Instance.graph inst)
-    ~locality:oracle.Inference.radius ~rng:streams.(0) ()
+    ~locality:oracle.Inference.radius ~rng:(Rng.split (Rng.create seed)) ()
 
 let sample_planned (oracle : Inference.oracle) ~plan ?trace inst ~seed =
   let n = Instance.n inst in

@@ -96,6 +96,72 @@ let bfs_distances g v = distances_from_set g [ v ]
 
 let dist g u v = (bfs_distances g u).(v)
 
+(* Radius-bounded BFS over reusable per-domain scratch: [stamp.(u) =
+   epoch] marks [u] as reached by the current search, so nothing of
+   length n is cleared or allocated per call and the cost is the size of
+   the ball (plus its boundary edges).  A nested call on the same domain
+   (from inside a callback) gets a fresh scratch instead of clobbering
+   the one in use. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable dist : int array;
+  mutable order : int array;
+  mutable epoch : int;
+  mutable busy : bool;
+}
+
+let fresh_scratch () =
+  { stamp = [||]; dist = [||]; order = [||]; epoch = 0; busy = false }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+let with_ball g v r k =
+  let s = Domain.DLS.get scratch_key in
+  let s = if s.busy then fresh_scratch () else s in
+  if Array.length s.stamp < g.n then begin
+    s.stamp <- Array.make g.n 0;
+    s.dist <- Array.make g.n 0;
+    s.order <- Array.make g.n 0;
+    s.epoch <- 0
+  end;
+  s.epoch <- s.epoch + 1;
+  s.busy <- true;
+  let epoch = s.epoch and stamp = s.stamp and dist = s.dist and order = s.order in
+  stamp.(v) <- epoch;
+  dist.(v) <- 0;
+  order.(0) <- v;
+  (* B_r(v) is empty for r < 0. *)
+  let head = ref 0 and tail = ref (if r < 0 then 0 else 1) in
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    let du = dist.(u) in
+    if du < r then
+      Array.iter
+        (fun w ->
+          if stamp.(w) <> epoch then begin
+            stamp.(w) <- epoch;
+            dist.(w) <- du + 1;
+            order.(!tail) <- w;
+            incr tail
+          end)
+        g.adj.(u)
+  done;
+  match k ~order ~dist ~size:!tail with
+  | x ->
+      s.busy <- false;
+      x
+  | exception e ->
+      s.busy <- false;
+      raise e
+
+let iter_ball g v r f =
+  with_ball g v r (fun ~order ~dist ~size ->
+      for i = 0 to size - 1 do
+        let u = order.(i) in
+        f u dist.(u)
+      done)
+
 let ball g v r =
   let d = bfs_distances g v in
   let acc = ref [] in
@@ -180,14 +246,17 @@ let induced g vs =
 
 let power g k =
   if k < 1 then invalid_arg "Graph.power: exponent must be >= 1";
-  let edges = ref [] in
-  for v = 0 to g.n - 1 do
-    let d = bfs_distances g v in
-    for u = v + 1 to g.n - 1 do
-      if d.(u) <= k then edges := (v, u) :: !edges
-    done
-  done;
-  create ~n:g.n ~edges:!edges
+  let m = ref 0 in
+  let adj =
+    Array.init g.n (fun v ->
+        with_ball g v k (fun ~order ~dist:_ ~size ->
+            (* order.(0) is v itself. *)
+            let row = Array.sub order 1 (size - 1) in
+            Array.sort Int.compare row;
+            m := !m + (size - 1);
+            row))
+  in
+  { n = g.n; adj; m = !m / 2 }
 
 let is_triangle_free g =
   try

@@ -47,6 +47,13 @@ val distances_from_set : t -> int list -> int array
 val dist : t -> int -> int -> int
 (** Pairwise distance ([max_int] when disconnected). *)
 
+val iter_ball : t -> int -> int -> (int -> int -> unit) -> unit
+(** [iter_ball g v r f] calls [f u (dist g v u)] once for every [u] in
+    [B_r(v)], in BFS order from [v] (so [v] first and distances
+    non-decreasing).  The search stops at depth [r] and runs over
+    reusable per-domain scratch, so it costs the size of the ball, not
+    [n]. *)
+
 val ball : t -> int -> int -> int array
 (** [ball g v r] is [B_r(v) = { u | dist(u,v) ≤ r }], sorted. *)
 

@@ -35,40 +35,48 @@ let linial_saks ?radius_cap ?phase_cap g rng =
   let unclustered v = cluster_of.(v) = -1 in
   let phases_used = ref 0 in
   let phase = ref 0 in
-  while !phase < phase_cap && Array.exists (fun c -> c = -1) cluster_of do
+  (* The still-unclustered vertices in increasing id.  Every per-phase
+     loop runs over them alone, in the order a sweep of 0..n-1 would, so
+     a phase costs its candidates' balls rather than n. *)
+  let pending = ref (Array.init n Fun.id) in
+  let radii = Array.make n 0 in
+  let best_r = Array.make n (-1) in
+  let best_u = Array.make n (-1) in
+  let best_dist = Array.make n max_int in
+  while !phase < phase_cap && Array.length !pending > 0 do
     incr phases_used;
     (* Draw truncated geometric radii for the still-unclustered vertices. *)
-    let radii = Array.make n (-1) in
-    for v = 0 to n - 1 do
-      if unclustered v then radii.(v) <- min (Rng.geometric rng 0.5) radius_cap
-    done;
+    Array.iter
+      (fun v ->
+        radii.(v) <- min (Rng.geometric rng 0.5) radius_cap;
+        best_r.(v) <- -1;
+        best_u.(v) <- -1;
+        best_dist.(v) <- max_int)
+      !pending;
     (* Candidate election: per vertex, the best (r_u, u) with d(u,v) <= r_u
-       among unclustered u.  BFS from each candidate center u up to r_u. *)
-    let best_key = Array.make n (-1, -1) in
-    let best_dist = Array.make n max_int in
-    for u = 0 to n - 1 do
-      if unclustered u then begin
-        let key = (radii.(u), u) in
-        let d = Graph.bfs_distances g u in
-        for v = 0 to n - 1 do
-          if unclustered v && d.(v) <= radii.(u) && key > best_key.(v) then begin
-            best_key.(v) <- key;
-            best_dist.(v) <- d.(v)
-          end
-        done
-      end
-    done;
+       among unclustered u.  BFS from each candidate center u, cut at r_u.
+       Candidates are visited in increasing id, so a later u wins a tie on
+       r_u exactly as the lexicographic key (r_u, u) says. *)
+    Array.iter
+      (fun u ->
+        let r_u = radii.(u) in
+        Graph.iter_ball g u r_u (fun v d ->
+            if unclustered v && r_u >= best_r.(v) then begin
+              best_r.(v) <- r_u;
+              best_u.(v) <- u;
+              best_dist.(v) <- d
+            end))
+      !pending;
     (* Strict-interior vertices join their winner's cluster this phase. *)
     let members_of = Hashtbl.create 16 in
-    for v = 0 to n - 1 do
-      if unclustered v then begin
-        let r_u, u = best_key.(v) in
+    Array.iter
+      (fun v ->
+        let r_u = best_r.(v) and u = best_u.(v) in
         if u >= 0 && best_dist.(v) < r_u then begin
           let prev = try Hashtbl.find members_of u with Not_found -> [] in
           Hashtbl.replace members_of u ((v, best_dist.(v)) :: prev)
-        end
-      end
-    done;
+        end)
+      !pending;
     Hashtbl.iter
       (fun u members ->
         let id = !num_clusters in
@@ -83,6 +91,7 @@ let linial_saks ?radius_cap ?phase_cap g rng =
           vs;
         clusters := { center = u; color = !phase; members = vs; radius } :: !clusters)
       members_of;
+    pending := Array.of_seq (Seq.filter unclustered (Array.to_seq !pending));
     incr phase
   done;
   let failed = Array.map (fun c -> c = -1) cluster_of in

@@ -38,24 +38,31 @@ let compile_plan ~graph ~locality ~rng ?radius_cap ?phase_cap () =
   (* Global order: colors in increasing order; within a color, clusters in
      index order; within a cluster, members by distance from the center
      (BFS order), ties by id — any fixed rule yields a valid adversarial
-     ordering pi. *)
+     ordering pi.  Every member lies within the cluster radius of its
+     center, so a BFS cut there reaches them all; a member [v] at distance
+     [dist] sorts by the key [dist * n + v]. *)
+  let n = Graph.n power in
   let order = ref [] in
   let by_color = Array.make d.Decomposition.num_colors [] in
   Array.iteri
     (fun idx cl ->
       by_color.(cl.Decomposition.color) <- idx :: by_color.(cl.Decomposition.color))
     d.Decomposition.clusters;
-  Array.iteri
-    (fun _color idxs ->
+  Array.iter
+    (fun idxs ->
       List.iter
         (fun idx ->
           let cl = d.Decomposition.clusters.(idx) in
-          let dist = Graph.bfs_distances power cl.Decomposition.center in
-          let members = Array.copy cl.Decomposition.members in
-          Array.sort
-            (fun a b -> compare (dist.(a), a) (dist.(b), b))
-            members;
-          Array.iter (fun v -> order := v :: !order) members)
+          let keys = Array.make (Array.length cl.Decomposition.members) 0 in
+          let k = ref 0 in
+          Graph.iter_ball power cl.Decomposition.center cl.Decomposition.radius
+            (fun v dist ->
+              if d.Decomposition.cluster_of.(v) = idx then begin
+                keys.(!k) <- (dist * n) + v;
+                incr k
+              end);
+          Array.sort Int.compare keys;
+          Array.iter (fun key -> order := (key mod n) :: !order) keys)
         (List.rev idxs))
     by_color;
   let failed_vertices = ref [] in

@@ -2,7 +2,9 @@
 
     [send]/[recv] are independent so callers can pipeline: push K
     requests, then read K responses — the server answers a connection's
-    requests in arrival order.  {!call} is the sequential convenience. *)
+    requests in arrival order, admission verdicts included.  The one
+    exception is a [Health] request, answered ahead of any requests still
+    queued on the connection.  {!call} is the sequential convenience. *)
 
 type t
 

@@ -4,11 +4,13 @@
    Concurrency model: the loop thread owns every socket and the engine;
    parallelism lives inside Engine.submit_batch (the Ls_par domain pool).
    Admission control is a bounded FIFO — a frame arriving while the queue
-   holds [queue_bound] requests is answered [Overloaded] immediately and
-   never enqueued.  Backpressure is structural: while a batch executes,
-   the loop is not reading sockets, so clients that pipeline past the
-   queue bound accumulate bytes in the kernel buffer and eventually block
-   on write.
+   holds [queue_bound] requests is rejected [Overloaded] and never
+   executed.  A rejection (or a [Bad_request]) still owes its reply in
+   arrival order, so it rides behind the last admitted request as a held
+   reply, written right after that request's answer.  Backpressure is
+   structural: while a batch executes, the loop is not reading sockets,
+   so clients that pipeline past the queue bound accumulate bytes in the
+   kernel buffer and eventually block on write.
 
    Hostile-peer bounds: inbound bytes are decoded incrementally from a
    per-connection buffer, so a peer that sends half a frame and stalls
@@ -16,7 +18,9 @@
    responses are written under SO_SNDTIMEO, so a peer that stops reading
    is dropped after [send_timeout_s] rather than wedging every other
    connection.  Daemon memory stays bounded by [queue_bound + batch_max]
-   requests plus [max_request_frame + read_chunk] bytes per connection. *)
+   requests plus [max_request_frame + read_chunk] bytes per connection,
+   and held replies by the frames of one read: a connection holding any
+   is not read again until they are written. *)
 
 module Frame = Ls_shard.Frame
 module Supervisor = Ls_shard.Supervisor
@@ -197,7 +201,22 @@ type conn = {
      Bounded by [queue_bound] per connection: admission is per-client,
      so one flooding peer fills its own queue and sees Overloaded while
      everyone else's requests are still admitted. *)
-  queue : (Protocol.request * float) Queue.t;
+  queue : admitted Queue.t;
+  (* The request last added to [queue]; meaningful while it is not
+     empty. *)
+  mutable last : admitted option;
+  (* Replies held behind queued requests, not counted against
+     [queue_bound]. *)
+  mutable held : int;
+}
+
+(* An admitted request and the verdicts that arrived after it and before
+   the next admitted request, newest first: they are written right after
+   its answer, so replies keep arrival order. *)
+and admitted = {
+  req : Protocol.request;
+  arrived : float;
+  mutable after : Protocol.response list;
 }
 
 let close_conn c =
@@ -207,6 +226,7 @@ let close_conn c =
     (* Requests admitted on a dead connection can never be answered;
        executing them would only burn batch slots. *)
     Queue.clear c.queue;
+    c.held <- 0;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
@@ -326,6 +346,21 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
     send_response c resp;
     incr answered
   in
+  (* Answer an admitted request, then the verdicts held behind it. *)
+  let answer c a body =
+    reply c { Protocol.rid = a.req.Protocol.id; body };
+    c.held <- c.held - List.length a.after;
+    List.iter (reply c) (List.rev a.after)
+  in
+  (* A verdict owed in arrival order: written now if nothing admitted is
+     ahead of it, else held behind the last admitted request. *)
+  let verdict c resp =
+    match c.last with
+    | Some a when not (Queue.is_empty c.queue) ->
+        a.after <- resp :: a.after;
+        c.held <- c.held + 1
+    | _ -> reply c resp
+  in
   (* One inbound frame: admission verdict or a named protocol error.
      Admission is per-connection — the verdict depends only on this
      connection's own arrival order, so a flooding client cannot push
@@ -333,7 +368,7 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
   let handle_frame c (f : Frame.t) =
     match Protocol.request_of_frame f with
     | Error msg ->
-        reply c
+        verdict c
           {
             Protocol.rid = max f.Frame.a 0;
             body =
@@ -351,11 +386,13 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
     | Ok req ->
         if Queue.length c.queue >= cfg.queue_bound then begin
           Engine.note_rejection engine;
-          reply c
+          verdict c
             { Protocol.rid = req.Protocol.id; body = Engine.error_body Engine.Overloaded }
         end
         else begin
-          Queue.add (req, Unix.gettimeofday ()) c.queue;
+          let a = { req; arrived = Unix.gettimeofday (); after = [] } in
+          Queue.add a c.queue;
+          c.last <- Some a;
           Engine.note_queue_depth engine (total_queued ())
         end
   in
@@ -397,7 +434,9 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
           | k ->
               c.pending <- c.pending ^ Bytes.sub_string scratch 0 k;
               decode_pending c;
-              drain c
+              (* Held replies wait for the next batch; reading on would
+                 let a peer that never reads grow them without bound. *)
+              if c.held = 0 then drain c
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain c
           | exception
               Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -428,7 +467,15 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
         let id = !next_conn_id in
         incr next_conn_id;
         conns :=
-          { id; fd; alive = true; pending = ""; queue = Queue.create () }
+          {
+            id;
+            fd;
+            alive = true;
+            pending = "";
+            queue = Queue.create ();
+            last = None;
+            held = 0;
+          }
           :: !conns
     | exception
         Unix.Unix_error (((Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN) as e), _, _)
@@ -479,26 +526,22 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
             let rec pop () =
               match Queue.take_opt c.queue with
               | None -> ()
-              | Some (req, t0) ->
-                  let d = req.Protocol.deadline_ms in
-                  if d > 0 && (now -. t0) *. 1000. > float_of_int d then begin
+              | Some a ->
+                  let d = a.req.Protocol.deadline_ms in
+                  if d > 0 && (now -. a.arrived) *. 1000. > float_of_int d
+                  then begin
                     Engine.note_expiry engine;
-                    reply c
-                      {
-                        Protocol.rid = req.Protocol.id;
-                        body =
-                          Protocol.Error_r
-                            {
-                              code = Protocol.Expired;
-                              message =
-                                Printf.sprintf
-                                  "deadline of %d ms elapsed in queue" d;
-                            };
-                      };
+                    answer c a
+                      (Protocol.Error_r
+                         {
+                           code = Protocol.Expired;
+                           message =
+                             Printf.sprintf "deadline of %d ms elapsed in queue" d;
+                         });
                     pop ()
                   end
                   else begin
-                    batch := (req, c) :: !batch;
+                    batch := (a, c) :: !batch;
                     incr count;
                     progress := true
                   end
@@ -553,14 +596,13 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
       | [] -> continue := false
       | batch ->
           let bodies =
-            Engine.submit_batch engine ?trace (List.map fst batch)
+            Engine.submit_batch engine ?trace
+              (List.map (fun (a, _) -> a.req) batch)
           in
           List.iter2
-            (fun (req, c) body ->
-              let body =
-                match body with Ok b -> b | Error e -> Engine.error_body e
-              in
-              reply c { Protocol.rid = req.Protocol.id; body })
+            (fun (a, c) body ->
+              answer c a
+                (match body with Ok b -> b | Error e -> Engine.error_body e))
             batch bodies;
           incr batches_since_snapshot;
           maybe_snapshot ();

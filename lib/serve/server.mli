@@ -13,16 +13,21 @@
     [Expired] without executing.  Backpressure is structural: during
     batch execution no socket is read, so daemon memory stays bounded by
     connections × [queue_bound] + [batch_max] requests plus a small
-    per-connection inbound buffer.  Inbound frames are decoded
-    incrementally, so a peer that stalls mid-frame never blocks the
-    loop; responses are written under a configurable send timeout, so a
-    peer that stops reading is dropped rather than wedging other
-    connections.
+    per-connection inbound buffer and the verdicts held from one read.
+    Inbound frames are decoded incrementally, so a peer that stalls
+    mid-frame never blocks the loop; responses are written under a
+    configurable send timeout, so a peer that stops reading is dropped
+    rather than wedging other connections.
 
     Responses on one connection are written in the arrival order of their
-    requests; response bodies are a pure function of the request bytes
-    (admission verdicts and [Stats] aside), so transcripts byte-diff
-    clean across domain counts, restarts and chaos schedules.
+    requests, [Overloaded] and [Bad_request] verdicts included: a verdict
+    is held behind the connection's queued requests, outside the
+    [queue_bound] count, and the connection is not read again until it
+    is written.  The one exception is [Health], answered by the loop the
+    moment it arrives, ahead of anything still queued.  Response bodies
+    are a pure function of the request bytes (admission verdicts and
+    [Stats] aside), so transcripts byte-diff clean across domain counts,
+    restarts and chaos schedules.
 
     Crash tolerance: {!run_supervised} forks the loop as a worker under
     the {!Ls_shard.Supervisor} restart-budget/backoff/hang-probe

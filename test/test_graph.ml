@@ -262,6 +262,23 @@ let qcheck_power_distances =
       done;
       !ok)
 
+let qcheck_iter_ball_matches_bfs =
+  QCheck.Test.make ~name:"iter_ball visits B_r(v) with BFS distances, in BFS order"
+    ~count:100
+    QCheck.(quad small_int (int_range 1 20) (int_range 0 19) (int_range (-1) 5))
+    (fun (seed, n, v, r) ->
+      let g = Generators.erdos_renyi (Rng.of_int seed) ~n ~p:0.2 in
+      let v = v mod n in
+      let d = Graph.bfs_distances g v in
+      let seen = ref [] in
+      Graph.iter_ball g v r (fun u du -> seen := (u, du) :: !seen);
+      let seen = List.rev !seen in
+      let dists = List.map snd seen in
+      List.for_all (fun (u, du) -> d.(u) = du) seen
+      && List.sort compare (List.map fst seen)
+         = List.filter (fun u -> d.(u) <= r) (List.init n Fun.id)
+      && dists = List.sort compare dists)
+
 let qcheck_line_graph_degrees =
   QCheck.Test.make ~name:"line-graph degree = deg(u)+deg(v)-2" ~count:80
     QCheck.(pair small_int (int_range 4 10))
@@ -309,5 +326,6 @@ let suite =
     Alcotest.test_case "random linear hypergraph" `Quick test_random_linear_hypergraph;
     QCheck_alcotest.to_alcotest qcheck_bfs_triangle_inequality;
     QCheck_alcotest.to_alcotest qcheck_power_distances;
+    QCheck_alcotest.to_alcotest qcheck_iter_ball_matches_bfs;
     QCheck_alcotest.to_alcotest qcheck_line_graph_degrees;
   ]

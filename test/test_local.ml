@@ -295,6 +295,177 @@ let qcheck_decomposition_valid =
       let d = Decomposition.linial_saks g rng in
       Decomposition.is_valid g d)
 
+(* --- Differential check: ball-local plan vs whole-graph BFS --- *)
+
+(* The plan path as it stood when every BFS swept the whole graph: the
+   power graph from one full BFS per vertex, candidate election from one
+   full BFS per candidate, member ordering from one full BFS per cluster
+   center.  The ball-local code must reproduce it exactly. *)
+module Reference = struct
+  let power g k =
+    let n = Graph.n g in
+    let edges = ref [] in
+    for v = 0 to n - 1 do
+      let d = Graph.bfs_distances g v in
+      for u = v + 1 to n - 1 do
+        if d.(u) <= k then edges := (v, u) :: !edges
+      done
+    done;
+    Graph.create ~n ~edges:!edges
+
+  let linial_saks ?radius_cap ?phase_cap g rng =
+    let n = Graph.n g in
+    let radius_cap =
+      Option.value radius_cap ~default:(Decomposition.default_radius_cap n)
+    in
+    let phase_cap =
+      Option.value phase_cap ~default:(Decomposition.default_phase_cap n)
+    in
+    let cluster_of = Array.make n (-1) in
+    let color_of = Array.make n (-1) in
+    let clusters = ref [] in
+    let num_clusters = ref 0 in
+    let unclustered v = cluster_of.(v) = -1 in
+    let phase = ref 0 in
+    while !phase < phase_cap && Array.exists (fun c -> c = -1) cluster_of do
+      let radii = Array.make n (-1) in
+      for v = 0 to n - 1 do
+        if unclustered v then radii.(v) <- min (Rng.geometric rng 0.5) radius_cap
+      done;
+      let best_key = Array.make n (-1, -1) in
+      let best_dist = Array.make n max_int in
+      for u = 0 to n - 1 do
+        if unclustered u then begin
+          let key = (radii.(u), u) in
+          let d = Graph.bfs_distances g u in
+          for v = 0 to n - 1 do
+            if unclustered v && d.(v) <= radii.(u) && key > best_key.(v) then begin
+              best_key.(v) <- key;
+              best_dist.(v) <- d.(v)
+            end
+          done
+        end
+      done;
+      let members_of = Hashtbl.create 16 in
+      for v = 0 to n - 1 do
+        if unclustered v then begin
+          let r_u, u = best_key.(v) in
+          if u >= 0 && best_dist.(v) < r_u then begin
+            let prev = try Hashtbl.find members_of u with Not_found -> [] in
+            Hashtbl.replace members_of u ((v, best_dist.(v)) :: prev)
+          end
+        end
+      done;
+      Hashtbl.iter
+        (fun u members ->
+          let id = !num_clusters in
+          incr num_clusters;
+          let vs = Array.of_list (List.map fst members) in
+          Array.sort compare vs;
+          let radius = List.fold_left (fun acc (_, d) -> max acc d) 0 members in
+          Array.iter
+            (fun v ->
+              cluster_of.(v) <- id;
+              color_of.(v) <- !phase)
+            vs;
+          clusters :=
+            { Decomposition.center = u; color = !phase; members = vs; radius }
+            :: !clusters)
+        members_of;
+      incr phase
+    done;
+    {
+      Decomposition.clusters = Array.of_list (List.rev !clusters);
+      cluster_of;
+      color_of;
+      num_colors = !phase;
+      failed = Array.map (fun c -> c = -1) cluster_of;
+      radius_cap;
+      phase_cap;
+    }
+
+  let compile_plan ~graph ~locality ~rng ?radius_cap ?phase_cap () =
+    let power = power graph (locality + 1) in
+    let d = linial_saks ?radius_cap ?phase_cap power rng in
+    let order = ref [] in
+    let by_color = Array.make d.Decomposition.num_colors [] in
+    Array.iteri
+      (fun idx cl ->
+        let c = cl.Decomposition.color in
+        by_color.(c) <- idx :: by_color.(c))
+      d.Decomposition.clusters;
+    Array.iter
+      (fun idxs ->
+        List.iter
+          (fun idx ->
+            let cl = d.Decomposition.clusters.(idx) in
+            let dist = Graph.bfs_distances power cl.Decomposition.center in
+            let members = Array.copy cl.Decomposition.members in
+            Array.sort (fun a b -> compare (dist.(a), a) (dist.(b), b)) members;
+            Array.iter (fun v -> order := v :: !order) members)
+          (List.rev idxs))
+      by_color;
+    let failed_vertices = ref [] in
+    Array.iteri
+      (fun v f -> if f then failed_vertices := v :: !failed_vertices)
+      d.Decomposition.failed;
+    let decomposition_rounds =
+      d.Decomposition.phase_cap * d.Decomposition.radius_cap * (locality + 1)
+    in
+    let sim_rounds = ref 0 in
+    for c = 0 to d.Decomposition.num_colors - 1 do
+      let r_c = Decomposition.max_radius_of_color d c in
+      sim_rounds := !sim_rounds + (2 * ((r_c * (locality + 1)) + locality))
+    done;
+    let count f = Array.fold_left (fun acc x -> if f x then acc + 1 else acc) 0 in
+    {
+      Scheduler.p_locality = locality;
+      p_order = Array.of_list (List.rev_append !order (List.rev !failed_vertices));
+      p_failed = Array.copy d.Decomposition.failed;
+      p_rounds = decomposition_rounds + !sim_rounds;
+      p_decomposition_rounds = decomposition_rounds;
+      p_colors = d.Decomposition.num_colors;
+      p_clusters = Array.length d.Decomposition.clusters;
+      p_max_cluster_radius =
+        Array.fold_left
+          (fun acc cl -> max acc cl.Decomposition.radius)
+          0 d.Decomposition.clusters;
+      p_failures = count Fun.id d.Decomposition.failed;
+    }
+end
+
+let qcheck_plan_matches_whole_graph_bfs =
+  QCheck.Test.make ~name:"ball-local plan = whole-graph-BFS plan" ~count:150
+    QCheck.(
+      pair
+        (triple (int_range 0 2) (int_range 1 48) small_int)
+        (triple (int_range 0 3) (option (int_range (-1) 6)) (option (int_range 1 8))))
+    (fun ((family, size, seed), (locality, radius_cap, phase_cap)) ->
+      let g =
+        match family with
+        | 0 ->
+            let rng = Rng.of_int (seed + 1000) in
+            Generators.erdos_renyi rng ~n:size ~p:(0.3 *. Rng.float rng)
+        | 1 -> Generators.cycle (max 3 size)
+        | _ -> Generators.grid (1 + (size mod 7)) (1 + (size / 7))
+      in
+      let k = locality + 1 in
+      let same_power =
+        let p = Graph.power g k and q = Reference.power g k in
+        Graph.edges p = Graph.edges q && Graph.m p = Graph.m q
+      in
+      let same_decomposition =
+        Decomposition.linial_saks ?radius_cap ?phase_cap g (Rng.of_int seed)
+        = Reference.linial_saks ?radius_cap ?phase_cap g (Rng.of_int seed)
+      in
+      let same_plan =
+        Scheduler.compile_plan ~graph:g ~locality ~rng:(Rng.of_int seed)
+          ?radius_cap ?phase_cap ()
+        = Reference.compile_plan ~graph:g ~locality ~rng:(Rng.of_int seed)
+            ?radius_cap ?phase_cap ()
+      in
+      same_power && same_decomposition && same_plan)
+
 let suite =
   [
     Alcotest.test_case "gather basic" `Quick test_gather_basic;
@@ -322,4 +493,5 @@ let suite =
     Alcotest.test_case "flooding meters bits" `Quick test_flood_views_meter_bits;
     Alcotest.test_case "reset_bits re-zeroes the meter" `Quick test_reset_bits;
     QCheck_alcotest.to_alcotest qcheck_decomposition_valid;
+    QCheck_alcotest.to_alcotest qcheck_plan_matches_whole_graph_bfs;
   ]
