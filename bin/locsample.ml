@@ -37,11 +37,14 @@ open Ls_core
    daemon and the CLI reject exactly the same values with the same words;
    here an [Error] becomes the CLI's named-error exit-2 contract. *)
 
-let die msg : 'a =
+let die ?(code = 2) msg : 'a =
   Printf.eprintf "locsample: %s\n" msg;
-  exit 2
+  exit code
 
 let or_die = function Ok v -> v | Error msg -> die msg
+
+(* Library constructors reject bad values with [Invalid_argument]. *)
+let or_invalid f = try f () with Invalid_argument msg -> die msg
 
 let make_instance ~graph ~model ~seed =
   let rng = Rng.create (Int64.of_int seed) in
@@ -61,47 +64,38 @@ let make_oracle ~engine ~t inst = or_die (Engine.make_oracle ~engine ~t inst)
    rejects them by name). *)
 let faults_of_flags ~seed ~fault_rate ~crash_rate ~max_delay ~corrupt_rate
     ~skew ~delay_law ~profile =
-  try
-    let p =
-      match profile with
-      | Some name -> Faults.preset name
-      | None -> Faults.zero_preset
-    in
-    let over flag dflt preset = if flag <> dflt then flag else preset in
-    Faults.make ~seed
-      ~drop:(over fault_rate 0. p.Faults.pr_drop)
-      ~duplicate:p.Faults.pr_duplicate ~delay:p.Faults.pr_delay
-      ~max_delay:(over max_delay 1 p.Faults.pr_max_delay)
-      ~crash:(over crash_rate 0. p.Faults.pr_crash)
-      ~recovery:p.Faults.pr_recovery ~recovery_delay:p.Faults.pr_recovery_delay
-      ~corrupt:(over corrupt_rate 0. p.Faults.pr_corrupt)
-      ~partitions:p.Faults.pr_partitions ~bursts:p.Faults.pr_bursts
-      ~law:(Faults.law_of_string delay_law)
-      ~skew ()
-  with Invalid_argument msg ->
-    Printf.eprintf "locsample: %s\n" msg;
-    exit 2
+  or_invalid (fun () ->
+      let p =
+        match profile with
+        | Some name -> Faults.preset name
+        | None -> Faults.zero_preset
+      in
+      let over flag dflt preset = if flag <> dflt then flag else preset in
+      Faults.make ~seed
+        ~drop:(over fault_rate 0. p.Faults.pr_drop)
+        ~duplicate:p.Faults.pr_duplicate ~delay:p.Faults.pr_delay
+        ~max_delay:(over max_delay 1 p.Faults.pr_max_delay)
+        ~crash:(over crash_rate 0. p.Faults.pr_crash)
+        ~recovery:p.Faults.pr_recovery ~recovery_delay:p.Faults.pr_recovery_delay
+        ~corrupt:(over corrupt_rate 0. p.Faults.pr_corrupt)
+        ~partitions:p.Faults.pr_partitions ~bursts:p.Faults.pr_bursts
+        ~law:(Faults.law_of_string delay_law)
+        ~skew ())
 
 let policy_of_flags ~retry_budget =
-  try Resilient.policy ~retry_budget ()
-  with Invalid_argument msg ->
-    Printf.eprintf "locsample: %s\n" msg;
-    exit 2
+  or_invalid (fun () -> Resilient.policy ~retry_budget ())
 
 (* The event-driven executor, when --async asks for it; flag validation
    funnels through Async.make/mode_of_string like everything else. *)
 let async_of_flags ~async_mode ~timeout_base =
   match async_mode with
   | None -> None
-  | Some name -> (
-      try
-        Some
-          (Ls_local.Async.make
-             ~mode:(Ls_local.Async.mode_of_string name)
-             ~timeout_base ())
-      with Invalid_argument msg ->
-        Printf.eprintf "locsample: %s\n" msg;
-        exit 2)
+  | Some name ->
+      or_invalid (fun () ->
+          Some
+            (Ls_local.Async.make
+               ~mode:(Ls_local.Async.mode_of_string name)
+               ~timeout_base ()))
 
 (* --- commands ------------------------------------------------------- *)
 
@@ -219,29 +213,14 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
   let shard_cfg =
     match shards with
     | None ->
-        if shard_kill <> "" then begin
-          Printf.eprintf "locsample: --shard-kill requires --shards\n";
-          exit 2
-        end;
+        if shard_kill <> "" then die "--shard-kill requires --shards";
         None
     | Some k ->
-        if k < 1 then begin
-          Printf.eprintf "locsample: --shards expects an integer >= 1, got %d\n"
-            k;
-          exit 2
-        end;
-        if async_mode <> None then begin
-          Printf.eprintf
-            "locsample: --shards is synchronous-only (drop --async)\n";
-          exit 2
-        end;
-        let kills =
-          match Shard.parse_kill_specs shard_kill with
-          | Ok ks -> ks
-          | Error msg ->
-              Printf.eprintf "locsample: %s\n" msg;
-              exit 2
-        in
+        if k < 1 then
+          die (Printf.sprintf "--shards expects an integer >= 1, got %d" k);
+        if async_mode <> None then
+          die "--shards is synchronous-only (drop --async)";
+        let kills = or_die (Shard.parse_kill_specs shard_kill) in
         Par.set_domains 1;
         Some (Shard.config ~shards:k ~kills ())
   in
@@ -249,12 +228,10 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
      the sketch would never be built. *)
   (match sketch with
   | None -> ()
-  | Some (width, depth) -> (
-      try
-        ignore (Empirical.Sketched.create ~width ~depth ~k:sketch_k ~seed:0L ())
-      with Invalid_argument msg ->
-        Printf.eprintf "locsample: %s\n" msg;
-        exit 2));
+  | Some (width, depth) ->
+      or_invalid (fun () ->
+          ignore
+            (Empirical.Sketched.create ~width ~depth ~k:sketch_k ~seed:0L ())));
   (* Validate the flags up front even when they are all zero. *)
   let faults =
     faults_of_flags ~seed:(Int64.of_int (seed + 1)) ~fault_rate ~crash_rate
@@ -385,6 +362,23 @@ let count graph model t seed =
   Printf.printf "ln Z ~ %.6f   (Z ~ %.6e)\n" log_z (exp log_z);
   0
 
+(* Both chaos harnesses: exit 0 on a clean run; otherwise print the
+   report, write it to the reproducer file and exit 1. *)
+let chaos_outcome summary reproducer path ~held =
+  if Ls_chaos.Harness.ok summary then begin
+    Printf.printf "%s — all invariants held\n" held;
+    0
+  end
+  else begin
+    let text = reproducer summary in
+    print_string text;
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    Printf.printf "reproducer written to %s\n" path;
+    1
+  end
+
 let chaos seed schedules trials async_mode max_delay corrupt_rate profile
     partitions shards reproducer_path =
   let overrides =
@@ -398,28 +392,14 @@ let chaos seed schedules trials async_mode max_delay corrupt_rate profile
     }
   in
   let summary =
-    try
-      Ls_chaos.Chaos.run ~overrides ~schedules ~trials
-        ~seed:(Int64.of_int seed) ()
-    with Invalid_argument msg ->
-      Printf.eprintf "locsample: %s\n" msg;
-      exit 2
+    or_invalid (fun () ->
+        Ls_chaos.Chaos.run ~overrides ~schedules ~trials
+          ~seed:(Int64.of_int seed) ())
   in
-  if Ls_chaos.Chaos.ok summary then begin
-    Printf.printf
-      "chaos: %d schedule(s) x %d trial(s) from seed %d — all invariants held\n"
-      schedules trials seed;
-    0
-  end
-  else begin
-    let text = Ls_chaos.Chaos.reproducer summary in
-    print_string text;
-    let oc = open_out reproducer_path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "reproducer written to %s\n" reproducer_path;
-    1
-  end
+  chaos_outcome summary Ls_chaos.Chaos.reproducer reproducer_path
+    ~held:
+      (Printf.sprintf "chaos: %d schedule(s) x %d trial(s) from seed %d"
+         schedules trials seed)
 
 (* --- serve / query ---------------------------------------------------- *)
 
@@ -452,11 +432,10 @@ let serve listen queue_bound batch_max cache plan_cache max_vertices
           else Ls_chaos.Sysfault.install spec
       | Error msg -> die msg));
   let cfg =
-    try
-      Server.config ~address:(parse_listen listen) ?queue_bound ?batch_max
-        ?instance_cache:cache ?plan_cache ?max_vertices ?max_requests
-        ?send_timeout ?state_dir ?snapshot_every ()
-    with Invalid_argument msg -> die msg
+    or_invalid (fun () ->
+        Server.config ~address:(parse_listen listen) ?queue_bound ?batch_max
+          ?instance_cache:cache ?plan_cache ?max_vertices ?max_requests
+          ?send_timeout ?state_dir ?snapshot_every ())
   in
   let on_ready () =
     Printf.printf "serving on %s (queue %d, batch %d, cache %d/%d)%s\n%!"
@@ -470,8 +449,7 @@ let serve listen queue_bound batch_max cache plan_cache max_vertices
       try Server.run_supervised ~cfg ~on_ready ?worker_pid_file ()
       with Ls_shard.Supervisor.Failed (_, msg) ->
         (* Restart budget spent: a runtime failure, not a usage error. *)
-        Printf.eprintf "locsample: serve: %s\n" msg;
-        exit 1)
+        die ~code:1 ("serve: " ^ msg))
     else Server.run ~cfg ~on_ready ()
   in
   Printf.printf "served %d request(s) in %d batch(es): %s\n"
@@ -747,26 +725,12 @@ let serve_chaos seed schedules requests reproducer_path no_sysfault =
         ~sysfault:(not no_sysfault) ~seed:(Int64.of_int seed) ()
     with
     | Invalid_argument msg -> die msg
-    | Failure msg ->
-        Printf.eprintf "locsample: %s\n" msg;
-        exit 1
+    | Failure msg -> die ~code:1 msg
   in
-  if Ls_chaos.Serve_chaos.ok summary then begin
-    Printf.printf
-      "serve-chaos: %d schedule(s) x %d request(s) from seed %d — all \
-       invariants held\n"
-      schedules requests seed;
-    0
-  end
-  else begin
-    let text = Ls_chaos.Serve_chaos.reproducer summary in
-    print_string text;
-    let oc = open_out reproducer_path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "reproducer written to %s\n" reproducer_path;
-    1
-  end
+  chaos_outcome summary Ls_chaos.Serve_chaos.reproducer reproducer_path
+    ~held:
+      (Printf.sprintf "serve-chaos: %d schedule(s) x %d request(s) from seed %d"
+         schedules requests seed)
 
 (* --- cmdliner wiring -------------------------------------------------- *)
 
@@ -784,11 +748,7 @@ let env_checks =
 let validate_env () =
   List.iter
     (fun check ->
-      match check () with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "locsample: %s\n" msg;
-          exit 2)
+      or_die (check ()))
     env_checks
 
 let setup_log style_renderer level domains trace metrics =
@@ -800,10 +760,8 @@ let setup_log style_renderer level domains trace metrics =
   Logs.set_reporter (Logs_fmt.reporter ());
   Option.iter
     (fun k ->
-      if k < 1 then begin
-        Printf.eprintf "locsample: --domains expects an integer >= 1, got %d\n" k;
-        exit 2
-      end;
+      if k < 1 then
+        die (Printf.sprintf "--domains expects an integer >= 1, got %d" k);
       Par.set_domains k)
     domains;
   Option.iter

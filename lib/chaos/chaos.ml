@@ -188,9 +188,9 @@ let workload_instance () =
 
 let exact_joint = lazy (Exact.joint (workload_instance ()))
 
-type violation = { invariant : string; detail : string }
+type violation = Harness.violation = { invariant : string; detail : string }
 
-let violation invariant fmt = Printf.ksprintf (fun detail -> { invariant; detail }) fmt
+let violation = Harness.violation
 
 (* Wilson-Hilferty chi-square upper quantile at significance 0.001 (the
    same approximation the test suite's Test_statistics uses). *)
@@ -393,9 +393,7 @@ let zero_fault_identity ?async ~seed () =
 
 let remove_nth i l = List.filteri (fun j _ -> j <> i) l
 
-(* Candidate one-step simplifications, most structural first.  Rates are
-   zeroed outright rather than halved: a minimal reproducer should name
-   the fault DIMENSIONS that matter, not a fine-tuned magnitude. *)
+(* Candidate one-step simplifications, most structural first. *)
 let shrink_candidates s =
   List.concat
     [
@@ -415,164 +413,86 @@ let shrink_candidates s =
       (if s.recovery_delay > 1 then [ { s with recovery_delay = 1 } ] else []);
     ]
 
-(* Greedy minimization: repeatedly take the first one-step simplification
-   that still violates one of the invariants [s0] violates, until none
-   does.  A candidate failing only some other invariant is rejected: it
-   would trade the failure being shrunk for a different one.
-   Deterministic, and every accepted step strictly shrinks the schedule,
-   so it terminates. *)
-let shrink ?check ?async ?shards ?trials s0 =
-  let names s =
-    List.map (fun v -> v.invariant) (run_spec ?check ?async ?shards ?trials s)
-  in
-  let original = names s0 in
-  let still_fails c = List.exists (fun n -> List.mem n original) (names c) in
-  let rec go s =
-    match List.find_opt still_fails (shrink_candidates s) with
-    | Some c -> go c
-    | None -> s
-  in
-  go s0
+let shrink ?check ?async ?shards ?trials s =
+  let run = run_spec ?check ?async ?shards ?trials in
+  fst (Harness.shrink ~run ~candidates:shrink_candidates s (run s))
 
 (* --- top level -------------------------------------------------------- *)
 
-type failure = {
-  index : int;  (** Which generated schedule failed (0-based). *)
-  f_spec : spec;
-  f_violations : violation list;
-  f_shrunk : spec;
-  f_shrunk_violations : violation list;
-}
-
-type summary = {
-  seed : int64;
-  schedules : int;
-  trials : int;
-  overrides : overrides;
-  zero_fault : violation option;
-  failures : failure list;
-}
+type params = { trials : int; overrides : overrides }
+type summary = (spec, params) Harness.summary
 
 let run ?check ?(overrides = no_overrides) ?(schedules = 10) ?(trials = 80)
     ~seed () =
-  (* Validate the mode name before any work: the CLI funnels --async
-     through the same constructor as the API. *)
-  let async = Option.map Async.mode_of_string overrides.o_async in
-  Option.iter (fun m -> ignore (Async.make ~mode:m ())) async;
-  (match overrides.o_shards with
-  | Some k when k < 1 ->
-      invalid_arg "Chaos.run: --shards must be >= 1"
-  | Some _ when overrides.o_async <> None ->
-      invalid_arg "Chaos.run: --shards is synchronous-only (drop --async)"
-  | _ -> ());
-  let shards = overrides.o_shards in
-  let rng = Rng.create seed in
-  let zero_fault = zero_fault_identity ?async ~seed () in
-  let failures = ref [] in
-  for index = 0 to schedules - 1 do
-    let s = apply_overrides overrides (gen rng) in
-    match run_spec ?check ?async ?shards ~trials s with
-    | [] -> ()
-    | f_violations ->
-        let f_shrunk = shrink ?check ?async ?shards ~trials s in
-        let f_shrunk_violations = run_spec ?check ?async ?shards ~trials f_shrunk in
-        failures :=
-          { index; f_spec = s; f_violations; f_shrunk; f_shrunk_violations }
-          :: !failures
-  done;
-  {
-    seed;
-    schedules;
-    trials;
-    overrides;
-    zero_fault;
-    failures = List.rev !failures;
-  }
+  Harness.run ~who:"Chaos.run" ~size:("trials", trials) ~seed ~schedules
+    { trials; overrides }
+    (fun () ->
+      (* Validate every override before any work: the CLI funnels its
+         flags through the same constructors as the API. *)
+      let async = Option.map Async.mode_of_string overrides.o_async in
+      Option.iter (fun m -> ignore (Async.make ~mode:m ())) async;
+      (match overrides.o_shards with
+      | Some k when k < 1 -> invalid_arg "Chaos.run: --shards must be >= 1"
+      | Some _ when async <> None ->
+          invalid_arg "Chaos.run: --shards is synchronous-only (drop --async)"
+      | _ -> ());
+      ignore (to_faults (apply_overrides overrides (quiet seed)));
+      let shards = overrides.o_shards in
+      {
+        Harness.zero = zero_fault_identity ?async ~seed ();
+        gen = (fun rng -> apply_overrides overrides (gen rng));
+        run_spec = run_spec ?check ?async ?shards ~trials;
+        candidates = shrink_candidates;
+      })
 
-let ok summary = summary.zero_fault = None && summary.failures = []
+let ok = Harness.ok
 
 (* The override flags, rendered exactly as `locsample chaos` accepts them —
    the replay line must round-trip through parse_reproducer AND through the
    real CLI. *)
-let override_flags o =
+let flags p =
   let b = Buffer.create 64 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  Option.iter (p " --async %s") o.o_async;
-  Option.iter (p " --max-delay %d") o.o_max_delay;
-  Option.iter (p " --corrupt-rate %g") o.o_corrupt;
-  Option.iter (p " --fault-profile %s") o.o_profile;
-  List.iter (fun (a, u, k) -> p " --partition %d:%d:%d" a u k) o.o_partitions;
-  Option.iter (p " --shards %d") o.o_shards;
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let o = p.overrides in
+  add " --chaos-trials %d" p.trials;
+  Option.iter (add " --async %s") o.o_async;
+  Option.iter (add " --max-delay %d") o.o_max_delay;
+  Option.iter (add " --corrupt-rate %g") o.o_corrupt;
+  Option.iter (add " --fault-profile %s") o.o_profile;
+  List.iter (fun (a, u, k) -> add " --partition %d:%d:%d" a u k) o.o_partitions;
+  Option.iter (add " --shards %d") o.o_shards;
   Buffer.contents b
 
-let reproducer summary =
-  let b = Buffer.create 256 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "chaos: seed=%Ld schedules=%d trials=%d\n" summary.seed summary.schedules
-    summary.trials;
-  (match summary.zero_fault with
-  | Some v -> p "zero-fault identity VIOLATED: %s\n" v.detail
-  | None -> ());
-  List.iter
-    (fun f ->
-      p "schedule %d FAILED: %s\n" f.index (describe f.f_spec);
-      List.iter (fun v -> p "  %s: %s\n" v.invariant v.detail) f.f_violations;
-      p "  shrunk to: %s\n" (describe f.f_shrunk);
-      List.iter
-        (fun v -> p "  (shrunk) %s: %s\n" v.invariant v.detail)
-        f.f_shrunk_violations)
-    summary.failures;
-  if ok summary then p "all invariants held\n";
-  p "replay: locsample chaos --seed %Ld --schedules %d --chaos-trials %d%s\n"
-    summary.seed summary.schedules summary.trials
-    (override_flags summary.overrides);
-  Buffer.contents b
+let reproducer =
+  Harness.report ~command:"chaos" ~describe
+    ~header:(fun p -> Printf.sprintf " trials=%d" p.trials)
+    ~flags
+    ~zero_fault:(fun v -> "zero-fault identity VIOLATED: " ^ v.detail)
+
+let partition_of v =
+  match String.split_on_char ':' v with
+  | [ a; u; k ] -> (int_of_string a, int_of_string u, int_of_string k)
+  | _ -> failwith "partition wants FROM:UNTIL:PARTS"
+
+let step p toks =
+  let o = p.overrides in
+  let over o rest = Some ({ p with overrides = o }, rest) in
+  match toks with
+  | ("--chaos-trials" | "--trials") :: v :: rest ->
+      Some ({ p with trials = int_of_string v }, rest)
+  | "--async" :: v :: rest -> over { o with o_async = Some v } rest
+  | "--max-delay" :: v :: rest ->
+      over { o with o_max_delay = Some (int_of_string v) } rest
+  | "--corrupt-rate" :: v :: rest ->
+      over { o with o_corrupt = Some (float_of_string v) } rest
+  | "--fault-profile" :: v :: rest -> over { o with o_profile = Some v } rest
+  | "--partition" :: v :: rest ->
+      over { o with o_partitions = o.o_partitions @ [ partition_of v ] } rest
+  | "--shards" :: v :: rest ->
+      over { o with o_shards = Some (int_of_string v) } rest
+  | _ -> None
 
 let parse_reproducer text =
-  let prefix = "replay: locsample chaos" in
-  let is_replay l =
-    String.length l >= String.length prefix
-    && String.sub l 0 (String.length prefix) = prefix
-  in
-  match List.find_opt is_replay (String.split_on_char '\n' text) with
-  | None -> None
-  | Some line -> (
-      let toks =
-        List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
-      in
-      let partition_of v =
-        match String.split_on_char ':' v with
-        | [ a; u; k ] -> (int_of_string a, int_of_string u, int_of_string k)
-        | _ -> failwith "partition wants FROM:UNTIL:PARTS"
-      in
-      let rec go seed schedules trials o = function
-        | [] -> (seed, schedules, trials, o)
-        | "--seed" :: v :: rest ->
-            go (Int64.of_string v) schedules trials o rest
-        | "--schedules" :: v :: rest ->
-            go seed (int_of_string v) trials o rest
-        | ("--chaos-trials" | "--trials") :: v :: rest ->
-            go seed schedules (int_of_string v) o rest
-        | "--async" :: v :: rest ->
-            go seed schedules trials { o with o_async = Some v } rest
-        | "--max-delay" :: v :: rest ->
-            go seed schedules trials
-              { o with o_max_delay = Some (int_of_string v) }
-              rest
-        | "--corrupt-rate" :: v :: rest ->
-            go seed schedules trials
-              { o with o_corrupt = Some (float_of_string v) }
-              rest
-        | "--fault-profile" :: v :: rest ->
-            go seed schedules trials { o with o_profile = Some v } rest
-        | "--partition" :: v :: rest ->
-            go seed schedules trials
-              { o with o_partitions = o.o_partitions @ [ partition_of v ] }
-              rest
-        | "--shards" :: v :: rest ->
-            go seed schedules trials
-              { o with o_shards = Some (int_of_string v) }
-              rest
-        | _ :: rest -> go seed schedules trials o rest
-      in
-      try Some (go 0L 10 80 no_overrides toks) with _ -> None)
+  Harness.parse_replay ~command:"chaos" ~schedules:10
+    { trials = 80; overrides = no_overrides }
+    step text

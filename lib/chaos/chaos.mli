@@ -53,16 +53,6 @@ val quiet : int64 -> spec
 (** The zero-fault schedule with the given plan seed (the shrinker's
     bottom element; useful for building targeted specs in tests). *)
 
-val to_faults : spec -> Ls_local.Faults.t
-(** Validated plan (funnels through [Faults.make]). *)
-
-val describe : spec -> string
-
-val gen : Ls_rng.Rng.t -> spec
-(** Draw a random schedule: moderate i.i.d. rates plus 0–2 partition
-    intervals and 0–2 bursts, every fault dimension — timing included —
-    exercised with positive probability. *)
-
 type overrides = {
   o_async : string option;
       (** Executor mode name ({!Ls_local.Async.mode_of_string});
@@ -83,9 +73,7 @@ type overrides = {
 
 val no_overrides : overrides
 
-val apply_overrides : overrides -> spec -> spec
-
-type violation = { invariant : string; detail : string }
+type violation = Harness.violation = { invariant : string; detail : string }
 
 val run_spec :
   ?check:(spec -> violation option) ->
@@ -110,10 +98,6 @@ val run_spec :
     (shard-identity plays the same scheduling-invariance role).
     Default [trials] is 80. *)
 
-val zero_fault_identity :
-  ?async:Ls_local.Async.mode -> seed:int64 -> unit -> violation option
-(** The once-per-run bit-identity check (see module doc). *)
-
 val shrink :
   ?check:(spec -> violation option) ->
   ?async:Ls_local.Async.mode ->
@@ -121,30 +105,14 @@ val shrink :
   ?trials:int ->
   spec ->
   spec
-(** Greedy minimization of a failing schedule: repeatedly apply the first
-    one-step simplification (drop an interval, zero a rate, collapse a
-    bound) that still violates one of the invariants the input schedule
-    violates — a candidate failing only a different invariant is
-    rejected.  Returns its fixed point — a minimal reproducer under this
-    candidate set.  On a passing schedule it returns the schedule
-    unchanged. *)
+(** {!Harness.shrink} over this workload's one-step simplifications
+    (drop an interval, zero a rate, collapse a bound): a minimal
+    reproducer of the input's failure.  On a passing schedule it returns
+    the schedule unchanged. *)
 
-type failure = {
-  index : int;  (** Which generated schedule failed (0-based). *)
-  f_spec : spec;
-  f_violations : violation list;
-  f_shrunk : spec;
-  f_shrunk_violations : violation list;
-}
+type params = { trials : int; overrides : overrides }
 
-type summary = {
-  seed : int64;
-  schedules : int;
-  trials : int;
-  overrides : overrides;
-  zero_fault : violation option;
-  failures : failure list;
-}
+type summary = (spec, params) Harness.summary
 
 val run :
   ?check:(spec -> violation option) ->
@@ -154,13 +122,14 @@ val run :
   seed:int64 ->
   unit ->
   summary
-(** The full harness: zero-fault identity, then [schedules] generated
-    schedules (default 10) of [trials] trials each — with [overrides]
-    applied to each — shrinking every failure.  Raises [Invalid_argument]
-    on an invalid [o_async] mode name or [o_profile] preset, on
-    [o_shards < 1], or on [o_shards] combined with [o_async] (the
-    sharded transport is synchronous-only) — the CLI's rejection
-    paths. *)
+(** The full harness ({!Harness.run}): zero-fault identity, then
+    [schedules] generated schedules (default 10) of [trials] trials each
+    — with [overrides] applied to each — shrinking every failure.  Raises
+    [Invalid_argument], before any work, on [schedules < 1] or
+    [trials < 1], on an invalid [o_async] mode name, [o_profile] preset
+    or override value, on [o_shards < 1], or on [o_shards] combined with
+    [o_async] (the sharded transport is synchronous-only) — the CLI's
+    rejection paths. *)
 
 val ok : summary -> bool
 
@@ -169,7 +138,7 @@ val reproducer : summary -> string
     failure, ["all invariants held"] otherwise — ending in the exact CLI
     line that replays the run, override flags included. *)
 
-val parse_reproducer : string -> (int64 * int * int * overrides) option
+val parse_reproducer : string -> (int64 * int * params) option
 (** Parse a {!reproducer} report (or any text containing its replay line)
-    back into [(seed, schedules, trials, overrides)] — the round-trip
+    back into [(seed, schedules, params)] — the round-trip
     guarantee that the printed one-liner really replays the run. *)

@@ -15,9 +15,8 @@
    - transparency (once per run): under the all-zero schedule the
      proxied transcript has no violations at all.
 
-   Failing schedules shrink greedily by zeroing whole fault dimensions,
-   mirroring Chaos: a minimal reproducer names the faults that matter,
-   not a fine-tuned magnitude.
+   Generation, shrinking and the report are the {!Harness} core's;
+   failing schedules shrink by zeroing whole fault dimensions.
 
    One subtlety fixed by the protocol, exploited here: the frame digest
    covers the payload only, so a corrupted header can reach the daemon
@@ -34,9 +33,9 @@ module Server = Ls_serve.Server
 module Client = Ls_serve.Client
 module Par = Ls_par.Par
 
-type violation = { invariant : string; detail : string }
+type violation = Harness.violation = { invariant : string; detail : string }
 
-let violation invariant detail = { invariant; detail }
+let violation = Harness.violation
 
 (* --- workload ---------------------------------------------------------- *)
 
@@ -317,16 +316,14 @@ let run_spec ?check ~requests ~baseline (sch : schedule) =
              if k > max_attempts then begin
                add
                  (violation "liveness"
-                    (Printf.sprintf
-                       "request %d unanswered after %d attempts under %s" i
-                       max_attempts (describe_schedule sch)));
+                    "request %d unanswered after %d attempts under %s" i
+                    max_attempts (describe_schedule sch));
                raise Abort
              end;
              match connect () with
              | Error msg ->
                  add
-                   (violation "liveness"
-                      (Printf.sprintf "request %d: %s" i msg));
+                   (violation "liveness" "request %d: %s" i msg);
                  raise Abort
              | Ok c -> (
                  match Client.send c req with
@@ -355,18 +352,15 @@ let run_spec ?check ~requests ~baseline (sch : schedule) =
                        | _ ->
                            add
                              (violation "rid-integrity"
-                                (Printf.sprintf
-                                   "response for rid %d (awaiting %d) does \
-                                    not duplicate its recorded answer"
-                                   rid i));
+                                "response for rid %d (awaiting %d) does not \
+                                 duplicate its recorded answer"
+                                rid i);
                            raise Abort
                      end
                      else begin
                        add
                          (violation "rid-integrity"
-                            (Printf.sprintf
-                               "response carries rid %d while awaiting %d" rid
-                               i));
+                            "response carries rid %d while awaiting %d" rid i);
                        raise Abort
                      end)
            in
@@ -381,8 +375,7 @@ let run_spec ?check ~requests ~baseline (sch : schedule) =
             | Some bytes when not (String.equal bytes baseline.(i)) ->
                 add
                   (violation "byte-identity"
-                     (Printf.sprintf
-                        "response %d differs from the proxy-free run" i))
+                     "response %d differs from the proxy-free run" i)
             | _ -> ())
           answered;
       (* The daemon must have survived the burst, and still honour a
@@ -394,18 +387,16 @@ let run_spec ?check ~requests ~baseline (sch : schedule) =
           | Some (Unix.WEXITED 0) -> ()
           | Some st ->
               add
-                (violation "daemon-crash"
-                   (Printf.sprintf "daemon answered SIGTERM with %s"
-                      (status_name st)))
+                (violation "daemon-crash" "daemon answered SIGTERM with %s"
+                   (status_name st))
           | None ->
               add
                 (violation "daemon-crash"
                    "daemon did not exit within 10 s of SIGTERM"))
       | _, st ->
           add
-            (violation "daemon-crash"
-               (Printf.sprintf "daemon died during the burst (%s)"
-                  (status_name st)))
+            (violation "daemon-crash" "daemon died during the burst (%s)"
+               (status_name st))
       | exception Unix.Unix_error _ -> ());
       (* Degraded enter/exit pairing, read from the daemon's own trace:
          every enter must have its exit by clean shutdown (the server
@@ -431,10 +422,9 @@ let run_spec ?check ~requests ~baseline (sch : schedule) =
                  if enters <> exits then
                    add
                      (violation "degraded-pairing"
-                        (Printf.sprintf
-                           "%d degraded enter(s) vs %d exit(s) in the daemon \
-                            trace"
-                           enters exits))));
+                        "%d degraded enter(s) vs %d exit(s) in the daemon \
+                         trace"
+                        enters exits)));
       (match check with
       | Some f -> ( match f sch with Some v -> add v | None -> ())
       | None -> ());
@@ -483,9 +473,8 @@ let baseline_run requests =
 
 (* --- shrinking --------------------------------------------------------- *)
 
-(* Zero one fault dimension at a time, as Chaos does: the minimal
-   reproducer names the dimensions that matter — socket and syscall
-   dimensions shrink through the same greedy fixpoint. *)
+(* Zero one fault dimension at a time — socket and syscall dimensions
+   alike. *)
 let shrink_candidates (sch : schedule) =
   let net n = { sch with net = n } in
   let sys s = { sch with sys = s } in
@@ -507,117 +496,54 @@ let shrink_candidates (sch : schedule) =
       sys { q with Sysfault.fork_fail = 0. };
     ]
 
-(* A candidate must still violate one of the invariants [s0] violates:
-   one failing only some other invariant would trade the failure being
-   shrunk for a different one. *)
-let shrink ?check ~requests ~baseline s0 =
-  let names s =
-    List.map (fun v -> v.invariant) (run_spec ?check ~requests ~baseline s)
-  in
-  let original = names s0 in
-  let still_fails c = List.exists (fun n -> List.mem n original) (names c) in
-  let rec go s =
-    match List.find_opt still_fails (shrink_candidates s) with
-    | Some c -> go c
-    | None -> s
-  in
-  go s0
+let shrink ?check ~requests ~baseline s =
+  let run = run_spec ?check ~requests ~baseline in
+  fst (Harness.shrink ~run ~candidates:shrink_candidates s (run s))
 
 (* --- top level --------------------------------------------------------- *)
 
-type failure = {
-  index : int;
-  f_spec : schedule;
-  f_violations : violation list;
-  f_shrunk : schedule;
-  f_shrunk_violations : violation list;
-}
-
-type summary = {
-  seed : int64;
-  schedules : int;
-  requests : int;
-  sysfault : bool;
-  zero_fault : violation option;
-  failures : failure list;
-}
+type params = { requests : int; sysfault : bool }
+type summary = (schedule, params) Harness.summary
 
 let run ?check ?(schedules = 5) ?(requests = 40) ?(sysfault = true) ~seed () =
-  if schedules < 1 then invalid_arg "Serve_chaos.run: schedules must be >= 1";
-  if requests < 1 then invalid_arg "Serve_chaos.run: requests must be >= 1";
-  let reqs = gen_requests ~seed ~n:requests in
-  let baseline = baseline_run reqs in
-  (* Transparency first, without the caller's check: a planted failure
-     should be found by a generated schedule, not blamed on the quiet
-     proxy. *)
-  let zero_fault =
-    match run_spec ~requests:reqs ~baseline (quiet_schedule seed) with
-    | [] -> None
-    | v :: _ -> Some v
-  in
-  let rng = Rng.create seed in
-  let failures = ref [] in
-  for index = 0 to schedules - 1 do
-    let s = gen ~sysfault rng in
-    match run_spec ?check ~requests:reqs ~baseline s with
-    | [] -> ()
-    | f_violations ->
-        let f_shrunk = shrink ?check ~requests:reqs ~baseline s in
-        let f_shrunk_violations =
-          run_spec ?check ~requests:reqs ~baseline f_shrunk
-        in
-        failures :=
-          !failures
-          @ [ { index; f_spec = s; f_violations; f_shrunk; f_shrunk_violations } ]
-  done;
-  { seed; schedules; requests; sysfault; zero_fault; failures = !failures }
+  Harness.run ~who:"Serve_chaos.run" ~size:("requests", requests) ~seed
+    ~schedules { requests; sysfault }
+    (fun () ->
+      let reqs = gen_requests ~seed ~n:requests in
+      let baseline = baseline_run reqs in
+      (* Transparency first, without the caller's check: a planted
+         failure should be found by a generated schedule, not blamed on
+         the quiet proxy. *)
+      let zero =
+        match run_spec ~requests:reqs ~baseline (quiet_schedule seed) with
+        | [] -> None
+        | v :: _ -> Some v
+      in
+      {
+        Harness.zero;
+        gen = gen ~sysfault;
+        run_spec = run_spec ?check ~requests:reqs ~baseline;
+        candidates = shrink_candidates;
+      })
 
-let ok summary = summary.zero_fault = None && summary.failures = []
+let ok = Harness.ok
 
-let reproducer summary =
-  let b = Buffer.create 256 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "serve-chaos: seed=%Ld schedules=%d requests=%d sysfault=%b\n" summary.seed
-    summary.schedules summary.requests summary.sysfault;
-  (match summary.zero_fault with
-  | Some v -> p "transparency VIOLATED: %s: %s\n" v.invariant v.detail
-  | None -> ());
-  List.iter
-    (fun f ->
-      p "schedule %d FAILED: %s\n" f.index (describe_schedule f.f_spec);
-      List.iter (fun v -> p "  %s: %s\n" v.invariant v.detail) f.f_violations;
-      p "  shrunk to: %s\n" (describe_schedule f.f_shrunk);
-      List.iter
-        (fun v -> p "  (shrunk) %s: %s\n" v.invariant v.detail)
-        f.f_shrunk_violations)
-    summary.failures;
-  if ok summary then p "all invariants held\n";
-  p "replay: locsample serve-chaos --seed %Ld --schedules %d --requests %d%s\n"
-    summary.seed summary.schedules summary.requests
-    (if summary.sysfault then "" else " --no-sysfault");
-  Buffer.contents b
+let reproducer =
+  Harness.report ~command:"serve-chaos" ~describe:describe_schedule
+    ~header:(fun p ->
+      Printf.sprintf " requests=%d sysfault=%b" p.requests p.sysfault)
+    ~flags:(fun p ->
+      Printf.sprintf " --requests %d%s" p.requests
+        (if p.sysfault then "" else " --no-sysfault"))
+    ~zero_fault:(fun v ->
+      Printf.sprintf "transparency VIOLATED: %s: %s" v.invariant v.detail)
+
+let step p = function
+  | "--requests" :: v :: rest -> Some ({ p with requests = int_of_string v }, rest)
+  | "--no-sysfault" :: rest -> Some ({ p with sysfault = false }, rest)
+  | _ -> None
 
 let parse_reproducer text =
-  let prefix = "replay: locsample serve-chaos" in
-  let is_replay l =
-    String.length l >= String.length prefix
-    && String.sub l 0 (String.length prefix) = prefix
-  in
-  match List.find_opt is_replay (String.split_on_char '\n' text) with
-  | None -> None
-  | Some line -> (
-      let toks =
-        List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
-      in
-      let rec go seed schedules requests sysfault = function
-        | [] -> (seed, schedules, requests, sysfault)
-        | "--seed" :: v :: rest ->
-            go (Int64.of_string v) schedules requests sysfault rest
-        | "--schedules" :: v :: rest ->
-            go seed (int_of_string v) requests sysfault rest
-        | "--requests" :: v :: rest ->
-            go seed schedules (int_of_string v) sysfault rest
-        | "--no-sysfault" :: rest -> go seed schedules requests false rest
-        | _ :: rest -> go seed schedules requests sysfault rest
-      in
-      try Some (go 0L 5 40 true toks) with Failure _ -> None)
+  Harness.parse_replay ~command:"serve-chaos" ~schedules:5
+    { requests = 40; sysfault = true }
+    step text

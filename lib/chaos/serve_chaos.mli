@@ -33,7 +33,7 @@
     called before each fork), and it ignores SIGPIPE in the calling
     process — chaos resets make EPIPE on send a normal event. *)
 
-type violation = { invariant : string; detail : string }
+type violation = Harness.violation = { invariant : string; detail : string }
 
 type schedule = { net : Proxy.spec; sys : Sysfault.spec }
 (** One chaos schedule: socket damage through the proxy plus syscall
@@ -51,21 +51,6 @@ val gen_requests : seed:int64 -> n:int -> Ls_serve.Protocol.request array
     daemon as a valid frame) and with all deadlines 0 (expiry depends on
     wall time, which chaos delays would turn into false
     byte-identity failures). *)
-
-val gen_net : Ls_rng.Rng.t -> Proxy.spec
-(** One random socket schedule, rates capped well below saturation so
-    the bounded resend loop terminates on a correct daemon. *)
-
-val gen_sys : Ls_rng.Rng.t -> Sysfault.spec
-(** One random syscall schedule: disk faults run hot (they cost
-    snapshots, never answers), transparent and accept faults stay at
-    half, fork faults stay zero (the harness daemon never forks), and
-    a bounded ops budget makes recovery deterministic. *)
-
-val gen : ?sysfault:bool -> Ls_rng.Rng.t -> schedule
-(** Both dimensions off one generator stream; [~sysfault:false]
-    (default [true]) zeroes the syscall half without perturbing the
-    socket draws. *)
 
 val run_spec :
   ?check:(schedule -> violation option) ->
@@ -93,29 +78,18 @@ val shrink :
   baseline:string array ->
   schedule ->
   schedule
-(** Greedily zero fault dimensions while the schedule still violates one
-    of the invariants the input schedule violates (a candidate failing
-    only a different invariant is rejected); fixed point = minimal
-    reproducer. *)
+(** {!Harness.shrink}, zeroing one socket or syscall fault dimension
+    per step: a minimal reproducer of the input's failure. *)
 
-type failure = {
-  index : int;  (** Which generated schedule failed (0-based). *)
-  f_spec : schedule;
-  f_violations : violation list;
-  f_shrunk : schedule;
-  f_shrunk_violations : violation list;
-}
-
-type summary = {
-  seed : int64;
-  schedules : int;
+type params = {
   requests : int;
   sysfault : bool;  (** Was the syscall dimension enabled? *)
-  zero_fault : violation option;
-      (** Transparency check under the all-zero schedule (run without
-          [check], so planted failures surface as schedule failures). *)
-  failures : failure list;
 }
+
+type summary = (schedule, params) Harness.summary
+(** Its [zero_fault] is the transparency check under the all-zero
+    schedule (run without [check], so planted failures surface as
+    schedule failures). *)
 
 val run :
   ?check:(schedule -> violation option) ->
@@ -125,10 +99,11 @@ val run :
   seed:int64 ->
   unit ->
   summary
-(** Baseline, transparency, then [schedules] generated schedules
-    (defaults 5 × 40 requests, sysfault dimension on), shrinking each
-    failure.  Raises [Failure] only if the baseline itself cannot
-    run. *)
+(** The full harness ({!Harness.run}): baseline, transparency, then
+    [schedules] generated schedules (defaults 5 × 40 requests, sysfault
+    dimension on), shrinking each failure.  Raises [Invalid_argument]
+    on [schedules < 1] or [requests < 1] before any work, and [Failure]
+    if the baseline itself cannot run. *)
 
 val ok : summary -> bool
 
@@ -137,7 +112,6 @@ val reproducer : summary -> string
     [locsample serve-chaos --seed … --schedules … --requests …]
     (plus [--no-sysfault] when the dimension was off) replay line. *)
 
-val parse_reproducer : string -> (int64 * int * int * bool) option
-(** Recover [(seed, schedules, requests, sysfault)] from a
-    {!reproducer} report — the round-trip the CLI's replay path and its
-    tests rely on. *)
+val parse_reproducer : string -> (int64 * int * params) option
+(** Recover [(seed, schedules, params)] from a {!reproducer} report —
+    the round-trip the CLI's replay path and its tests rely on. *)

@@ -7,6 +7,7 @@
    schedule, and replay the whole run bit-identically from its seed. *)
 
 module Chaos = Ls_chaos.Chaos
+module H = Ls_chaos.Harness
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -16,11 +17,20 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* The planted "bug": it fires whenever a schedule combines a positive
+   drop rate with a partition interval. *)
+let planted spec = spec.Chaos.drop > 0. && spec.Chaos.partitions <> []
+
+let injected spec =
+  if planted spec then
+    Some { Chaos.invariant = "injected"; detail = "drop with partition" }
+  else None
+
 let test_healthy_runtime_passes () =
   let s = Chaos.run ~schedules:4 ~trials:50 ~seed:2026L () in
-  checkb "zero-fault identity holds" true (s.Chaos.zero_fault = None);
+  checkb "zero-fault identity holds" true (s.H.zero_fault = None);
   checkb "every schedule passes the invariant suite" true (Chaos.ok s);
-  checki "schedules recorded" 4 s.Chaos.schedules;
+  checki "schedules recorded" 4 s.H.schedules;
   checkb "the report says so" true
     (contains (Chaos.reproducer s) "all invariants held")
 
@@ -34,24 +44,18 @@ let test_replay_is_deterministic () =
   checkb "whole summaries bit-identical" true (a = b)
 
 let test_injected_failure_is_caught_and_shrunk () =
-  (* Plant a "bug" that fires whenever a schedule combines a positive drop
-     rate with a partition interval.  The harness must catch it, and the
-     shrinker must strip every irrelevant dimension while keeping the two
-     that matter. *)
-  let check spec =
-    if spec.Chaos.drop > 0. && spec.Chaos.partitions <> [] then
-      Some { Chaos.invariant = "injected"; detail = "drop with partition" }
-    else None
-  in
+  (* The harness must catch the planted bug, and the shrinker must strip
+     every irrelevant dimension while keeping the two that matter. *)
+  let check = injected in
   let s = Chaos.run ~check ~schedules:8 ~trials:10 ~seed:2026L () in
   checkb "some schedule trips the planted bug" true (not (Chaos.ok s));
   List.iter
     (fun f ->
       checkb "the original violation is recorded" true
-        (f.Chaos.f_violations <> []);
+        (f.H.f_violations <> []);
       checkb "the shrunk schedule still fails" true
-        (f.Chaos.f_shrunk_violations <> []);
-      let m = f.Chaos.f_shrunk in
+        (f.H.f_shrunk_violations <> []);
+      let m = f.H.f_shrunk in
       checkb "shrunk keeps a positive drop" true (m.Chaos.drop > 0.);
       checki "shrunk keeps exactly one partition" 1
         (List.length m.Chaos.partitions);
@@ -63,7 +67,7 @@ let test_injected_failure_is_caught_and_shrunk () =
         (m.Chaos.skew = 0. && m.Chaos.reorder = 0.
         && m.Chaos.law = Ls_local.Faults.Uniform);
       checki "delay bound collapsed" 1 m.Chaos.max_delay)
-    s.Chaos.failures;
+    s.H.failures;
   let r = Chaos.reproducer s in
   checkb "reproducer names the violated invariant" true
     (contains r "injected");
@@ -74,29 +78,76 @@ let test_injected_failure_is_caught_and_shrunk () =
      failures, indices and shrunk forms included. *)
   let s' = Chaos.run ~check ~schedules:8 ~trials:10 ~seed:2026L () in
   checkb "replaying reproduces the failures exactly" true
-    (s.Chaos.failures = s'.Chaos.failures)
+    (s.H.failures = s'.H.failures)
+
+let test_one_evaluation_per_schedule () =
+  (* The loop hands the violations it has to the shrinker and keeps the
+     fixpoint's, so no schedule is run twice: count runs per spec through
+     the check hook, which run_spec calls exactly once. *)
+  let runs = ref [] in
+  let count spec = Option.value ~default:0 (List.assoc_opt spec !runs) in
+  let check spec =
+    runs := (spec, count spec + 1) :: List.remove_assoc spec !runs;
+    injected spec
+  in
+  let s = Chaos.run ~check ~schedules:8 ~trials:10 ~seed:2026L () in
+  checkb "some schedule trips the planted bug" true (s.H.failures <> []);
+  List.iter
+    (fun f ->
+      checki "a failing schedule is run once" 1 (count f.H.f_spec);
+      if f.H.f_shrunk <> f.H.f_spec then
+        checki "its shrunk form is run once" 1 (count f.H.f_shrunk))
+    s.H.failures;
+  List.iter
+    (fun f ->
+      checkb "the shrunk violations are a fresh run's" true
+        (f.H.f_shrunk_violations
+        = Chaos.run_spec ~check:injected ~trials:10 f.H.f_shrunk))
+    s.H.failures
+
+let test_vacuous_runs_rejected () =
+  (* A run that would check no invariant is an error, and so is every bad
+     override — raised before any work, so the check is never reached. *)
+  let o = Chaos.no_overrides in
+  List.iter
+    (fun (what, schedules, trials, overrides) ->
+      let ran = ref false in
+      let check _ =
+        ran := true;
+        None
+      in
+      (match Chaos.run ~check ~overrides ~schedules ~trials ~seed:1L () with
+      | _ -> Alcotest.failf "%s: Chaos.run did not raise" what
+      | exception Invalid_argument _ -> ());
+      checkb (what ^ ": rejected before any work") false !ran)
+    [
+      ("--schedules 0", 0, 10, o);
+      ("--schedules=-3", -3, 10, o);
+      ("--chaos-trials 0", 2, 0, o);
+      ("--schedules 0 --fault-profile bogus", 0, 10,
+       { o with o_profile = Some "bogus" });
+      ("--fault-profile bogus", 2, 10, { o with o_profile = Some "bogus" });
+      ("--max-delay 0", 2, 10, { o with o_max_delay = Some 0 });
+      ("--async bogus", 2, 10, { o with o_async = Some "bogus" });
+      ("--shards 0", 2, 10, { o with o_shards = Some 0 });
+    ]
 
 let test_shrink_ignores_decoy () =
   (* A decoy invariant fires on exactly the schedules the planted bug
      spares, so every candidate that drops a guilty dimension trips it.
      The shrinker must keep the planted failure, not trade it for the
      decoy. *)
-  let planted spec = spec.Chaos.drop > 0. && spec.Chaos.partitions <> [] in
   let check spec =
-    if planted spec then
-      Some { Chaos.invariant = "injected"; detail = "drop with partition" }
-    else
-      Some { Chaos.invariant = "decoy"; detail = "a guilty dimension zeroed" }
+    match injected spec with
+    | Some v -> Some v
+    | None ->
+        Some { Chaos.invariant = "decoy"; detail = "a guilty dimension zeroed" }
   in
-  let s =
-    Chaos.run
-      ~check:(fun spec -> if planted spec then check spec else None)
-      ~schedules:8 ~trials:10 ~seed:2026L ()
-  in
-  match s.Chaos.failures with
+  let s = Chaos.run ~check:injected ~schedules:8 ~trials:10 ~seed:2026L () in
+  match s.H.failures with
   | [] -> Alcotest.fail "some schedule trips the planted bug"
   | f :: _ ->
-      let m = Chaos.shrink ~check ~trials:10 f.Chaos.f_spec in
+      let m = Chaos.shrink ~check ~trials:10 f.H.f_spec in
       checkb "shrunk keeps the planted failure" true (planted m);
       checki "shrunk keeps exactly one partition" 1
         (List.length m.Chaos.partitions)
@@ -149,15 +200,15 @@ let test_reproducer_round_trip () =
         --fault-profile lossy --partition 1:4:2 --partition 6:8:3");
   (match Chaos.parse_reproducer text with
   | None -> Alcotest.fail "reproducer did not parse"
-  | Some (seed, schedules, trials, o) ->
+  | Some (seed, schedules, { Chaos.trials; overrides = o }) ->
       checkb "seed round-trips" true (seed = 77L);
       checki "schedules round-trip" 2 schedules;
       checki "trials round-trip" 10 trials;
       checkb "overrides round-trip" true (o = overrides);
       let s' = Chaos.run ~check ~overrides:o ~schedules ~trials ~seed () in
       checkb "re-running the parsed line reproduces the violations" true
-        (s'.Chaos.failures = s.Chaos.failures
-        && s'.Chaos.zero_fault = s.Chaos.zero_fault));
+        (s'.H.failures = s.H.failures
+        && s'.H.zero_fault = s.H.zero_fault));
   checkb "junk text does not parse" true
     (Chaos.parse_reproducer "no replay line here" = None)
 
@@ -170,6 +221,10 @@ let suite =
       test_replay_is_deterministic;
     Alcotest.test_case "injected failure caught and shrunk" `Quick
       test_injected_failure_is_caught_and_shrunk;
+    Alcotest.test_case "one evaluation per schedule" `Quick
+      test_one_evaluation_per_schedule;
+    Alcotest.test_case "vacuous runs and bad overrides rejected" `Quick
+      test_vacuous_runs_rejected;
     Alcotest.test_case "shrink ignores a decoy invariant" `Quick
       test_shrink_ignores_decoy;
     Alcotest.test_case "shrink is identity on passing specs" `Quick

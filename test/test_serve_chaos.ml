@@ -10,6 +10,7 @@
 
 module Proxy = Ls_chaos.Proxy
 module Serve_chaos = Ls_chaos.Serve_chaos
+module H = Ls_chaos.Harness
 module Protocol = Ls_serve.Protocol
 
 let checkb = Alcotest.check Alcotest.bool
@@ -74,15 +75,14 @@ let test_reproducer_roundtrip () =
   in
   let summary =
     {
-      Serve_chaos.seed = -13L;
+      H.seed = -13L;
       schedules = 4;
-      requests = 17;
-      sysfault = false;
+      params = { Serve_chaos.requests = 17; sysfault = false };
       zero_fault = None;
       failures =
         [
           {
-            Serve_chaos.index = 2;
+            H.index = 2;
             f_spec = sch;
             f_violations =
               [ { Serve_chaos.invariant = "rid-integrity"; detail = "x" } ];
@@ -99,7 +99,7 @@ let test_reproducer_roundtrip () =
   checkb "the report names the invariant" true
     (contains report "rid-integrity");
   (match Serve_chaos.parse_reproducer report with
-  | Some (seed, schedules, requests, sysfault) ->
+  | Some (seed, schedules, { Serve_chaos.requests; sysfault }) ->
       checkb "the replay line round-trips the seed" true (seed = -13L);
       checki "the replay line round-trips the schedule count" 4 schedules;
       checki "the replay line round-trips the request count" 17 requests;
