@@ -46,6 +46,48 @@ let tests () =
           (Staged.stage (fun () -> ignore (Local_sampler.plan oracle inst ~seed:1L))))
       [ 256; 1024; 4096 ]
   in
+  (* The exact kernel alone on the radius-2 balls that ssm_infer t=1
+     gathers on two serve-hot instances, with the annulus pinned the way
+     ssm_infer pins it: a forest ball (forest DP) and a non-forest one
+     (enumeration).  Next to each, the whole ssm_infer call. *)
+  let kernel_rows =
+    List.concat_map
+      (fun (label, g, spec, v) ->
+        let inst = Instance.unpinned spec in
+        let ball = Graph.ball g v 2 in
+        let pinned =
+          match
+            Inference.locally_feasible_extension inst
+              ~vertices:(Inference.annulus inst ~v ~t:1)
+          with
+          | Some sigma -> sigma
+          | None -> inst.Instance.pinned
+        in
+        let inst' = Instance.create spec ~pinned in
+        [
+          Test.make
+            ~name:(Printf.sprintf "exact/ball_marginal (%s, radius 2)" label)
+            (Staged.stage (fun () -> ignore (Exact.ball_marginal inst' ~ball v)));
+          Test.make
+            ~name:(Printf.sprintf "ssm_infer/t=1 (%s)" label)
+            (Staged.stage (fun () -> ignore (Inference.ssm_infer ~t:1 inst v)));
+        ])
+      (let cycle24 = Generators.cycle 24 and grid34 = Generators.grid 3 4 in
+       [
+         ("hardcore cycle:24", cycle24, Models.hardcore cycle24 ~lambda:0.8, 0);
+         ("coloring:5 grid:3x4", grid34, Models.coloring grid34 ~q:5, 5);
+       ])
+  in
+  (* Spec construction: the scope-diameter pass must stay linear in m. *)
+  let spec_rows =
+    List.map
+      (fun n ->
+        let g = Generators.cycle n in
+        Test.make
+          ~name:(Printf.sprintf "models/hardcore cycle:%d" n)
+          (Staged.stage (fun () -> ignore (Models.hardcore g ~lambda:1.))))
+      [ 1024; 4096 ]
+  in
   [
     (* Ablation 1: enumeration vs forest DP on the same radius-4 ball. *)
     Test.make ~name:"ball_marginal/enumeration"
@@ -106,7 +148,7 @@ let tests () =
                     Glauber.sweep st rng
                   done))));
   ]
-  @ plan_rows
+  @ kernel_rows @ spec_rows @ plan_rows
 
 let run () =
   let grouped = Test.make_grouped ~name:"locsample" (tests ()) in

@@ -5,9 +5,10 @@ let whole_graph_ball inst =
   Array.init (Instance.n inst) (fun v -> v)
 
 let ball_marginal inst ~ball v =
-  if Gibbs.Forest_dp.supported inst.Instance.spec ~ball then
-    Gibbs.Forest_dp.ball_marginal inst.Instance.spec ~ball inst.Instance.pinned v
-  else Gibbs.Enumerate.ball_marginal inst.Instance.spec ~ball inst.Instance.pinned v
+  let spec = inst.Instance.spec and tau = inst.Instance.pinned in
+  match Gibbs.Forest_dp.ball_marginal spec ~ball tau v with
+  | Gibbs.Forest_dp.Marginal m -> m
+  | Gibbs.Forest_dp.Not_forest -> Gibbs.Enumerate.ball_marginal spec ~ball tau v
 
 let marginal inst v =
   (* Whole-graph queries admit one more exact engine than ball queries:

@@ -86,10 +86,13 @@ let find_patch inst ~ball ~frozen ~sigma_prev =
       else
         match frozen u with Some c -> tau.(u) <- c | None -> ()
   done;
+  let closure = ref [] in
+  for u = n - 1 downto 0 do
+    if in_closure.(u) then closure := u :: !closure
+  done;
   match
-    Gibbs.Enumerate.fold_completions spec
-      ~member:(fun u -> in_closure.(u))
-      tau ~init:()
+    Gibbs.Enumerate.fold_completions spec ~members:(Array.of_list !closure) tau
+      ~init:()
       ~f:(fun () sigma w ->
         if w > 0. then raise (Found_patch (Array.copy sigma)))
   with

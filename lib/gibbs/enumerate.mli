@@ -9,17 +9,20 @@
 
 val fold_completions :
   Spec.t ->
-  member:(int -> bool) ->
+  members:int array ->
   Config.t ->
   init:'a ->
   f:('a -> Config.t -> float -> 'a) ->
   'a
-(** Enumerate all assignments [σ] to the member vertices that are consistent
+(** Enumerate all assignments [σ] to the vertices of [members] (the set
+    [B], sorted and distinct, else [Invalid_argument]) that are consistent
     with [tau] on already-assigned members, and call [f acc σ w] with
     [w = w_B(σ) = Π_{(f,S) : S ⊆ B} f(σ_S)] for every [σ] of positive
     weight.  Zero-weight branches are pruned as soon as a completed factor
-    vanishes.  The configuration passed to [f] is a scratch buffer — copy it
-    if you keep it. *)
+    vanishes.  Only the factors of member vertices are visited, so apart
+    from one copy of [tau] the set-up costs the set, not the spec.  The
+    configuration passed to [f] is a scratch buffer — copy it if you keep
+    it. *)
 
 val partition : Spec.t -> Config.t -> float
 (** [Z(τ) = Σ_{σ ⊇ τ} w(σ)] over total completions of [tau]. *)
@@ -39,11 +42,8 @@ val ball_marginal :
   Spec.t -> ball:int array -> Config.t -> int -> Ls_dist.Dist.t option
 (** Marginal of [v] in the ball-restricted measure [w_B] given the pinnings
     of [tau] inside the ball — the quantity computed locally by the
-    algorithms of Lemma 4.1 and Theorem 5.1.  [v] must belong to [ball]. *)
-
-val ball_partition : Spec.t -> ball:int array -> Config.t -> float
-(** [Σ_{σ ∈ C} w_B(σ)] over assignments to the ball consistent with
-    [tau]. *)
+    algorithms of Lemma 4.1 and Theorem 5.1.  Raises [Invalid_argument]
+    when [v] is not in [ball] or [ball] repeats a vertex. *)
 
 val count_feasible : Spec.t -> int
 (** Number of feasible total configurations — [Z] for hard-constraint

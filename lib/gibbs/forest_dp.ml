@@ -1,151 +1,242 @@
 module Graph = Ls_graph.Graph
 module Dist = Ls_dist.Dist
 
-let supported spec ~ball =
-  match Spec.as_pairwise spec with
-  | None -> false
-  | Some _ ->
-      let sub, _ = Graph.induced (Spec.graph spec) ball in
-      Graph.is_forest sub
+type outcome = Not_forest | Marginal of Dist.t option
 
-(* Bottom-up sum-product over one tree component of [sub], rooted at local
-   vertex [root].  Returns the unnormalized weight vector at the root:
-   up.(root).(c) = Σ over assignments of the component with root = c of the
-   product of vertex and edge weights, respecting the pinning [tau] (given
-   on original ids, [orig] maps local -> original). *)
-let component_weights ?logscale (pw : Spec.pairwise) q sub orig tau root =
-  let nloc = Graph.n sub in
-  let parent = Array.make nloc (-1) in
-  let order = ref [] in
-  let visited = Array.make nloc false in
-  let queue = Queue.create () in
-  visited.(root) <- true;
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
+(* Per-domain scratch indexing the vertex set of one call: [stamp.(u) =
+   epoch] marks [u] as a member and [slot.(u)] is its local index, so
+   nothing of length n is cleared or allocated per call and the cost is
+   the size of the set (the pattern of [Graph.with_ball]).  A nested call
+   on the same domain gets a fresh scratch instead of clobbering the one
+   in use. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable slot : int array;
+  mutable epoch : int;
+  mutable busy : bool;
+}
+
+let fresh_scratch () = { stamp = [||]; slot = [||]; epoch = 0; busy = false }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* The indexed set: [vs.(i)] is the vertex of local index [i]. *)
+type set = { g : Graph.t; vs : int array; stamp : int array; slot : int array; epoch : int }
+
+let local s u = if s.stamp.(u) = s.epoch then s.slot.(u) else -1
+
+let with_set g vs k =
+  let sc = Domain.DLS.get scratch_key in
+  let sc = if sc.busy then fresh_scratch () else sc in
+  let n = Graph.n g in
+  if Array.length sc.stamp < n then begin
+    sc.stamp <- Array.make n 0;
+    sc.slot <- Array.make n 0;
+    sc.epoch <- 0
+  end;
+  sc.epoch <- sc.epoch + 1;
+  sc.busy <- true;
+  let epoch = sc.epoch and stamp = sc.stamp and slot = sc.slot in
+  match
+    Array.iteri
+      (fun i u ->
+        if stamp.(u) = epoch then
+          invalid_arg "Forest_dp.ball_marginal: duplicate vertex in ball";
+        stamp.(u) <- epoch;
+        slot.(u) <- i)
+      vs;
+    k { g; vs; stamp; slot; epoch }
+  with
+  | x ->
+      sc.busy <- false;
+      x
+  | exception e ->
+      sc.busy <- false;
+      raise e
+
+(* One traversal of the induced subgraph: label its components and count
+   its edges.  Returns the component of each local index and the smallest
+   vertex of each component (indexed by component), or [None] when the
+   induced subgraph is not a forest, i.e. edges <> |set| - components. *)
+let forest_components s =
+  let k = Array.length s.vs in
+  let comp = Array.make k (-1) and queue = Array.make k 0 in
+  let ends = ref 0 and roots = ref [] and ncomp = ref 0 in
+  for i = 0 to k - 1 do
+    if comp.(i) < 0 then begin
+      let id = !ncomp in
+      incr ncomp;
+      comp.(i) <- id;
+      queue.(0) <- i;
+      let head = ref 0 and tail = ref 1 and lo = ref s.vs.(i) in
+      while !head < !tail do
+        let u = s.vs.(queue.(!head)) in
+        incr head;
+        Array.iter
+          (fun w ->
+            let j = local s w in
+            if j >= 0 then begin
+              incr ends;
+              if comp.(j) < 0 then begin
+                comp.(j) <- id;
+                queue.(!tail) <- j;
+                incr tail;
+                if w < !lo then lo := w
+              end
+            end)
+          (Graph.neighbors s.g u)
+      done;
+      roots := !lo :: !roots
+    end
+  done;
+  if !ends / 2 <> k - !ncomp then None
+  else Some (comp, Array.of_list (List.rev !roots))
+
+(* Bottom-up sum-product over the tree of the induced forest containing
+   [root], rooted there.  [up] holds q weights per local index: after the
+   pass, up.(i*q + c) = Σ over assignments of the subtree of vs.(i) with
+   vs.(i) = c of the product of vertex and edge weights, respecting the
+   pinning [tau], rescaled so each vector peaks at 1.  Children are
+   combined in ascending vertex id.  Returns the local index of [root]. *)
+let up_pass ?logscale (pw : Spec.pairwise) q tau s ~parent ~order ~up root =
+  let r = local s root in
+  parent.(r) <- -1;
+  order.(0) <- r;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    let pi = parent.(i) in
     Array.iter
       (fun w ->
-        if not visited.(w) then begin
-          visited.(w) <- true;
-          parent.(w) <- u;
-          Queue.add w queue
+        let j = local s w in
+        if j >= 0 && j <> pi then begin
+          parent.(j) <- i;
+          order.(!tail) <- j;
+          incr tail
         end)
-      (Graph.neighbors sub u)
+      (Graph.neighbors s.g s.vs.(i))
   done;
-  (* !order is reverse BFS: children come before parents. *)
-  let up = Array.make nloc [||] in
   let edge_w a b ca cb =
-    (* Evaluate the pairwise edge factor on original ids with the
-       smaller-endpoint-first convention of Spec. *)
+    (* Evaluate the pairwise edge factor with the smaller-endpoint-first
+       convention of Spec. *)
     if a < b then pw.Spec.edge_weight a b ca cb else pw.Spec.edge_weight b a cb ca
   in
-  List.iter
-    (fun u ->
-      let ou = orig.(u) in
-      let pinned = tau.(ou) in
-      let w =
-        Array.init q (fun c ->
-            if pinned <> Config.unassigned && pinned <> c then 0.
-            else begin
-              let acc = ref (pw.Spec.vertex_weight ou c) in
-              Array.iter
-                (fun child ->
-                  if parent.(child) = u then begin
-                    let oc = orig.(child) in
-                    let msg = ref 0. in
-                    for cc = 0 to q - 1 do
-                      msg := !msg +. (up.(child).(cc) *. edge_w oc ou cc c)
-                    done;
-                    acc := !acc *. !msg
-                  end)
-                (Graph.neighbors sub u);
-              !acc
-            end)
-      in
-      (* Rescale to dodge over/underflow on deep trees: marginals are
-         invariant under positive scaling of a whole message. *)
-      let peak = Array.fold_left Float.max 0. w in
-      if peak > 0. then begin
-        up.(u) <- Array.map (fun x -> x /. peak) w;
-        match logscale with
-        | Some acc -> acc := !acc +. log peak
-        | None -> ()
-      end
-      else up.(u) <- w)
-    !order;
-  up.(root)
+  (* Reverse BFS order: children come before parents. *)
+  for idx = !tail - 1 downto 0 do
+    let i = order.(idx) in
+    let u = s.vs.(i) and pi = parent.(i) and base = i * q in
+    let pinned = tau.(u) in
+    for c = 0 to q - 1 do
+      up.(base + c) <-
+        (if pinned <> Config.unassigned && pinned <> c then 0.
+         else begin
+           let acc = ref (pw.Spec.vertex_weight u c) in
+           Array.iter
+             (fun w ->
+               let j = local s w in
+               if j >= 0 && j <> pi then begin
+                 let msg = ref 0. in
+                 for cc = 0 to q - 1 do
+                   msg := !msg +. (up.((j * q) + cc) *. edge_w w u cc c)
+                 done;
+                 acc := !acc *. !msg
+               end)
+             (Graph.neighbors s.g u);
+           !acc
+         end)
+    done;
+    (* Rescale to dodge over/underflow on deep trees: marginals are
+       invariant under positive scaling of a whole message. *)
+    let peak = ref 0. in
+    for c = 0 to q - 1 do
+      peak := Float.max !peak up.(base + c)
+    done;
+    let peak = !peak in
+    if peak > 0. then begin
+      for c = 0 to q - 1 do
+        up.(base + c) <- up.(base + c) /. peak
+      done;
+      match logscale with Some acc -> acc := !acc +. log peak | None -> ()
+    end
+  done;
+  r
+
+let vanishes up q r =
+  let rec go c = c = q || (up.((r * q) + c) <= 0. && go (c + 1)) in
+  go 0
 
 let ball_marginal spec ~ball tau v =
   match Spec.as_pairwise spec with
-  | None -> invalid_arg "Forest_dp.ball_marginal: spec is not pairwise"
+  | None -> Not_forest
   | Some pw ->
-      let q = Spec.q spec in
-      if Config.is_assigned tau v then Some (Dist.point q tau.(v))
-      else begin
-        let sub, orig = Graph.induced (Spec.graph spec) ball in
-        if not (Graph.is_forest sub) then
-          invalid_arg "Forest_dp.ball_marginal: induced ball is not a forest";
-        let nloc = Graph.n sub in
-        let local_of_orig = Hashtbl.create (2 * nloc) in
-        Array.iteri (fun i o -> Hashtbl.replace local_of_orig o i) orig;
-        let vloc =
-          match Hashtbl.find_opt local_of_orig v with
-          | Some i -> i
-          | None -> invalid_arg "Forest_dp.ball_marginal: v not in ball"
-        in
-        let comp = Graph.components sub in
-        (* Other components contribute a constant factor; it cancels in the
-           normalization unless it is zero, in which case the whole measure
-           vanishes and the marginal is undefined. *)
-        let seen_roots = Hashtbl.create 8 in
-        let others_positive = ref true in
-        for u = 0 to nloc - 1 do
-          let c = comp.(u) in
-          if c <> comp.(vloc) && not (Hashtbl.mem seen_roots c) then begin
-            Hashtbl.replace seen_roots c ();
-            let w = component_weights pw q sub orig tau u in
-            if Array.for_all (fun x -> x <= 0.) w then others_positive := false
-          end
-        done;
-        if not !others_positive then None
-        else begin
-          let weights = component_weights pw q sub orig tau vloc in
-          if Array.for_all (fun x -> x <= 0.) weights then None
-          else Some (Dist.of_weights weights)
-        end
-      end
+      with_set (Spec.graph spec) ball (fun s ->
+          if v < 0 || v >= Graph.n s.g || local s v < 0 then
+            invalid_arg "Forest_dp.ball_marginal: v not in ball";
+          let q = Spec.q spec in
+          if Config.is_assigned tau v then Marginal (Some (Dist.point q tau.(v)))
+          else
+            match forest_components s with
+            | None -> Not_forest
+            | Some (comp, roots) ->
+                let k = Array.length ball in
+                let parent = Array.make k 0 and order = Array.make k 0 in
+                let up = Array.make (k * q) 0. in
+                let pass root = up_pass pw q tau s ~parent ~order ~up root in
+                (* Other components contribute a constant factor; it cancels
+                   in the normalization unless it is zero, in which case the
+                   whole measure vanishes and the marginal is undefined. *)
+                let cv = comp.(local s v) in
+                let others_vanish = ref false in
+                Array.iteri
+                  (fun c root ->
+                    if c <> cv && not !others_vanish then
+                      others_vanish := vanishes up q (pass root))
+                  roots;
+                if !others_vanish then Marginal None
+                else begin
+                  let r = pass v in
+                  if vanishes up q r then Marginal None
+                  else Marginal (Some (Dist.of_weights (Array.sub up (r * q) q)))
+                end)
+
+let all_vertices spec = Array.init (Graph.n (Spec.graph spec)) Fun.id
 
 let marginal spec tau v =
-  let n = Graph.n (Spec.graph spec) in
-  let ball = Array.init n (fun i -> i) in
-  ball_marginal spec ~ball tau v
+  if Spec.as_pairwise spec = None then
+    invalid_arg "Forest_dp.marginal: spec is not pairwise";
+  match ball_marginal spec ~ball:(all_vertices spec) tau v with
+  | Marginal m -> m
+  | Not_forest -> invalid_arg "Forest_dp.marginal: graph is not a forest"
 
 let log_partition spec tau =
   match Spec.as_pairwise spec with
   | None -> invalid_arg "Forest_dp.log_partition: spec is not pairwise"
   | Some pw ->
-      let g = Spec.graph spec in
-      if not (Graph.is_forest g) then
-        invalid_arg "Forest_dp.log_partition: graph is not a forest";
-      let n = Graph.n g in
-      let orig = Array.init n (fun i -> i) in
-      let comp = Graph.components g in
-      let seen = Hashtbl.create 8 in
-      let total = ref 0. in
-      (try
-         for u = 0 to n - 1 do
-           if not (Hashtbl.mem seen comp.(u)) then begin
-             Hashtbl.replace seen comp.(u) ();
-             let logscale = ref 0. in
-             let w = component_weights ~logscale pw (Spec.q spec) g orig tau u in
-             let z = Array.fold_left ( +. ) 0. w in
-             if z > 0. then total := !total +. log z +. !logscale
-             else begin
-               total := neg_infinity;
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      !total
+      with_set (Spec.graph spec) (all_vertices spec) (fun s ->
+          match forest_components s with
+          | None -> invalid_arg "Forest_dp.log_partition: graph is not a forest"
+          | Some (_, roots) ->
+              (* Members are in ascending order, so [roots] is too: one
+                 term per component, smallest root first. *)
+              let q = Spec.q spec and k = Array.length s.vs in
+              let parent = Array.make k 0 and order = Array.make k 0 in
+              let up = Array.make (k * q) 0. in
+              let total = ref 0. in
+              (try
+                 Array.iter
+                   (fun root ->
+                     let logscale = ref 0. in
+                     let r = up_pass ~logscale pw q tau s ~parent ~order ~up root in
+                     let z = ref 0. in
+                     for c = 0 to q - 1 do
+                       z := !z +. up.((r * q) + c)
+                     done;
+                     if !z > 0. then total := !total +. log !z +. !logscale
+                     else begin
+                       total := neg_infinity;
+                       raise Exit
+                     end)
+                   roots
+               with Exit -> ());
+              !total)

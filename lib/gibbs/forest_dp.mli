@@ -6,14 +6,24 @@
     in [O(|B| · q²)] instead of [O(q^{|B|})] by bottom-up message passing.
     This is an exactness-preserving speedup — the two engines agree bit-for-
     bit up to floating-point rounding (property-tested) — and it is what
-    makes the large-[n] round-complexity sweeps (E5–E9) feasible. *)
+    makes the large-[n] round-complexity sweeps (E5–E9) feasible.
 
-val supported : Spec.t -> ball:int array -> bool
-(** True when the spec is pairwise and the induced ball is a forest. *)
+    The kernel works on the ball itself: one pass over per-domain scratch
+    indexes the set, decides whether it induces a forest and runs the
+    sum-product, so its cost is proportional to the ball and its boundary
+    edges, never to [n]. *)
 
-val ball_marginal :
-  Spec.t -> ball:int array -> Config.t -> int -> Ls_dist.Dist.t option
-(** Same contract as {!Enumerate.ball_marginal}; requires {!supported}. *)
+type outcome =
+  | Not_forest  (** The spec is not pairwise or the ball does not induce a forest. *)
+  | Marginal of Ls_dist.Dist.t option
+      (** The answer of {!Enumerate.ball_marginal} on the same arguments. *)
+
+val ball_marginal : Spec.t -> ball:int array -> Config.t -> int -> outcome
+(** [ball_marginal spec ~ball tau v] is the marginal of [v] in the
+    ball-restricted measure [w_B] when the forest DP applies, and
+    [Not_forest] otherwise.  Same contract as {!Enumerate.ball_marginal}
+    for a pairwise spec: raises [Invalid_argument] when [v] is not in
+    [ball] or [ball] repeats a vertex. *)
 
 val marginal : Spec.t -> Config.t -> int -> Ls_dist.Dist.t option
 (** Whole-graph marginal when the whole graph is a forest. *)

@@ -17,19 +17,56 @@ type t = {
   pairwise : pairwise option;
 }
 
-let scope_diameter g scope =
-  if Array.length scope <= 1 then 0
+(* Largest graph distance between two vertices of [scope].  Each BFS stops
+   as soon as it has reached every scope vertex, so a pairwise scope costs
+   one adjacency scan per endpoint.  [seen]/[target] are n-length stamp
+   buffers shared by all the scopes of one spec (one [epoch] per BFS, one
+   [tag] per scope), so nothing is cleared between searches. *)
+type bfs = {
+  seen : int array;
+  dist : int array;
+  queue : int array;
+  target : int array;
+  mutable epoch : int;
+  mutable tag : int;
+}
+
+let scope_diameter g b scope =
+  let k = Array.length scope in
+  if k <= 1 then 0
   else begin
+    b.tag <- b.tag + 1;
+    let tag = b.tag in
+    Array.iter (fun u -> b.target.(u) <- tag) scope;
     let worst = ref 0 in
     Array.iter
-      (fun u ->
-        let d = Graph.bfs_distances g u in
-        Array.iter
-          (fun v ->
-            if d.(v) = max_int then
-              invalid_arg "Spec.create: scope spans disconnected vertices";
-            worst := max !worst d.(v))
-          scope)
+      (fun src ->
+        b.epoch <- b.epoch + 1;
+        let epoch = b.epoch in
+        b.seen.(src) <- epoch;
+        b.dist.(src) <- 0;
+        b.queue.(0) <- src;
+        let head = ref 0 and tail = ref 1 and missing = ref (k - 1) in
+        while !missing > 0 && !head < !tail do
+          let u = b.queue.(!head) in
+          incr head;
+          let du = b.dist.(u) + 1 in
+          Array.iter
+            (fun w ->
+              if b.seen.(w) <> epoch then begin
+                b.seen.(w) <- epoch;
+                b.dist.(w) <- du;
+                b.queue.(!tail) <- w;
+                incr tail;
+                if b.target.(w) = tag then begin
+                  decr missing;
+                  worst := max !worst du
+                end
+              end)
+            (Graph.neighbors g u)
+        done;
+        if !missing > 0 then
+          invalid_arg "Spec.create: scope spans disconnected vertices")
       scope;
     !worst
   end
@@ -55,7 +92,17 @@ let build graph ~q ~factors ~pairwise =
     factors;
   let factors_of_vertex = Array.map (fun l -> Array.of_list (List.rev l)) per_vertex in
   let locality =
-    Array.fold_left (fun acc f -> max acc (scope_diameter graph f.scope)) 0 factors
+    let b =
+      {
+        seen = Array.make n 0;
+        dist = Array.make n 0;
+        queue = Array.make n 0;
+        target = Array.make n 0;
+        epoch = 0;
+        tag = 0;
+      }
+    in
+    Array.fold_left (fun acc f -> max acc (scope_diameter graph b f.scope)) 0 factors
   in
   { graph; q; factors; factors_of_vertex; locality; pairwise }
 

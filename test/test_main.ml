@@ -20,6 +20,7 @@ let () =
       ("sketch", Test_sketch.suite);
       ("graph", Test_graph.suite);
       ("gibbs", Test_gibbs.suite);
+      ("exact", Test_exact.suite);
       ("matching_dp", Test_matching_dp.suite);
       ("engines", Test_engines.suite);
       ("counting", Test_counting.suite);
