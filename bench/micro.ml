@@ -12,6 +12,8 @@ module Enumerate = Ls_gibbs.Enumerate
 module Forest_dp = Ls_gibbs.Forest_dp
 module Matching_dp = Ls_gibbs.Matching_dp
 module Decomposition = Ls_local.Decomposition
+module Faults = Ls_local.Faults
+module Network = Ls_local.Network
 module Par = Ls_par.Par
 open Ls_core
 
@@ -88,6 +90,26 @@ let tests () =
           (Staged.stage (fun () -> ignore (Models.hardcore g ~lambda:1.))))
       [ 1024; 4096 ]
   in
+  (* Ball collection by real message passing, fault-free and lossy: one
+     synchronous executor plus the per-node view build. *)
+  let flood_rows =
+    List.map
+      (fun (label, g, faults, radius) ->
+        let net =
+          Network.create ~faults g ~inputs:(Array.make (Graph.n g) ()) ~seed:1L
+        in
+        Test.make
+          ~name:(Printf.sprintf "network/flood_views (%s, radius %d)" label radius)
+          (Staged.stage (fun () -> ignore (Network.flood_views net ~radius))))
+      [
+        ("cycle:256", Generators.cycle 256, Faults.none, 2);
+        ("grid:16x16", Generators.grid 16 16, Faults.none, 3);
+        ( "cycle:256 drop=0.1",
+          Generators.cycle 256,
+          Faults.make ~seed:1L ~drop:0.1 (),
+          2 );
+      ]
+  in
   [
     (* Ablation 1: enumeration vs forest DP on the same radius-4 ball. *)
     Test.make ~name:"ball_marginal/enumeration"
@@ -148,7 +170,7 @@ let tests () =
                     Glauber.sweep st rng
                   done))));
   ]
-  @ kernel_rows @ spec_rows @ plan_rows
+  @ kernel_rows @ spec_rows @ plan_rows @ flood_rows
 
 let run () =
   let grouped = Test.make_grouped ~name:"locsample" (tests ()) in

@@ -371,9 +371,9 @@ let run_spec ?check ?async ?shards ?(trials = 80) spec =
   List.rev !violations
 
 (* Zero-fault bit-identity: the supervised sampler under [Faults.none]
-   must produce exactly the unsupervised sampler's output (the pristine
-   executor runs verbatim, and attempt 0's payload seed is the first
-   split of the master stream). *)
+   must produce exactly the unsupervised sampler's output (every flood
+   delivers each neighbor's message once per round, and attempt 0's
+   payload seed is the first split of the master stream). *)
 let zero_fault_identity ?async ~seed () =
   let inst = workload_instance () in
   let oracle = Inference.ssm_oracle ~t:2 inst in

@@ -136,17 +136,6 @@ let stats cfg =
     late = cfg.s_late;
   }
 
-let reset_stats cfg =
-  cfg.s_phases <- 0;
-  cfg.s_makespan <- 0.;
-  cfg.s_control_msgs <- 0;
-  cfg.s_acks <- 0;
-  cfg.s_barriers <- 0;
-  cfg.s_timeouts <- 0;
-  cfg.s_retransmits <- 0;
-  cfg.s_gave_up <- 0;
-  cfg.s_late <- 0
-
 (* Event kinds.  [r] is always the phase-relative round of the protocol
    step the event belongs to; delivery slots are phase-relative too. *)
 type 'm event =

@@ -83,7 +83,6 @@ val make :
 
 val mode : t -> mode
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val run_broadcast :
   t ->

@@ -69,7 +69,8 @@ let none =
 
 (* Timing knobs (law, skew, reorder) deliberately do NOT make a plan
    faulty: they shape the asynchronous executor's virtual time, never a
-   verdict, so a timing-only plan still runs the pristine path. *)
+   verdict, so a timing-only plan still counts as no faults (and its
+   phases never go to a sharded transport). *)
 let is_none t =
   t.drop = 0. && t.duplicate = 0. && t.delay = 0. && t.crash = 0.
   && t.corrupt = 0. && t.partitions = [] && t.bursts = []

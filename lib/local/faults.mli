@@ -118,16 +118,12 @@ val corrupted : t -> round:int -> src:int -> dst:int -> copy:int -> bool
     corruption verdicts ([copy] is 1-based; the [copy = 1] verdict
     coincides with the historical per-edge one). *)
 
-val crash_round : t -> node:int -> int option
-(** The absolute round at which [node] crashes, if it ever does.  A
-    crashed node neither sends nor receives until it recovers (if the
-    plan grants it a recovery — see {!crash_interval}); its state is
-    frozen meanwhile. *)
-
 val crash_interval : t -> node:int -> (int * int option) option
 (** [Some (c, r)]: the node crashes at absolute round [c] and recovers at
     round [r] (restoring its last checkpoint), or never if [r = None]
-    (crash-stop).  Recovery rounds are strictly after the crash. *)
+    (crash-stop).  Recovery rounds are strictly after the crash.  A
+    crashed node neither sends nor receives until it recovers; its state
+    is frozen meanwhile. *)
 
 (** {1 Schedules} *)
 
@@ -142,10 +138,6 @@ val partition_side : t -> index:int -> node:int -> parts:int -> int
 
 val partitioned : t -> round:int -> src:int -> dst:int -> bool
 (** Is the directed edge cut by an active partition at [round]? *)
-
-val burst_rate : t -> round:int -> float
-(** The elevated drop rate in force at [round] (0 outside bursts; the max
-    over overlapping bursts). *)
 
 (** {1 Virtual-time draws}
 

@@ -143,37 +143,26 @@ type 'input view = {
   center : int;
   radius : int;
   vertices : int array;
-  subgraph : Graph.t;
-  local_of_orig : (int, int) Hashtbl.t;
   view_inputs : 'input array;
-  center_local : int;
   dist_center : int array;
 }
 
+(* [ball] must be sorted: every per-vertex field is indexed by position
+   in [vertices]. *)
 let view_of_ball t ~v ~radius ~ball ~dist =
-  let subgraph, vertices = Graph.induced t.graph ball in
-  let local_of_orig = Hashtbl.create (2 * Array.length vertices) in
-  Array.iteri (fun i o -> Hashtbl.replace local_of_orig o i) vertices;
   {
     center = v;
     radius;
-    vertices;
-    subgraph;
-    local_of_orig;
-    view_inputs = Array.map (fun o -> t.inputs.(o)) vertices;
-    center_local = Hashtbl.find local_of_orig v;
-    dist_center = Array.map (fun o -> dist.(o)) vertices;
+    vertices = ball;
+    view_inputs = Array.map (fun o -> t.inputs.(o)) ball;
+    dist_center = Array.map dist ball;
   }
 
 let gather t ~v ~radius =
   if radius < 0 then invalid_arg "Network.gather: negative radius";
   let dist = Graph.bfs_distances t.graph v in
   let ball = Graph.ball t.graph v radius in
-  view_of_ball t ~v ~radius ~ball ~dist
-
-let in_view view orig = Hashtbl.mem view.local_of_orig orig
-
-let local view orig = Hashtbl.find view.local_of_orig orig
+  view_of_ball t ~v ~radius ~ball ~dist:(Array.get dist)
 
 let view_is_complete t view =
   (* Flooded knowledge is always a subset of the true ball (messages carry
@@ -205,34 +194,15 @@ let merge_views t a b =
      what completeness is judged on). *)
   if !count = Array.length a.vertices then a
   else if !count = Array.length b.vertices then b
-  else view_of_ball t ~v:a.center ~radius:a.radius ~ball:(Array.of_list !union) ~dist
+  else
+    view_of_ball t ~v:a.center ~radius:a.radius ~ball:(Array.of_list !union)
+      ~dist:(Array.get dist)
 
-(* The fault-free synchronous executor — kept verbatim as its own function
-   so the zero-fault plan is bit-identical to the pre-fault runtime. *)
-let run_broadcast_pristine t ~rounds ?size ~init ~emit ~merge () =
-  let n = Graph.n t.graph in
-  let states = Array.init n init in
-  for _round = 1 to rounds do
-    (* All sends use this round's pre-merge states: synchronous semantics. *)
-    let outgoing = Array.mapi (fun v s -> emit v s) states in
-    (match size with
-    | None -> ()
-    | Some size ->
-        for v = 0 to n - 1 do
-          t.bits <- t.bits + (Graph.degree t.graph v * size outgoing.(v))
-        done);
-    for v = 0 to n - 1 do
-      let inbox =
-        Array.to_list (Array.map (fun u -> outgoing.(u)) (Graph.neighbors t.graph v))
-      in
-      states.(v) <- merge v states.(v) inbox
-    done
-  done;
-  states
-
-(* The faulty executor: every directed (round, edge) message is subjected
-   to the plan's drop/duplicate/delay/corrupt verdicts, crashed nodes
-   freeze, and delayed copies are parked in per-arrival-round inboxes.
+(* The synchronous executor: every directed (round, edge) message is
+   subjected to the plan's drop/duplicate/delay/corrupt verdicts, crashed
+   nodes freeze, and delayed copies are parked in per-arrival-round
+   inboxes.  Under [Faults.none] every verdict is one undelayed copy, so
+   each node hears each neighbor once per round, in sender-id order.
    Inbox order is deterministic: (send round, sender id, copy index).
    A copy whose arrival round falls past the phase end is parked on
    [t.pending] (keyed by absolute round) when the caller supplied a
@@ -252,7 +222,7 @@ let run_broadcast_pristine t ~rounds ?size ~init ~emit ~merge () =
    billed but never delivered, surfacing as a drop to the caller.  A
    corruption the digest misses is delivered silently, as a real
    collision would be. *)
-let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
+let run_rounds t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
     ~trace:tr ~init ~emit ~merge () =
   let n = Graph.n t.graph in
   let fp = t.faults in
@@ -357,6 +327,8 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
       match outgoing.(v) with
       | None -> ()
       | Some msg ->
+          (* One size per sender: only a corrupted copy can differ. *)
+          let msg_bits = match size with Some size -> size msg | None -> 0 in
           Array.iter
             (fun u ->
               let f = Linksem.fate fp ~round:abs ~src:v ~dst:u ?corrupt ?digest msg in
@@ -367,8 +339,9 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
                      never hit the wire, duplicates pay twice, and quarantined
                      copies stay billed — they did hit the wire. *)
                   (match size with
-                  | Some size -> t.bits <- t.bits + size c.Linksem.c_msg
-                  | None -> ());
+                  | Some size when c.Linksem.c_corrupted ->
+                      t.bits <- t.bits + size c.Linksem.c_msg
+                  | _ -> t.bits <- t.bits + msg_bits);
                   t.msgs <- t.msgs + 1;
                   if c.Linksem.c_quarantined then
                     t.quarantined <- t.quarantined + 1
@@ -416,11 +389,11 @@ let run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
   done;
   (states, !catchup)
 
-(* Pluggable faulty-path executor: {!Ls_shard.Exec} installs a transport
-   that runs the phase across worker processes.  The hook replaces only
-   the interior of the faulty path — the wrapper below keeps phase
+(* Pluggable executor for faulty plans: {!Ls_shard.Exec} installs a
+   transport that runs the phase across worker processes.  The hook
+   replaces only the executor interior — the wrapper below keeps phase
    events, clock advance, round charging and phase metrics, so a
-   transport is responsible for exactly what [run_broadcast_faulty] does:
+   transport is responsible for exactly what [run_rounds] does:
    mutate the network's meters/pending/checkpoint state (via
    {!Internal}), emit interior fault events to [trace], and return the
    final states with the catch-up round count.
@@ -451,29 +424,22 @@ let transport () = Atomic.get transport_cell
 
 let run_broadcast t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
     ?(label = "broadcast") ?trace ~init ~emit ~merge () =
+  if rounds < 0 then invalid_arg "Network.run_broadcast: negative rounds";
   let tr = sink t trace in
   let metrics = Metrics.enabled () in
   let bits0 = t.bits and msgs0 = t.msgs in
   (match tr with
   | Some s -> Trace.emit s (Trace.Phase_start { label; clock = t.clock })
   | None -> ());
+  (* Zero-fault phases stay in-process even with a transport installed. *)
   let states, catchup =
-    if Faults.is_none t.faults then begin
-      let states = run_broadcast_pristine t ~rounds ?size ~init ~emit ~merge () in
-      (* Fault-free rounds transmit one copy per directed edge, and every
-         copy reaches its merge — conservation holds with zero loss. *)
-      t.msgs <- t.msgs + (rounds * 2 * Graph.m t.graph);
-      t.delivered <- t.delivered + (rounds * 2 * Graph.m t.graph);
-      (states, 0)
-    end
-    else
-      match transport () with
-      | Some tp ->
-          tp.exec t ~rounds ~size ~corrupt ~digest ~ckpt ~carry ~trace:tr
-            ~init ~emit ~merge
-      | None ->
-          run_broadcast_faulty t ~rounds ?size ?corrupt ?digest ?ckpt ?carry
-            ~trace:tr ~init ~emit ~merge ()
+    match transport () with
+    | Some tp when not (Faults.is_none t.faults) ->
+        tp.exec t ~rounds ~size ~corrupt ~digest ~ckpt ~carry ~trace:tr ~init
+          ~emit ~merge
+    | _ ->
+        run_rounds t ~rounds ?size ?corrupt ?digest ?ckpt ?carry ~trace:tr
+          ~init ~emit ~merge ()
   in
   (* The clock counts broadcast rounds only (fault verdict coordinates);
      catch-up replay by recovering nodes is charged to the rounds meter on
@@ -555,8 +521,7 @@ let flood_views_with ~run t ~radius =
   Array.init n (fun v ->
       let known = states.(v) in
       (* Distances from the flooded adjacency data only. *)
-      let ids = Array.of_list (List.map fst (Imap.bindings known)) in
-      let dist = Hashtbl.create (2 * Array.length ids) in
+      let dist = Hashtbl.create (2 * Imap.cardinal known) in
       let queue = Queue.create () in
       Hashtbl.replace dist v 0;
       Queue.add v queue;
@@ -585,9 +550,7 @@ let flood_views_with ~run t ~radius =
         Array.of_list
           (List.filter (fun u -> Hashtbl.mem dist u) (List.map fst (Imap.bindings known)))
       in
-      let dist_arr = Array.make n max_int in
-      Hashtbl.iter (fun u d -> dist_arr.(u) <- d) dist;
-      view_of_ball t ~v ~radius ~ball ~dist:dist_arr)
+      view_of_ball t ~v ~radius ~ball ~dist:(Hashtbl.find dist))
 
 let flood_views ?trace t ~radius =
   flood_views_with t ~radius

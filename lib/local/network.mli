@@ -23,8 +23,8 @@
     recovery round, charging the rounds the node was dark as catch-up.
     Verdicts are keyed by the network's monotonically advancing {!clock},
     so a retried phase faces fresh faults while the whole execution stays
-    a pure function of the seeds.  The zero-fault plan runs the pre-fault
-    executor verbatim — bit-identical behaviour.  {!gather} is
+    a pure function of the seeds.  The zero-fault plan runs the same
+    executor, where every verdict is one undelayed copy.  {!gather} is
     fault-oblivious by design: it is the information-theoretic primitive,
     whereas faults model the physical message-passing realization.
 
@@ -135,22 +135,14 @@ type 'input view = {
   center : int;  (** Original id of the gathering node. *)
   radius : int;
   vertices : int array;  (** Original ids of [B_radius(center)], sorted. *)
-  subgraph : Ls_graph.Graph.t;  (** Induced subgraph on local ids. *)
-  local_of_orig : (int, int) Hashtbl.t;
-  view_inputs : 'input array;  (** Indexed by local id. *)
-  center_local : int;
-  dist_center : int array;  (** Graph distance from center, by local id. *)
+  view_inputs : 'input array;  (** Indexed by position in [vertices]. *)
+  dist_center : int array;
+      (** Graph distance from center, by position in [vertices]. *)
 }
 
 val gather : 'i t -> v:int -> radius:int -> 'i view
 (** The view of node [v] after [radius] rounds.  Does {e not} charge
     rounds — callers charge once per parallel phase via {!charge}. *)
-
-val in_view : _ view -> int -> bool
-(** Is an original vertex id inside the view? *)
-
-val local : _ view -> int -> int
-(** Local id of an original vertex; raises [Not_found] outside the view. *)
 
 val view_is_complete : 'i t -> 'i view -> bool
 (** Does the view cover the {e true} radius-[t] ball of its center?
@@ -196,7 +188,8 @@ val run_broadcast :
 (** Execute [rounds] synchronous rounds: each round, every node [v]
     broadcasts [emit v state] to all neighbors, then folds the received
     messages with [merge].  Charges [rounds] rounds; when [size] is given,
-    message bit counts are metered (see {!bits}).
+    message bit counts are metered (see {!bits}).  Raises
+    [Invalid_argument] on [rounds < 0], before any event or meter moves.
 
     Under the network's fault plan, each directed (round, edge) message is
     subjected to the plan's verdicts: it may be dropped, duplicated,
@@ -210,8 +203,8 @@ val run_broadcast :
     silently.  Down nodes neither emit nor merge; their states freeze,
     and copies arriving at them become dead letters.  Inbox order is
     deterministic: (send round, sender id, copy index).  Under the
-    zero-fault plan the pre-fault executor runs verbatim (bit-identical
-    inbox order and metering).
+    zero-fault plan every node hears each neighbor exactly once per
+    round, in ascending neighbor id.
 
     Crash-recovery: when the plan grants a node a recovery round, the
     node's state is snapshotted at its crash round (if [ckpt], a witness
@@ -237,15 +230,14 @@ val run_broadcast :
 
     {!Ls_shard.Exec} installs a transport to run faulty broadcast phases
     across worker OS processes.  The hook replaces only the {e interior}
-    of the faulty path: the {!run_broadcast} wrapper still emits
+    of the executor: the {!run_broadcast} wrapper still emits
     phase-boundary events, advances the clock, charges rounds and records
     phase metrics.  A transport must therefore do exactly what the
-    in-process faulty executor does — mutate the network's meters,
-    pending copies and checkpoint store (via [Internal]), emit interior
-    fault events to the given sink, and return final states plus the
-    catch-up round count.  The zero-fault path never consults the
-    transport: pristine runs stay bit-identical to the pre-fault
-    runtime no matter what is installed. *)
+    in-process executor does — mutate the network's meters, pending
+    copies and checkpoint store (via [Internal]), emit interior fault
+    events to the given sink, and return final states plus the catch-up
+    round count.  Phases under a plan with {!Faults.is_none} never
+    consult the transport: they always run in-process. *)
 
 type transport = {
   exec :

@@ -46,8 +46,6 @@ type failure =
           phase is structurally impossible.  The supervisor stops
           immediately and keeps the remaining budget unspent. *)
 
-val failure_reason : failure -> string
-
 val run :
   ?trace:Ls_obs.Trace.t ->
   ?label:string ->

@@ -46,12 +46,9 @@ val process : 's t -> v:int -> radius:int -> ('s ctx -> 'a) -> 'a
 
 val run_pass : 's t -> order:int array -> radius:int -> ('s ctx -> unit) -> unit
 (** Process every node of [order] once with the same locality budget, then
-    close the pass (see {!new_pass}). *)
+    close the pass: subsequent steps count toward the next one. *)
 
 (** {1 Locality accounting} *)
-
-val new_pass : _ t -> unit
-(** Close the current pass; subsequent steps count toward the next one. *)
 
 val pass_localities : _ t -> int list
 (** Max radius used in each completed-or-current pass, oldest first. *)

@@ -13,8 +13,8 @@
     {!Ls_local.Linksem} comparators, a sharded run is bit-identical to
     the in-process executor — same states, meters and trace events (the
     only addition being shard lifecycle events, which CI strips when
-    diffing).  The zero-fault pristine path never consults the
-    transport, so fault-free runs are untouched by construction.
+    diffing).  Phases under a zero-fault plan never consult the
+    transport: they always run in-process.
 
     Fault tolerance: workers checkpoint atomically after every round
     ({!Ckpt}); a worker killed with [SIGKILL] (for real — see

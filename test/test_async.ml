@@ -23,11 +23,6 @@ module Async = Ls_local.Async
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* A view, reduced to its observable content (the subgraph and hashtable
-   are derived from these). *)
-let view_repr (v : _ Network.view) =
-  (v.Network.center, v.Network.radius, v.Network.vertices, v.Network.dist_center)
-
 let meters net =
   ( Network.messages net,
     Network.bits net,
@@ -81,7 +76,7 @@ let run_floods ~async net =
     | None -> Network.flood_views ~trace:t net ~radius:3
     | Some cfg -> Async.flood_views cfg ~trace:t net ~radius:3
   in
-  (Array.map view_repr views1, Array.map view_repr views2, Trace.events t)
+  (views1, views2, Trace.events t)
 
 let test_synchronizer_bit_identity () =
   List.iter
@@ -104,9 +99,9 @@ let test_synchronizer_bit_identity () =
         plans)
     graphs
 
-let test_synchronizer_zero_faults_matches_pristine () =
-  (* Timing-only plans (is_none true): the sync dispatcher takes its
-     pristine fast path; the event engine must reproduce it exactly. *)
+let test_synchronizer_zero_faults_matches_sync () =
+  (* Timing-only plans (is_none true): every synchronous verdict is one
+     undelayed copy; the event engine must reproduce that run exactly. *)
   let g = Generators.cycle 10 in
   let faults = Faults.make ~seed:42L ~law:Faults.Heavy ~skew:2.0 ~reorder:0.3 () in
   checkb "timing-only plan counts as no faults" true (Faults.is_none faults);
@@ -138,7 +133,7 @@ let test_async_deterministic () =
         let cfg = Async.make ~mode ~control_trace:ctl () in
         let t = Trace.make () in
         let views = Async.flood_views cfg ~trace:t net ~radius:2 in
-        (Array.map view_repr views, meters net, Trace.events t, Trace.events ctl,
+        (views, meters net, Trace.events t, Trace.events ctl,
          Async.stats cfg)
       in
       checkb
@@ -287,8 +282,8 @@ let suite =
   [
     Alcotest.test_case "synchronizer bit-identity across plans and laws" `Quick
       test_synchronizer_bit_identity;
-    Alcotest.test_case "synchronizer matches pristine fast path" `Quick
-      test_synchronizer_zero_faults_matches_pristine;
+    Alcotest.test_case "synchronizer matches zero-fault sync run" `Quick
+      test_synchronizer_zero_faults_matches_sync;
     Alcotest.test_case "async executor is deterministic" `Quick
       test_async_deterministic;
     Alcotest.test_case "adaptive mode never invents records" `Quick

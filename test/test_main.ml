@@ -28,6 +28,7 @@ let () =
       ("recovery", Test_recovery.suite);
       ("chaos", Test_chaos.suite);
       ("async", Test_async.suite);
+      ("broadcast", Test_broadcast.suite);
       ("local", Test_local.suite);
       ("inference", Test_inference.suite);
       ("samplers", Test_samplers.suite);

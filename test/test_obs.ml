@@ -1,7 +1,7 @@
 (* The observability layer's own contracts: ring-buffer retention, JSONL
    shape, the determinism guarantees (domain-count invariance via
    capture/replay, fault-seed invariance at zero rates), metrics counter
-   aggregation, and the message meter on the pristine path. *)
+   aggregation, and the message meter of a zero-fault flood. *)
 
 module Trace = Ls_obs.Trace
 module Metrics = Ls_obs.Metrics
@@ -121,7 +121,7 @@ let test_trace_seed_invariant_without_faults () =
        a);
   checkb "fault seed leaves the zero-rate trace unchanged" true (a = b)
 
-let test_pristine_message_meter () =
+let test_zero_fault_message_meter () =
   (* Fault-free flood: one copy per directed edge per round, so the meter
      reads exactly radius * 2m. *)
   let g = Generators.cycle 9 in
@@ -293,8 +293,8 @@ let suite =
       test_trace_domain_invariant;
     Alcotest.test_case "zero-rate trace ignores fault seed" `Quick
       test_trace_seed_invariant_without_faults;
-    Alcotest.test_case "pristine message meter" `Quick
-      test_pristine_message_meter;
+    Alcotest.test_case "zero-fault message meter" `Quick
+      test_zero_fault_message_meter;
     Alcotest.test_case "metrics aggregate and reset" `Quick
       test_metrics_aggregation;
     Alcotest.test_case "disabled metrics are inert" `Quick
