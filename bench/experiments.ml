@@ -1530,36 +1530,6 @@ let e16 () =
 
 let e17_requests = ref 96
 
-(* The same deterministic mixed workload the CLI's `locsample query`
-   generates: sample/infer/count over a handful of small instances, with
-   request seeds drawn from a 4-seed pool so repeats hit the plan cache. *)
-let e17_stream ~seed ~n =
-  let module Protocol = Ls_serve.Protocol in
-  let rng = Rng.create seed in
-  let graphs = [| "cycle:24"; "path:16"; "grid:3x4"; "tree:2x3" |] in
-  let models = [| "hardcore:0.8"; "ising:0.3"; "coloring:5" |] in
-  let seed_pool = Array.init 4 (fun _ -> Rng.bits64 rng) in
-  let pick arr = arr.(Rng.int rng (Array.length arr)) in
-  List.init n (fun i ->
-      let draw = Rng.int rng 10 in
-      let op =
-        if draw < 6 then Protocol.Sample
-        else if draw < 8 then Protocol.Infer
-        else Protocol.Count
-      in
-      {
-        Protocol.id = i;
-        op;
-        seed = pick seed_pool;
-        graph = pick graphs;
-        model = pick models;
-        t = 1;
-        engine = "ball";
-        trials = (match op with Protocol.Sample -> 1 + Rng.int rng 4 | _ -> 1);
-        vertex = Rng.int rng 8;
-        deadline_ms = 0;
-      })
-
 let e17 () =
   let module Protocol = Ls_serve.Protocol in
   let module Engine = Ls_serve.Engine in
@@ -1567,7 +1537,8 @@ let e17 () =
   let module Client = Ls_serve.Client in
   let module Metrics = Ls_obs.Metrics in
   let n = !e17_requests in
-  let stream = e17_stream ~seed:1700L ~n in
+  (* The mixed workload `locsample query` sends. *)
+  let stream = Client.stream ~seed:1700L n in
   (* The daemon parts run the server IN THIS PROCESS (so its cache-hit and
      rejection counters flow through Ls_obs here) and fork the load
      clients — which must happen before anything creates a domain, the
@@ -1588,88 +1559,54 @@ let e17 () =
   in
   let addr_b = Server.Unix_path (sock "b") in
   let addr_c = Server.Unix_path (sock "c") in
-  (* Client B: the mixed stream, pipeline 8, per-window latency.  Clients
-     write measurements to stderr only — stdout belongs to the parent. *)
-  let fork_client_b () =
+  (* Each load client is one forked [Client.burst].  Clients write
+     measurements to stderr only — stdout belongs to the parent. *)
+  let fork_client tag ~attempts addr ~pipeline reqs report =
     flush stdout;
     flush stderr;
     match Unix.fork () with
-    | 0 ->
-        (match Client.connect_retry ~attempts:600 ~delay_ms:100 addr_b with
+    | 0 -> (
+        match
+          Client.burst ~pipeline reqs ~connect:(fun () ->
+              Client.connect_retry ~attempts ~delay_ms:100 addr)
+        with
         | Error msg ->
-            Printf.eprintf "[e17 client b: connect failed: %s]\n%!" msg;
+            Printf.eprintf "[e17 client %s: %s]\n%!" tag msg;
             Unix._exit 1
-        | Ok c ->
-            let reqs = Array.of_list stream in
-            let lat = Array.make n 0. in
-            let pipeline = 8 in
-            let i = ref 0 in
-            let failed = ref false in
-            while !i < n do
-              let k = min pipeline (n - !i) in
-              let t0 = Unix.gettimeofday () in
-              for j = !i to !i + k - 1 do
-                Client.send c reqs.(j)
-              done;
-              for _ = 1 to k do
-                match Client.recv c with
-                | Error msg ->
-                    Printf.eprintf "[e17 client b: recv failed: %s]\n%!" msg;
-                    failed := true;
-                    i := n
-                | Ok resp ->
-                    let idx = resp.Protocol.rid in
-                    if idx >= 0 && idx < n then
-                      lat.(idx) <- Unix.gettimeofday () -. t0
-              done;
-              i := !i + k
-            done;
-            Client.close c;
-            if !failed then Unix._exit 1;
-            Array.sort compare lat;
-            let pct p = lat.(min (n - 1) (int_of_float (p *. float_of_int n))) in
-            Printf.eprintf "[e17 daemon: p50 %.1f ms, p99 %.1f ms]\n%!"
-              (1000. *. pct 0.5) (1000. *. pct 0.99);
+        | Ok b ->
+            Client.close b.Client.conn;
+            report b.Client.latency;
             Unix._exit 0)
     | pid -> pid
+  in
+  (* Client B: the mixed stream, pipeline 8, per-window latency. *)
+  let fork_client_b () =
+    fork_client "b" ~attempts:600 addr_b ~pipeline:8 stream (fun lat ->
+        Array.sort compare lat;
+        let pct p = lat.(min (n - 1) (int_of_float (p *. float_of_int n))) in
+        Printf.eprintf "[e17 daemon: p50 %.1f ms, p99 %.1f ms]\n%!"
+          (1000. *. pct 0.5) (1000. *. pct 0.99))
   in
   (* Client C: a 32-deep burst into a queue bound of 2 — the admission
      smoke.  Overload verdicts are counted by the parent's Ls_obs
      metrics; the client only checks every request is answered. *)
   let burst = 32 in
   let fork_client_c () =
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        (match Client.connect_retry ~attempts:1200 ~delay_ms:100 addr_c with
-        | Error msg ->
-            Printf.eprintf "[e17 client c: connect failed: %s]\n%!" msg;
-            Unix._exit 1
-        | Ok c ->
-            let reqs =
-              List.init burst (fun i ->
-                  {
-                    Protocol.id = i;
-                    op = Protocol.Sample;
-                    seed = 17L;
-                    graph = "cycle:24";
-                    model = "hardcore:0.8";
-                    t = 1;
-                    engine = "ball";
-                    trials = 2;
-                    vertex = 0;
-                    deadline_ms = 0;
-                  })
-            in
-            List.iter (fun r -> Client.send c r) reqs;
-            let ok = ref 0 in
-            for _ = 1 to burst do
-              match Client.recv c with Ok _ -> incr ok | Error _ -> ()
-            done;
-            Client.close c;
-            Unix._exit (if !ok = burst then 0 else 1))
-    | pid -> pid
+    fork_client "c" ~attempts:1200 addr_c ~pipeline:burst
+      (Array.init burst (fun id ->
+           {
+             Protocol.id;
+             op = Protocol.Sample;
+             seed = 17L;
+             graph = "cycle:24";
+             model = "hardcore:0.8";
+             t = 1;
+             engine = "ball";
+             trials = 2;
+             vertex = 0;
+             deadline_ms = 0;
+           }))
+      ignore
   in
   (* Fork both load clients NOW, before part A touches the engine: once
      the pool has created a domain the runtime refuses Unix.fork for the
@@ -1691,16 +1628,14 @@ let e17 () =
         let e = Engine.create () in
         let before = Metrics.snapshot () in
         let t0 = Unix.gettimeofday () in
-        let rec go = function
-          | [] -> ()
-          | reqs ->
-              let k = min batch_size (List.length reqs) in
-              let batch = List.filteri (fun i _ -> i < k) reqs in
-              let rest = List.filteri (fun i _ -> i >= k) reqs in
-              ignore (Engine.submit_batch e batch);
-              go rest
+        let rec go i =
+          if i < n then begin
+            let k = min batch_size (n - i) in
+            ignore (Engine.submit_batch e (Array.to_list (Array.sub stream i k)));
+            go (i + k)
+          end
         in
-        go stream;
+        go 0;
         let wall = Unix.gettimeofday () -. t0 in
         Printf.eprintf "[e17 batch=%d: %.2fs wall, %.0f req/s]\n%!" batch_size
           wall
@@ -1846,10 +1781,7 @@ let e18 () =
       "E18 crash-tolerant serving: skipped (domains already created; run \
        section e18 alone)"
   else begin
-    (* Worker kills reset client connections mid-write. *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ());
-    let reqs = Array.of_list (e17_stream ~seed:1800L ~n) in
+    let reqs = Client.stream ~seed:1800L n in
     let tmp tag =
       Filename.concat
         (Filename.get_temp_dir_name ())
@@ -1881,21 +1813,9 @@ let e18 () =
              with _ -> Unix._exit 3)
         | pid -> pid
       in
-      let fresh () =
-        match Client.connect_retry ~attempts:600 ~delay_ms:10
-                (Server.Unix_path sock)
-        with
-        | Ok c -> c
-        | Error msg -> failwith ("e18: " ^ msg)
-      in
-      let c = ref (fresh ()) in
-      let bodies = Array.make n "" in
-      let done_ = Array.make n false in
-      let answered = ref 0 in
-      let killed = ref false in
-      let maybe_kill () =
-        if (not !killed) && kill_after > 0 && !answered >= kill_after then begin
-          killed := true;
+      (* Kill -9 the worker after [kill_after] harvested responses. *)
+      let on_answer answered =
+        if answered = kill_after then begin
           let ic = open_in pid_file in
           let wpid = int_of_string (String.trim (input_line ic)) in
           close_in ic;
@@ -1903,63 +1823,23 @@ let e18 () =
         end
       in
       let t0 = Unix.gettimeofday () in
-      let pipeline = 4 in
-      let i = ref 0 in
-      while !i < n do
-        let k = min pipeline (n - !i) in
-        let send_missing () =
-          try
-            for j = !i to !i + k - 1 do
-              if not done_.(j) then Client.send !c reqs.(j)
-            done
-          with Unix.Unix_error _ -> ()
-        in
-        let missing () =
-          let m = ref 0 in
-          for j = !i to !i + k - 1 do
-            if not done_.(j) then incr m
-          done;
-          !m
-        in
-        send_missing ();
-        while missing () > 0 do
-          match Client.recv !c with
-          | Error _ ->
-              Client.close !c;
-              c := fresh ();
-              send_missing ()
-          | Ok resp ->
-              let idx = resp.Protocol.rid in
-              if idx >= 0 && idx < n && not done_.(idx) then begin
-                done_.(idx) <- true;
-                bodies.(idx) <- enc idx resp.Protocol.body;
-                incr answered;
-                maybe_kill ()
-              end
-        done;
-        i := !i + k
-      done;
+      let { Client.responses; conn; _ } =
+        match
+          Client.burst ~on_answer ~pipeline:4 reqs ~connect:(fun () ->
+              Client.connect_retry ~attempts:600 ~delay_ms:10
+                (Server.Unix_path sock))
+        with
+        | Ok b -> b
+        | Error msg -> failwith ("e18: " ^ msg)
+      in
       let wall = Unix.gettimeofday () -. t0 in
+      let bodies = Array.map (fun r -> enc r.Protocol.rid r.Protocol.body) responses in
       let stats =
-        let sreq =
-          {
-            Protocol.id = n;
-            op = Protocol.Stats;
-            seed = 0L;
-            graph = "-";
-            model = "-";
-            t = 0;
-            engine = "-";
-            trials = 1;
-            vertex = 0;
-            deadline_ms = 0;
-          }
-        in
-        match Client.call !c sreq with
+        match Client.call conn (Client.control ~id:n Protocol.Stats) with
         | Ok { Protocol.body = Protocol.Stats_r st; _ } -> Some st
         | _ -> None
       in
-      Client.close !c;
+      Client.close conn;
       (try Unix.kill dpid Sys.sigterm with Unix.Unix_error _ -> ());
       let drained =
         match Unix.waitpid [] dpid with
@@ -2050,9 +1930,7 @@ let e19 () =
       "E19 resource-exhaustion tolerance: skipped (domains already created; \
        run section e19 alone)"
   else begin
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ());
-    let reqs = Array.of_list (e17_stream ~seed:1900L ~n) in
+    let reqs = Client.stream ~seed:1900L n in
     let tmp tag =
       Filename.concat
         (Filename.get_temp_dir_name ())
@@ -2108,67 +1986,24 @@ let e19 () =
         | Ok c -> c
         | Error msg -> failwith ("e19: " ^ msg)
       in
-      let c = ref (fresh ()) in
-      let bodies = Array.make n "" in
-      let done_ = Array.make n false in
       let t0 = Unix.gettimeofday () in
-      let pipeline = 4 in
-      let i = ref 0 in
-      while !i < n do
-        let k = min pipeline (n - !i) in
-        let send_missing () =
-          try
-            for j = !i to !i + k - 1 do
-              if not done_.(j) then Client.send !c reqs.(j)
-            done
-          with Unix.Unix_error _ -> ()
-        in
-        let missing () =
-          let m = ref 0 in
-          for j = !i to !i + k - 1 do
-            if not done_.(j) then incr m
-          done;
-          !m
-        in
-        send_missing ();
-        while missing () > 0 do
-          match Client.recv !c with
-          | Error _ ->
-              Client.close !c;
-              c := fresh ();
-              send_missing ()
-          | Ok resp ->
-              let idx = resp.Protocol.rid in
-              if idx >= 0 && idx < n && not done_.(idx) then begin
-                done_.(idx) <- true;
-                bodies.(idx) <- enc idx resp.Protocol.body
-              end
-        done;
-        i := !i + k
-      done;
+      let { Client.responses; conn; _ } =
+        match
+          Client.burst ~pipeline:4 reqs ~connect:(fun () -> Ok (fresh ()))
+        with
+        | Ok b -> b
+        | Error msg -> failwith ("e19: " ^ msg)
+      in
       let wall = Unix.gettimeofday () -. t0 in
+      let bodies = Array.map (fun r -> enc r.Protocol.rid r.Protocol.body) responses in
       (* Health probe on a fresh connection: by now the burst has burned
          well past the schedule's budget, so a correct daemon has cleared
          every degraded mode it can clear without new work (the accept
          mark clears on this very connection's accept). *)
-      Client.close !c;
+      Client.close conn;
       let hc = fresh () in
       let health_end =
-        let hreq =
-          {
-            Protocol.id = n;
-            op = Protocol.Health;
-            seed = 0L;
-            graph = "-";
-            model = "-";
-            t = 0;
-            engine = "-";
-            trials = 1;
-            vertex = 0;
-            deadline_ms = 0;
-          }
-        in
-        match Client.call hc hreq with
+        match Client.call hc (Client.control ~id:n Protocol.Health) with
         | Ok { Protocol.body = Protocol.Health_r { reasons = [] }; _ } -> "ok"
         | Ok { Protocol.body = Protocol.Health_r { reasons }; _ } ->
             Printf.sprintf "degraded:%d" (List.length reasons)

@@ -205,6 +205,7 @@ let sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faults ~policy
 let sample graph model t seed engine exact_jvv epsilon trials fault_rate
     crash_rate max_delay corrupt_rate skew delay_law async_mode timeout_base
     profile retry_budget sketch sketch_k shards shard_kill =
+  if trials < 1 then die "--trials expects an integer >= 1";
   let policy = policy_of_flags ~retry_budget in
   (* Sharded multi-process execution: validate up front, mirroring
      --domains.  Fork-based workers require no sibling domains, so
@@ -242,9 +243,9 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
      path: the executor needs a network to flood over. *)
   let faulty = not (Faults.is_none faults) || async <> None in
   let g, m, inst = make_instance ~graph ~model ~seed in
+  let oracle = make_oracle ~engine ~t inst in
   Printf.printf "graph: %d vertices, %d edges; model: %s\n" (Graph.n g) (Graph.m g)
     m.Engine.describe;
-  let oracle = make_oracle ~engine ~t inst in
   (* Single runs shard the broadcast phases themselves (the transport
      hook); sweeps shard the trial range instead, so the transport stays
      uninstalled there (workers run the in-process executor). *)
@@ -315,8 +316,8 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
 let infer graph model t seed engine vertex boosted =
   let g, m, inst = make_instance ~graph ~model ~seed in
   if vertex < 0 || vertex >= Graph.n g then die "vertex out of range";
-  Printf.printf "graph: %d vertices; model: %s\n" (Graph.n g) m.Engine.describe;
   let oracle = make_oracle ~engine ~t inst in
+  Printf.printf "graph: %d vertices; model: %s\n" (Graph.n g) m.Engine.describe;
   let oracle = if boosted then Boosting.boost oracle inst else oracle in
   let d = oracle.Inference.infer inst vertex in
   Printf.printf "marginal at %d (radius %d%s): %s\n" vertex oracle.Inference.radius
@@ -343,20 +344,25 @@ let ssm graph model seed max_d =
   0
 
 let phase branching depth lambdas =
-  let lambda_c = Phase_transition.critical_lambda ~branching in
+  (* The whole scan runs before the first line prints, so a value the
+     library rejects is a clean exit 2, not a half-printed table. *)
+  let lambda_c, scan =
+    or_invalid (fun () ->
+        ( Phase_transition.critical_lambda ~branching,
+          Phase_transition.lambda_sweep ~branching ~depth ~lambdas ))
+  in
   Printf.printf "lambda_c(Delta=%d) = %.4f\n" (branching + 1) lambda_c;
   List.iter
-    (fun lambda ->
-      let i = Phase_transition.tree_root_influence ~branching ~depth ~lambda in
+    (fun (lambda, i) ->
       Printf.printf "lambda=%-8.3f influence@%d = %.6f  [%s]\n" lambda depth i
         (if lambda < lambda_c then "uniqueness" else "non-uniqueness"))
-    lambdas;
+    scan;
   0
 
 let count graph model t seed =
   let g, m, inst = make_instance ~graph ~model ~seed in
+  let oracle = make_oracle ~engine:"ball" ~t inst in
   Printf.printf "graph: %d vertices; model: %s\n" (Graph.n g) m.Engine.describe;
-  let oracle = Inference.ssm_oracle ~t inst in
   let order = Array.init (Instance.n inst) (fun i -> i) in
   let log_z = Reductions.estimate_log_partition oracle inst ~order in
   Printf.printf "ln Z ~ %.6f   (Z ~ %.6e)\n" log_z (exp log_z);
@@ -480,39 +486,6 @@ let render_body (b : Protocol.body) =
   | Protocol.Error_r { code; message } ->
       Printf.sprintf "error %s: %s" (Protocol.err_name code) message
 
-(* The query stream is a pure function of (--seed, --requests): a mixed
-   op workload over a handful of small instances, with request seeds
-   drawn from a 4-seed pool so repeated (instance, seed) pairs recur and
-   exercise the plan cache. *)
-let gen_requests ~seed ?(deadline_ms = 0) ~n () =
-  let rng = Rng.create (Int64.of_int seed) in
-  let graphs = [| "cycle:24"; "path:16"; "grid:3x4"; "tree:2x3" |] in
-  let models = [| "hardcore:0.8"; "ising:0.3"; "coloring:5" |] in
-  let seed_pool = Array.init 4 (fun _ -> Rng.bits64 rng) in
-  let pick arr = arr.(Rng.int rng (Array.length arr)) in
-  List.init n (fun i ->
-      let op_draw = Rng.int rng 10 in
-      let op =
-        if op_draw < 6 then Protocol.Sample
-        else if op_draw < 8 then Protocol.Infer
-        else Protocol.Count
-      in
-      let trials =
-        match op with Protocol.Sample -> 1 + Rng.int rng 4 | _ -> 1
-      in
-      {
-        Protocol.id = i;
-        op;
-        seed = pick seed_pool;
-        graph = pick graphs;
-        model = pick models;
-        t = 1;
-        engine = "ball";
-        trials;
-        vertex = Rng.int rng 8;
-        deadline_ms;
-      })
-
 let query connect requests pipeline seed transcript stats_flag deadline_ms
     kill_after worker_pid_file =
   if requests < 1 then die "--requests expects an integer >= 1";
@@ -522,31 +495,28 @@ let query connect requests pipeline seed transcript stats_flag deadline_ms
   if kill_after > 0 && worker_pid_file = None then
     die "--kill-after needs --worker-pid-file to aim at";
   let address = parse_listen connect in
-  (* Chaos resets and worker kills make EPIPE on send a normal event. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let fresh_conn () =
-    match Client.connect_retry address with Ok c -> c | Error msg -> die msg
+  (* Open the transcript before any request goes out: a bad path is a
+     usage error, not a lost burst. *)
+  let transcript =
+    Option.map
+      (fun path ->
+        try open_out path with Sys_error msg -> die ("--transcript: " ^ msg))
+      transcript
   in
-  let c = ref (fresh_conn ()) in
+  (* The query stream is a pure function of (--seed, --requests). *)
   let reqs =
-    Array.of_list (gen_requests ~seed ~deadline_ms ~n:requests ())
+    Array.map
+      (fun r -> { r with Protocol.deadline_ms })
+      (Client.stream ~seed:(Int64.of_int seed) requests)
   in
-  let n = Array.length reqs in
-  let responses = Array.make n None in
-  let lat = Array.make n 0. in
-  let answered = ref 0 in
   (* --kill-after: after harvesting that many responses, kill -9 the
      supervised worker named by its pid file — the deterministic
-     mid-burst crash the CI restart smoke drives.  The client itself
-     survives the kill through the reconnect/resend loop below. *)
-  let killed = ref false in
-  let maybe_kill () =
-    if (not !killed) && kill_after > 0 && !answered >= kill_after then begin
-      killed := true;
-      match worker_pid_file with
-      | None -> ()
-      | Some path -> (
+     mid-burst crash the CI restart smoke drives.  The burst survives
+     the kill by reconnecting and resending. *)
+  let on_answer answered =
+    if answered = kill_after then
+      Option.iter
+        (fun path ->
           match
             let ic = open_in path in
             let pid = int_of_string (String.trim (input_line ic)) in
@@ -559,89 +529,38 @@ let query connect requests pipeline seed transcript stats_flag deadline_ms
                 die (Printf.sprintf "--kill-after: cannot kill pid %d" pid))
           | exception _ ->
               die (Printf.sprintf "--kill-after: cannot read a pid from %s" path))
-    end
+        worker_pid_file
   in
-  let reconnects = ref 0 in
-  let reconnect () =
-    incr reconnects;
-    if !reconnects > 100 then
-      die "daemon connection failed after 100 reconnects";
-    (try Client.close !c with Unix.Unix_error _ -> ());
-    c := fresh_conn ()
+  let { Client.responses; conn = c; latency } =
+    or_die
+      (Client.burst ~on_answer
+         ~connect:(fun () -> Client.connect_retry address)
+         ~pipeline reqs)
   in
-  (* Pipelined windows: push K requests, then read K responses.  The
-     server answers Overloaded verdicts during its socket drain and
-     everything else after the batch runs, so responses can arrive out of
-     request order — the correlation id routes each one home.  A broken
-     connection (worker killed, daemon restarting) is survived by
-     reconnecting and resending the window's unanswered requests:
-     response bodies are pure functions of request bytes, so replayed
-     answers keep the transcript byte-identical. *)
-  let i = ref 0 in
-  while !i < n do
-    let k = min pipeline (n - !i) in
-    let t0 = Unix.gettimeofday () in
-    let send_missing () =
-      try
-        for j = !i to !i + k - 1 do
-          if responses.(j) = None then Client.send !c reqs.(j)
-        done
-      with Unix.Unix_error _ -> ()
-      (* a dead connection surfaces as a recv error below *)
-    in
-    let missing () =
-      let m = ref 0 in
-      for j = !i to !i + k - 1 do
-        if responses.(j) = None then incr m
-      done;
-      !m
-    in
-    send_missing ();
-    while missing () > 0 do
-      match Client.recv !c with
-      | Error _ ->
-          reconnect ();
-          send_missing ()
-      | Ok resp ->
-          let idx = resp.Protocol.rid in
-          if idx < 0 || idx >= n then
-            die (Printf.sprintf "response id %d out of range" idx);
-          if responses.(idx) = None then begin
-            responses.(idx) <- Some resp;
-            lat.(idx) <- Unix.gettimeofday () -. t0;
-            incr answered;
-            maybe_kill ()
-          end
-    done;
-    i := !i + k
-  done;
-  let c = !c in
-  (match transcript with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
+  Option.iter
+    (fun oc ->
       Array.iteri
-        (fun idx -> function
-          | Some resp ->
-              Printf.fprintf oc "%d %s\n" idx (render_body resp.Protocol.body)
-          | None -> Printf.fprintf oc "%d MISSING\n" idx)
+        (fun idx resp ->
+          Printf.fprintf oc "%d %s\n" idx (render_body resp.Protocol.body))
         responses;
-      close_out oc);
+      close_out oc)
+    transcript;
+  let n = Array.length responses in
   let count p = Array.fold_left (fun acc r -> if p r then acc + 1 else acc) 0 responses in
   let overloaded =
     count (function
-      | Some { Protocol.body = Protocol.Error_r { code = Protocol.Overloaded; _ }; _ } ->
+      | { Protocol.body = Protocol.Error_r { code = Protocol.Overloaded; _ }; _ } ->
           true
       | _ -> false)
   in
   let errors =
     count (function
-      | Some { Protocol.body = Protocol.Error_r _; _ } -> true
+      | { Protocol.body = Protocol.Error_r _; _ } -> true
       | _ -> false)
   in
   (* Latency is a measurement, not an output: stderr, like the sweep
      timing line, so stdout and the transcript stay deterministic. *)
-  let sorted = Array.copy lat in
+  let sorted = Array.copy latency in
   Array.sort compare sorted;
   let pct p = sorted.(min (n - 1) (int_of_float (p *. float_of_int n))) in
   Printf.eprintf
@@ -649,35 +568,17 @@ let query connect requests pipeline seed transcript stats_flag deadline_ms
      %.1f ms]\n"
     n (n - errors) overloaded (errors - overloaded)
     (1000. *. pct 0.5) (1000. *. pct 0.99);
-  (if stats_flag then begin
-     let sreq =
-       {
-         Protocol.id = n;
-         op = Protocol.Stats;
-         seed = 0L;
-         graph = "-";
-         model = "-";
-         t = 0;
-         engine = "-";
-         trials = 1;
-         vertex = 0;
-         deadline_ms = 0;
-       }
-     in
-     (match Client.call c sreq with
-     | Error msg ->
-         Client.close c;
-         die msg
-     | Ok resp -> print_endline (render_body resp.Protocol.body));
-     (* Health rides along with --stats: operators watching counters want
-        to know about degraded modes in the same glance. *)
-     let hreq = { sreq with Protocol.id = n + 1; op = Protocol.Health } in
-     match Client.call c hreq with
-     | Error msg ->
-         Client.close c;
-         die msg
-     | Ok resp -> print_endline (render_body resp.Protocol.body)
-   end);
+  (* Health rides along with --stats: operators watching counters want
+     to know about degraded modes in the same glance. *)
+  if stats_flag then
+    List.iteri
+      (fun i op ->
+        match Client.call c (Client.control ~id:(n + i) op) with
+        | Error msg ->
+            Client.close c;
+            die msg
+        | Ok resp -> print_endline (render_body resp.Protocol.body))
+      [ Protocol.Stats; Protocol.Health ];
   Client.close c;
   0
 
@@ -685,35 +586,15 @@ let query connect requests pipeline seed transcript stats_flag deadline_ms
    can branch on — 0 healthy, 1 degraded (usage/connection errors keep
    the CLI's exit-2 contract). *)
 let health connect =
-  let address = parse_listen connect in
-  let c =
-    match Client.connect_retry address with Ok c -> c | Error msg -> die msg
-  in
-  let req =
-    {
-      Protocol.id = 0;
-      op = Protocol.Health;
-      seed = 0L;
-      graph = "-";
-      model = "-";
-      t = 0;
-      engine = "-";
-      trials = 1;
-      vertex = 0;
-      deadline_ms = 0;
-    }
-  in
-  match Client.call c req with
-  | Error msg ->
-      Client.close c;
-      die msg
-  | Ok resp -> (
-      Client.close c;
-      print_endline (render_body resp.Protocol.body);
-      match resp.Protocol.body with
-      | Protocol.Health_r { reasons = [] } -> 0
-      | Protocol.Health_r _ -> 1
-      | _ -> die "unexpected response to a health request")
+  let c = or_die (Client.connect_retry (parse_listen connect)) in
+  let resp = Client.call c (Client.control ~id:0 Protocol.Health) in
+  Client.close c;
+  let resp = or_die resp in
+  print_endline (render_body resp.Protocol.body);
+  match resp.Protocol.body with
+  | Protocol.Health_r { reasons = [] } -> 0
+  | Protocol.Health_r _ -> 1
+  | _ -> die "unexpected response to a health request"
 
 (* The serve chaos harness: like `locsample chaos`, exit 1 + reproducer
    file on any violation; a baseline that cannot run at all is exit 1
@@ -999,11 +880,7 @@ let chaos_cmd =
   in
   let partition_conv =
     let parse s =
-      match String.split_on_char ':' s with
-      | [ a; u; k ] -> (
-          try Ok (int_of_string a, int_of_string u, int_of_string k)
-          with _ -> Error (`Msg "partition wants FROM:UNTIL:PARTS"))
-      | _ -> Error (`Msg "partition wants FROM:UNTIL:PARTS")
+      Result.map_error (fun m -> `Msg m) (Ls_chaos.Chaos.parse_partition s)
     in
     let print ppf (a, u, k) = Format.fprintf ppf "%d:%d:%d" a u k in
     Arg.conv (parse, print)

@@ -469,10 +469,10 @@ let reproducer =
     ~flags
     ~zero_fault:(fun v -> "zero-fault identity VIOLATED: " ^ v.detail)
 
-let partition_of v =
-  match String.split_on_char ':' v with
-  | [ a; u; k ] -> (int_of_string a, int_of_string u, int_of_string k)
-  | _ -> failwith "partition wants FROM:UNTIL:PARTS"
+let parse_partition v =
+  match List.map int_of_string_opt (String.split_on_char ':' v) with
+  | [ Some a; Some u; Some k ] -> Ok (a, u, k)
+  | _ -> Error "partition wants FROM:UNTIL:PARTS"
 
 let step p toks =
   let o = p.overrides in
@@ -486,8 +486,10 @@ let step p toks =
   | "--corrupt-rate" :: v :: rest ->
       over { o with o_corrupt = Some (float_of_string v) } rest
   | "--fault-profile" :: v :: rest -> over { o with o_profile = Some v } rest
-  | "--partition" :: v :: rest ->
-      over { o with o_partitions = o.o_partitions @ [ partition_of v ] } rest
+  | "--partition" :: v :: rest -> (
+      match parse_partition v with
+      | Ok part -> over { o with o_partitions = o.o_partitions @ [ part ] } rest
+      | Error msg -> failwith msg)
   | "--shards" :: v :: rest ->
       over { o with o_shards = Some (int_of_string v) } rest
   | _ -> None

@@ -138,6 +138,10 @@ val reproducer : summary -> string
     failure, ["all invariants held"] otherwise — ending in the exact CLI
     line that replays the run, override flags included. *)
 
+val parse_partition : string -> (int * int * int, string) result
+(** ["FROM:UNTIL:PARTS"], as [--partition] takes it on the command line
+    and in replay lines. *)
+
 val parse_reproducer : string -> (int64 * int * params) option
 (** Parse a {!reproducer} report (or any text containing its replay line)
     back into [(seed, schedules, params)] — the round-trip

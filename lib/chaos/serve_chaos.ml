@@ -39,38 +39,15 @@ let violation = Harness.violation
 
 (* --- workload ---------------------------------------------------------- *)
 
-(* The same shape as `locsample query --requests N`: a deterministic
-   mixed burst over small instances with a shared seed pool.  Every
-   graph has >= 12 vertices and every Infer vertex is < 8, so no
-   generated request can legitimately draw Bad_request — which is what
-   lets the client blame every Bad_request on the proxy.  Deadlines stay
-   0: expiry depends on queue wall time, which chaos delays would turn
-   into baseline-vs-proxied divergence. *)
+(* The stream `locsample query --requests N` sends, over graphs that
+   all have >= 12 vertices: every Infer vertex is < 8, so no generated
+   request can legitimately draw Bad_request — which is what lets the
+   client blame every Bad_request on the proxy.  Deadlines stay 0:
+   expiry depends on queue wall time, which chaos delays would turn into
+   baseline-vs-proxied divergence. *)
 let gen_requests ~seed ~n =
-  let rng = Rng.create seed in
-  let graphs = [| "cycle:16"; "path:12"; "grid:3x4"; "tree:2x3" |] in
-  let models = [| "hardcore:0.8"; "ising:0.3"; "coloring:5" |] in
-  let seed_pool = Array.init 4 (fun _ -> Rng.bits64 rng) in
-  let pick arr = arr.(Rng.int rng (Array.length arr)) in
-  Array.init n (fun i ->
-      let draw = Rng.int rng 10 in
-      let op =
-        if draw < 6 then Protocol.Sample
-        else if draw < 8 then Protocol.Infer
-        else Protocol.Count
-      in
-      {
-        Protocol.id = i;
-        op;
-        seed = pick seed_pool;
-        graph = pick graphs;
-        model = pick models;
-        t = 1;
-        engine = "ball";
-        trials = (match op with Protocol.Sample -> 1 + Rng.int rng 4 | _ -> 1);
-        vertex = Rng.int rng 8;
-        deadline_ms = 0;
-      })
+  Client.stream ~graphs:[| "cycle:16"; "path:12"; "grid:3x4"; "tree:2x3" |]
+    ~seed n
 
 (* --- schedule generation ----------------------------------------------- *)
 

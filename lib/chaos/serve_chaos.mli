@@ -43,8 +43,8 @@ val quiet_schedule : int64 -> schedule
 val describe_schedule : schedule -> string
 
 val gen_requests : seed:int64 -> n:int -> Ls_serve.Protocol.request array
-(** The deterministic burst: the same mixed sample/infer/count shape as
-    [locsample query], over instances chosen so that no generated
+(** The deterministic burst: {!Ls_serve.Client.stream} — the stream
+    [locsample query] sends — over graphs chosen so that no generated
     request can legitimately draw [Bad_request] (which lets the chaos
     client blame every [Bad_request] on proxy corruption — the frame
     digest covers the payload only, so a corrupted header can reach the

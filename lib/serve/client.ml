@@ -1,10 +1,12 @@
-(* Minimal blocking client over the frame protocol.  Pipelining is the
-   caller's affair: [send] and [recv] are independent, so a client can
-   push K requests before reading any response (the overload test does
-   exactly this). *)
+(* Blocking client over the frame protocol.  [send] and [recv] are
+   independent, so a client can push K requests before reading any
+   response (the overload test does exactly this); [burst] is the one
+   pipelined reconnect/resend loop every load client shares, and
+   [stream] the one mixed workload it usually carries. *)
 
 module Frame = Ls_shard.Frame
 module Supervisor = Ls_shard.Supervisor
+module Rng = Ls_rng.Rng
 
 type t = { fd : Unix.file_descr }
 
@@ -87,3 +89,119 @@ let call t req =
       else Ok resp
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+
+(* --- the shared workload ---------------------------------------------- *)
+
+(* Each draw is its own [let], so the stream does not hang on the order
+   in which the compiler evaluates record fields.  The order is op,
+   trials (Sample only), vertex, model, graph, seed; the serve-smoke
+   transcript digest in CI pins it. *)
+let stream ?(graphs = [| "cycle:24"; "path:16"; "grid:3x4"; "tree:2x3" |])
+    ~seed n =
+  let rng = Rng.create seed in
+  let models = [| "hardcore:0.8"; "ising:0.3"; "coloring:5" |] in
+  let seed_pool = Array.init 4 (fun _ -> Rng.bits64 rng) in
+  let pick arr = arr.(Rng.int rng (Array.length arr)) in
+  Array.init n (fun id ->
+      let op_draw = Rng.int rng 10 in
+      let op =
+        if op_draw < 6 then Protocol.Sample
+        else if op_draw < 8 then Protocol.Infer
+        else Protocol.Count
+      in
+      let trials = match op with Protocol.Sample -> 1 + Rng.int rng 4 | _ -> 1 in
+      let vertex = Rng.int rng 8 in
+      let model = pick models in
+      let graph = pick graphs in
+      let seed = pick seed_pool in
+      { Protocol.id; op; seed; graph; model; t = 1; engine = "ball"; trials;
+        vertex; deadline_ms = 0 })
+
+let control ~id op =
+  { Protocol.id; op; seed = 0L; graph = "-"; model = "-"; t = 0; engine = "-";
+    trials = 1; vertex = 0; deadline_ms = 0 }
+
+(* --- the pipelined burst ---------------------------------------------- *)
+
+type burst = {
+  responses : Protocol.response array;
+  conn : t;
+  latency : float array;
+}
+
+let max_reconnects = 100
+
+(* Windows of [pipeline] requests: push the window, then read until every
+   request in it is answered.  The daemon answers Overloaded verdicts
+   during its socket drain and everything else after the batch runs, so
+   responses can arrive out of request order — the rid routes each one
+   home.  A broken connection (worker killed, daemon restarting, proxy
+   reset) is survived by reconnecting and resending the window's
+   unanswered requests: response bodies are pure functions of request
+   bytes, so replayed answers keep the id-ordered result byte-identical. *)
+let burst ?(on_answer = ignore) ~connect ~pipeline reqs =
+  if pipeline < 1 then invalid_arg "Client.burst: pipeline must be >= 1";
+  (* Resets make EPIPE on send a normal event, not a fatal signal. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
+  let n = Array.length reqs in
+  let responses = Array.make n None in
+  let latency = Array.make n 0. in
+  let answered = ref 0 in
+  let reconnects = ref 0 in
+  let rec window conn i =
+    if i >= n then
+      Ok { responses = Array.map Option.get responses; conn; latency }
+    else begin
+      let k = min pipeline (n - i) in
+      let t0 = Unix.gettimeofday () in
+      let send_missing conn =
+        try
+          for j = i to i + k - 1 do
+            if responses.(j) = None then send conn reqs.(j)
+          done
+        with Unix.Unix_error _ -> ()
+        (* a dead connection surfaces as a recv error below *)
+      in
+      let rec missing j =
+        j < i + k && (responses.(j) = None || missing (j + 1))
+      in
+      let rec harvest conn =
+        if not (missing i) then window conn (i + k)
+        else
+          match recv conn with
+          | Error _ -> (
+              close conn;
+              incr reconnects;
+              if !reconnects > max_reconnects then
+                Error
+                  (Printf.sprintf "daemon connection failed after %d reconnects"
+                     max_reconnects)
+              else
+                match connect () with
+                | Error msg -> Error msg
+                | Ok conn ->
+                    send_missing conn;
+                    harvest conn)
+          | Ok resp ->
+              let idx = resp.Protocol.rid in
+              if idx < 0 || idx >= n then begin
+                close conn;
+                Error (Printf.sprintf "response id %d out of range" idx)
+              end
+              else begin
+                (* A duplicate of an answered rid is ignored. *)
+                if responses.(idx) = None then begin
+                  responses.(idx) <- Some resp;
+                  latency.(idx) <- Unix.gettimeofday () -. t0;
+                  incr answered;
+                  on_answer !answered
+                end;
+                harvest conn
+              end
+      in
+      send_missing conn;
+      harvest conn
+    end
+  in
+  match connect () with Error msg -> Error msg | Ok conn -> window conn 0

@@ -149,6 +149,7 @@ let parse_model g spec =
   | _ -> Error (Printf.sprintf "cannot parse model %S" spec)
 
 let make_oracle ~engine ~t inst =
+  Result.bind (Protocol.check_t t) @@ fun () ->
   match engine with
   | "ball" -> Ok (Inference.ssm_oracle ~t inst)
   | "saw" -> Ok (Inference.saw_oracle ~depth:t inst)

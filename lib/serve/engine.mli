@@ -36,7 +36,8 @@ val make_oracle :
   t:int ->
   Ls_core.Instance.t ->
   (Ls_core.Inference.oracle, string) result
-(** ["ball"] (Theorem 5.1) or ["saw"] (Weitz). *)
+(** ["ball"] (Theorem 5.1) or ["saw"] (Weitz); [t] must pass
+    {!Protocol.check_t}. *)
 
 type error = Bad_request of string | Overloaded | Internal of string
 

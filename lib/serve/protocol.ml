@@ -128,23 +128,31 @@ let check_spec name s =
          name len max_spec_len)
   else Ok ()
 
+let check_t t =
+  if t < 0 || t > max_t then
+    Error (Printf.sprintf "t=%d outside [0, %d]" t max_t)
+  else Ok ()
+
 let validate_request r =
   let ( let* ) = Result.bind in
   let* () = check_spec "graph" r.graph in
   let* () = check_spec "model" r.model in
   let* () = check_spec "engine" r.engine in
   if r.id < 0 then Error "Protocol: negative request id"
-  else if r.t < 0 || r.t > max_t then
-    Error (Printf.sprintf "Protocol: t=%d outside [0, %d]" r.t max_t)
-  else if r.trials < 1 || r.trials > max_trials then
-    Error
-      (Printf.sprintf "Protocol: trials=%d outside [1, %d]" r.trials max_trials)
-  else if r.vertex < 0 then Error "Protocol: negative vertex"
-  else if r.deadline_ms < 0 || r.deadline_ms > max_deadline_ms then
-    Error
-      (Printf.sprintf "Protocol: deadline_ms=%d outside [0, %d]" r.deadline_ms
-         max_deadline_ms)
-  else Ok ()
+  else
+    match check_t r.t with
+    | Error m -> Error ("Protocol: " ^ m)
+    | Ok () ->
+        if r.trials < 1 || r.trials > max_trials then
+          Error
+            (Printf.sprintf "Protocol: trials=%d outside [1, %d]" r.trials
+               max_trials)
+        else if r.vertex < 0 then Error "Protocol: negative vertex"
+        else if r.deadline_ms < 0 || r.deadline_ms > max_deadline_ms then
+          Error
+            (Printf.sprintf "Protocol: deadline_ms=%d outside [0, %d]"
+               r.deadline_ms max_deadline_ms)
+        else Ok ()
 
 (* --- payload codec ---------------------------------------------------- *)
 

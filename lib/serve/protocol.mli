@@ -93,6 +93,11 @@ val max_trials : int
 val max_t : int
 val max_deadline_ms : int
 
+val check_t : int -> (unit, string) result
+(** The radius rule, [t] in [\[0, max_t\]]: {!validate_request} applies
+    it to every request and {!Engine.make_oracle} to every oracle, so the
+    daemon and the CLI reject the same radii. *)
+
 val validate_request : request -> (unit, string) result
 (** The bounds {!decode_request_bytes} enforces, applied to an in-memory
     request — clients call it before encoding. *)

@@ -210,7 +210,14 @@ let test_reproducer_round_trip () =
         (s'.H.failures = s.H.failures
         && s'.H.zero_fault = s.H.zero_fault));
   checkb "junk text does not parse" true
-    (Chaos.parse_reproducer "no replay line here" = None)
+    (Chaos.parse_reproducer "no replay line here" = None);
+  (* The one FROM:UNTIL:PARTS parser, shared with the CLI's --partition. *)
+  checkb "a partition parses" true (Chaos.parse_partition "1:4:2" = Ok (1, 4, 2));
+  List.iter
+    (fun bad ->
+      checkb ("a malformed partition is an error: " ^ bad) true
+        (Result.is_error (Chaos.parse_partition bad)))
+    [ "1:4"; "1:4:2:0"; "a:4:2"; "" ]
 
 let suite =
   [

@@ -610,6 +610,128 @@ let test_client_backoff_attempts () =
       checkb "the error counts every attempt" true (contains msg "3 attempt(s)");
       checkb "the error names the address" true (contains msg missing)
 
+(* --- the shared load client --------------------------------------------- *)
+
+(* The CLI's `query` stream before it moved into [Client.stream], kept
+   verbatim apart from [graphs] becoming a parameter: the [trials] draw
+   sits in a [let], the rest in record fields that the compiler
+   evaluates right to left.  [Client.stream] must reproduce it. *)
+module Reference = struct
+  let gen_requests ?(graphs = [| "cycle:24"; "path:16"; "grid:3x4"; "tree:2x3" |])
+      ~seed ?(deadline_ms = 0) ~n () =
+    let rng = Rng.create (Int64.of_int seed) in
+    let models = [| "hardcore:0.8"; "ising:0.3"; "coloring:5" |] in
+    let seed_pool = Array.init 4 (fun _ -> Rng.bits64 rng) in
+    let pick arr = arr.(Rng.int rng (Array.length arr)) in
+    List.init n (fun i ->
+        let op_draw = Rng.int rng 10 in
+        let op =
+          if op_draw < 6 then Protocol.Sample
+          else if op_draw < 8 then Protocol.Infer
+          else Protocol.Count
+        in
+        let trials =
+          match op with Protocol.Sample -> 1 + Rng.int rng 4 | _ -> 1
+        in
+        {
+          Protocol.id = i;
+          op;
+          seed = pick seed_pool;
+          graph = pick graphs;
+          model = pick models;
+          t = 1;
+          engine = "ball";
+          trials;
+          vertex = Rng.int rng 8;
+          deadline_ms;
+        })
+end
+
+let stream_seeds = [ 1; 7; 42; 1700; 1800; 1900; 2026; 2031 ]
+
+let test_client_stream_reference () =
+  List.iter
+    (fun seed ->
+      let got = Client.stream ~seed:(Int64.of_int seed) 64 in
+      checkb
+        (Printf.sprintf "seed %d: the stream is the old query stream" seed)
+        true
+        (Array.to_list got = Reference.gen_requests ~seed ~n:64 ());
+      (* `query --deadline-ms` stamps the stream without a draw. *)
+      checkb
+        (Printf.sprintf "seed %d: a deadline consumes no draws" seed)
+        true
+        (Array.to_list
+           (Array.map (fun r -> { r with Protocol.deadline_ms = 250 }) got)
+        = Reference.gen_requests ~seed ~deadline_ms:250 ~n:64 ()))
+    stream_seeds;
+  checki "an empty stream" 0 (Array.length (Client.stream ~seed:1L 0))
+
+(* Fork a chaos proxy in front of [upstream]; returns (address, pid). *)
+let fork_proxy spec ~upstream =
+  let path = sock_path () in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      (try Ls_chaos.Proxy.run spec ~listen:(Server.Unix_path path) ~upstream ()
+       with _ -> ());
+      Unix._exit 0
+  | pid -> (Server.Unix_path path, pid)
+
+let test_client_burst_through_proxy () =
+  let reqs = Client.stream ~seed:5L 24 in
+  let n = Array.length reqs in
+  (* Resends after a reset count against the daemon's budget, so the
+     budget is generous and SIGTERM ends the daemon instead. *)
+  let addr, pid = fork_server ~max_requests:10_000 () in
+  let direct = connect_or_fail addr in
+  let expected = Array.map (call_or_fail direct) reqs in
+  Client.close direct;
+  let spec =
+    { (Ls_chaos.Proxy.quiet 11L) with
+      Ls_chaos.Proxy.reset = 0.05; truncate = 0.05 }
+  in
+  let pxy, ppid = fork_proxy spec ~upstream:addr in
+  let connects = ref 0 in
+  let connect () =
+    incr connects;
+    Client.connect_retry ~attempts:200 ~delay_ms:5 pxy
+  in
+  let answers = ref [] in
+  (match
+     Client.burst ~on_answer:(fun k -> answers := k :: !answers) ~connect
+       ~pipeline:4 reqs
+   with
+  | Error msg -> Alcotest.fail ("burst through the proxy: " ^ msg)
+  | Ok { Client.responses; conn; latency } ->
+      Client.close conn;
+      checki "one response per request" n (Array.length responses);
+      Array.iteri
+        (fun i r -> checki "responses are in id order" i r.Protocol.rid)
+        responses;
+      checkb "the bodies equal sequential calls" true
+        (Array.map (fun r -> r.Protocol.body) responses = expected);
+      checkb "latencies are non-negative" true
+        (Array.for_all (fun l -> l >= 0.) latency);
+      checkb "on_answer counts each new answer once" true
+        (List.rev !answers = List.init n (fun k -> k + 1)));
+  checkb "the schedule broke at least one connection" true (!connects > 1);
+  (* A rid outside [0, n) is an error, not a silent drop. *)
+  let shifted =
+    Array.map (fun r -> { r with Protocol.id = r.Protocol.id + 2 }) (Array.sub reqs 0 2)
+  in
+  (match
+     Client.burst ~connect:(fun () -> Client.connect_retry addr) ~pipeline:2
+       shifted
+   with
+  | Ok _ -> Alcotest.fail "an out-of-range rid must be an error"
+  | Error msg -> checkb "the error names the range" true (contains msg "out of range"));
+  (try Unix.kill ppid Sys.sigterm with Unix.Unix_error _ -> ());
+  ignore (Unix.waitpid [] ppid);
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  ignore (Unix.waitpid [] pid)
+
 (* --- warm-start snapshots ---------------------------------------------- *)
 
 let test_engine_snapshot_roundtrip () =
@@ -1017,6 +1139,32 @@ let test_cli_env_exit2 () =
   checki "valid env exits 0" 0 code;
   checkb "valid env produces output" true (String.length out > 0)
 
+(* Values the library or the daemon rejects must exit 2 with a named
+   message before any output — never a wrong answer, a half-printed
+   table or an uncaught exception. *)
+let test_cli_rejects_bad_values () =
+  let expect what args named =
+    let code, out, err = run_cli ~extra_env:[] args in
+    checki (what ^ " exits 2") 2 code;
+    checkb (what ^ " names " ^ named) true (contains err named);
+    checkb (what ^ " prints nothing on stdout") true (out = "");
+    checkb (what ^ " is not an uncaught exception") true
+      (not (contains err "uncaught"))
+  in
+  expect "a negative infer radius" [ "infer"; "--radius=-1" ] "t=-1";
+  expect "a negative count radius" [ "count"; "--radius=-1" ] "t=-1";
+  expect "zero sample trials" [ "sample"; "--trials"; "0" ] "--trials";
+  expect "phase at branching 0" [ "phase"; "-b"; "0" ] "branching";
+  expect "phase at a negative depth" [ "phase"; "--depth=-1" ] "depth";
+  expect "phase at a negative fugacity" [ "phase"; "--lambdas=-1" ]
+    "fugacity";
+  (* The transcript opens before the connect: no daemon is needed to
+     see the error, and none is retried for. *)
+  expect "an unwritable transcript"
+    [ "query"; "--connect"; "unix:" ^ sock_path ();
+      "--transcript"; "/nonexistent/dir/t.txt" ]
+    "--transcript"
+
 let suite =
   [
     Alcotest.test_case "protocol round-trip" `Quick test_protocol_roundtrip;
@@ -1047,6 +1195,10 @@ let suite =
       test_client_unknown_host;
     Alcotest.test_case "client: connect backoff counts attempts" `Quick
       test_client_backoff_attempts;
+    Alcotest.test_case "client: stream matches the reference" `Quick
+      test_client_stream_reference;
+    Alcotest.test_case "client: burst survives resets and truncations" `Quick
+      test_client_burst_through_proxy;
     Alcotest.test_case "engine snapshot round-trip (warm start)" `Quick
       test_engine_snapshot_roundtrip;
     Alcotest.test_case "snapshot torn/corrupt reads as absence" `Quick
@@ -1062,4 +1214,6 @@ let suite =
     Alcotest.test_case "env validation (unit)" `Quick test_env_checks_unit;
     Alcotest.test_case "cli: malformed env exits 2, no backtrace" `Quick
       test_cli_env_exit2;
+    Alcotest.test_case "cli: rejected values exit 2 before output" `Quick
+      test_cli_rejects_bad_values;
   ]

@@ -56,15 +56,21 @@ let test_decide_deterministic () =
     (List.for_all (fun a -> a = Proxy.Pass) (sweep (Proxy.quiet 42L)))
 
 let test_gen_requests_deterministic () =
-  let a = Serve_chaos.gen_requests ~seed:9L ~n:16 in
-  let b = Serve_chaos.gen_requests ~seed:9L ~n:16 in
-  checkb "the workload is a pure function of the seed" true (a = b);
-  checki "the burst has the requested size" 16 (Array.length a);
-  Array.iteri
-    (fun i r ->
-      checki "ids are the burst index" i r.Protocol.id;
-      checki "no deadlines in the chaos burst" 0 r.Protocol.deadline_ms)
-    a
+  (* The chaos burst is the query stream over graphs of >= 12 vertices. *)
+  let graphs = [| "cycle:16"; "path:12"; "grid:3x4"; "tree:2x3" |] in
+  List.iter
+    (fun seed ->
+      let a = Serve_chaos.gen_requests ~seed:(Int64.of_int seed) ~n:40 in
+      checkb
+        (Printf.sprintf "seed %d: the burst is the reference stream" seed)
+        true
+        (Array.to_list a = Test_serve.Reference.gen_requests ~graphs ~seed ~n:40 ());
+      Array.iteri
+        (fun i r ->
+          checki "ids are the burst index" i r.Protocol.id;
+          checki "no deadlines in the chaos burst" 0 r.Protocol.deadline_ms)
+        a)
+    Test_serve.stream_seeds
 
 let test_reproducer_roundtrip () =
   let sch =
