@@ -110,6 +110,32 @@ let tests () =
           2 );
       ]
   in
+  (* The sample-saw kernel per call: one saw_oracle answer on grid:8x8
+     hardcore 0.5 at depth 10, unpinned and with half the other vertices
+     pinned to an independent-set pattern, as they are mid-trial. *)
+  let saw_rows =
+    let g = Generators.grid 8 8 in
+    let spec = Models.hardcore g ~lambda:0.5 in
+    let v = 27 in
+    let half = Config.empty 64 in
+    let others = Array.of_list (List.filter (( <> ) v) (List.init 64 Fun.id)) in
+    let rng = Rng.create 5L in
+    Rng.shuffle rng others;
+    Array.iteri
+      (fun i u ->
+        if i < 32 then
+          let free_nbrs = Array.for_all (fun w -> half.(w) <> 1) (Graph.neighbors g u) in
+          half.(u) <- (if Rng.bernoulli rng 0.3 && free_nbrs then 1 else 0))
+      others;
+    List.map
+      (fun (label, pinned) ->
+        let inst = Instance.create spec ~pinned in
+        let oracle = Inference.saw_oracle ~depth:10 inst in
+        Test.make
+          ~name:(Printf.sprintf "saw/depth=10 (grid:8x8 hardcore 0.5%s)" label)
+          (Staged.stage (fun () -> ignore (oracle.Inference.infer inst v))))
+      [ ("", Config.empty 64); (", half pinned", half) ]
+  in
   [
     (* Ablation 1: enumeration vs forest DP on the same radius-4 ball. *)
     Test.make ~name:"ball_marginal/enumeration"
@@ -124,12 +150,23 @@ let tests () =
       (Staged.stage (fun () ->
            ignore (Ls_gibbs.Chain_dp.marginal hardcore64 empty64 0)));
     (* SAW tree on a 4-regular graph: a radius-3 ball there has ~50
-       vertices, so the enumeration engine cannot even enter this row. *)
+       vertices, so the enumeration engine cannot even enter this row.
+       The one-shot form compiles the spec on every call; the next two
+       rows split it into the query alone and the compile alone. *)
     Test.make ~name:"saw/depth=3 (4-regular n=64 hardcore)"
       (Staged.stage
          (let spec4 = Models.hardcore reg_graph ~lambda:0.5 in
           let tau = Config.empty 64 in
           fun () -> ignore (Ls_gibbs.Saw.marginal ~depth:3 spec4 tau 0)));
+    Test.make ~name:"saw/depth=3 compiled (4-regular n=64 hardcore)"
+      (Staged.stage
+         (let c = Ls_gibbs.Saw.compile (Models.hardcore reg_graph ~lambda:0.5) in
+          let tau = Config.empty 64 in
+          fun () -> ignore (Ls_gibbs.Saw.run c ~depth:3 tau 0)));
+    Test.make ~name:"saw/compile (4-regular n=64 hardcore)"
+      (Staged.stage
+         (let spec4 = Models.hardcore reg_graph ~lambda:0.5 in
+          fun () -> ignore (Ls_gibbs.Saw.compile spec4)));
     Test.make ~name:"oracle.infer via ssm_oracle"
       (Staged.stage (fun () -> ignore (oracle.Inference.infer inst64 17)));
     Test.make ~name:"glauber/sweep (C64)"
@@ -170,7 +207,7 @@ let tests () =
                     Glauber.sweep st rng
                   done))));
   ]
-  @ kernel_rows @ spec_rows @ plan_rows @ flood_rows
+  @ saw_rows @ kernel_rows @ spec_rows @ plan_rows @ flood_rows
 
 let run () =
   let grouped = Test.make_grouped ~name:"locsample" (tests ()) in

@@ -42,7 +42,12 @@ val saw_oracle : depth:int -> Instance.t -> oracle
     the SSM rate; its cost is [O(Δ^depth)] independent of ball volume,
     making it the better engine on high-degree graphs.  On infeasible
     views it answers uniform (certifiably visible in the error curves,
-    matching {!ssm_oracle}'s fallback). *)
+    matching {!ssm_oracle}'s fallback).
+
+    The oracle compiles [inst0]'s spec once ({!Ls_gibbs.Saw.compile});
+    an [infer] call on an instance whose spec is not physically that
+    spec compiles its own.  Raises [Invalid_argument] on a negative
+    depth or a spec that is not binary pairwise. *)
 
 val annulus : Instance.t -> v:int -> t:int -> int array
 (** [Γ = B_{t+ℓ}(v) \ (B_t(v) ∪ Λ)], sorted by id — exposed for the

@@ -24,8 +24,6 @@ let locality i = Spec.locality i.spec
 
 let pin i v c = { i with pinned = Config.extend i.pinned v c }
 
-let pin_all i pins = List.fold_left (fun acc (v, c) -> pin acc v c) i pins
-
 let is_pinned i v = Config.is_assigned i.pinned v
 
 let free_vertices i =

@@ -26,8 +26,6 @@ val locality : t -> int
 val pin : t -> int -> int -> t
 (** Self-reduction step: a new instance with one more pinned vertex. *)
 
-val pin_all : t -> (int * int) list -> t
-
 val is_pinned : t -> int -> bool
 
 val free_vertices : t -> int list

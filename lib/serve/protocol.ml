@@ -421,14 +421,6 @@ let decode_response_bytes s = Result.bind (Frame.decode s) response_of_frame
 let write_request fd r = Frame.write_fd fd (request_frame r)
 let write_response fd r = Frame.write_fd fd (response_frame r)
 
-let read_request fd =
-  match Frame.read_fd fd with
-  | Error _ as e -> e
-  | Ok f -> (
-      match request_of_frame f with
-      | Ok r -> Ok r
-      | Error msg -> Error (Frame.Malformed msg))
-
 let read_response fd =
   match Frame.read_fd fd with
   | Error _ as e -> e

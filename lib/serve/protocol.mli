@@ -122,5 +122,4 @@ val response_frame : response -> Ls_shard.Frame.t
 
 val write_request : Unix.file_descr -> request -> unit
 val write_response : Unix.file_descr -> response -> unit
-val read_request : Unix.file_descr -> (request, Ls_shard.Frame.read_error) result
 val read_response : Unix.file_descr -> (response, Ls_shard.Frame.read_error) result

@@ -1,7 +1,9 @@
 (* Tests for the additional exact/approximate inference engines: the
    transfer-matrix DP on paths/cycles (Chain_dp) and Weitz's SAW-tree
    algorithm (Saw).  Both are validated against brute-force enumeration —
-   for the SAW tree this in particular certifies the cycle-closing rule. *)
+   for the SAW tree this in particular certifies the cycle-closing rule —
+   and the compiled SAW kernel against a copy of the closure-based
+   recursion it replaced, bit for bit. *)
 
 module Graph = Ls_graph.Graph
 module Generators = Ls_graph.Generators
@@ -34,6 +36,80 @@ let agree msg a b =
   | None, None -> ()
   | Some da, Some db -> checkb msg true (Dist.tv da db < 1e-9)
   | Some _, None | None, Some _ -> Alcotest.fail (msg ^ ": feasibility disagreement")
+
+(* --- reference: the SAW recursion as it stood on the spec's closures --- *)
+
+module Reference = struct
+  let edge_rank g u w =
+    let a = Graph.neighbors g u in
+    let rec bin lo hi =
+      if lo >= hi then invalid_arg "Saw.edge_rank: not a neighbor"
+      else
+        let mid = (lo + hi) / 2 in
+        if a.(mid) = w then mid else if a.(mid) < w then bin (mid + 1) hi else bin lo mid
+    in
+    bin 0 (Array.length a)
+
+  let marginal ~depth spec tau v =
+    if not (Saw.supported spec) then
+      invalid_arg "Saw.marginal: spec must be pairwise with a binary alphabet";
+    let pw = Option.get (Spec.as_pairwise spec) in
+    let g = Spec.graph spec in
+    let n = Graph.n g in
+    if depth < 0 then invalid_arg "Saw.marginal: negative depth";
+    let vw u c = pw.Spec.vertex_weight u c in
+    let a u w su sw =
+      if u < w then pw.Spec.edge_weight u w su sw else pw.Spec.edge_weight w u sw su
+    in
+    if Config.is_assigned tau v then Some (Dist.point 2 tau.(v))
+    else begin
+      let on_path = Array.make n false in
+      let exit_rank = Array.make n (-1) in
+      let rec pair u ~parent budget =
+        let p0 = ref (vw u 0) and p1 = ref (vw u 1) in
+        if budget > 0 then begin
+          on_path.(u) <- true;
+          Array.iter
+            (fun w ->
+              if w <> parent && (!p0 > 0. || !p1 > 0.) then begin
+                let m0, m1 =
+                  if Config.is_assigned tau w then
+                    let c = tau.(w) in
+                    (a u w 0 c, a u w 1 c)
+                  else if on_path.(w) then begin
+                    let closing = edge_rank g w u in
+                    let pinned = if closing > exit_rank.(w) then 1 else 0 in
+                    (a u w 0 pinned, a u w 1 pinned)
+                  end
+                  else begin
+                    exit_rank.(u) <- edge_rank g u w;
+                    let q0, q1 = pair w ~parent:u (budget - 1) in
+                    ( (a u w 0 0 *. q0) +. (a u w 0 1 *. q1),
+                      (a u w 1 0 *. q0) +. (a u w 1 1 *. q1) )
+                  end
+                in
+                p0 := !p0 *. m0;
+                p1 := !p1 *. m1;
+                let peak = Float.max !p0 !p1 in
+                if peak > 0. && (peak > 1e150 || peak < 1e-150) then begin
+                  p0 := !p0 /. peak;
+                  p1 := !p1 /. peak
+                end
+              end)
+            (Graph.neighbors g u);
+          on_path.(u) <- false;
+          exit_rank.(u) <- -1
+        end;
+        (!p0, !p1)
+      in
+      let p0, p1 = pair v ~parent:(-1) depth in
+      if p0 <= 0. && p1 <= 0. then None else Some (Dist.of_weights [| p0; p1 |])
+    end
+end
+
+let bits = function
+  | None -> None
+  | Some d -> Some (Array.init (Dist.size d) (fun c -> Int64.bits_of_float (Dist.prob d c)))
 
 (* --- Chain_dp --- *)
 
@@ -256,6 +332,125 @@ let qcheck_saw_matches_enumeration =
           | _ -> false)
         (List.init n (fun v -> v)))
 
+(* Graphs of at most 14 vertices whose SAW trees stay small at depth
+   n + 1: the ER graphs are kept sparse. *)
+let small_graph rng family =
+  match family with
+  | 0 -> Generators.cycle (3 + Rng.int rng 12)
+  | 1 -> Generators.path (1 + Rng.int rng 14)
+  | 2 -> Generators.random_tree rng (1 + Rng.int rng 14)
+  | 3 ->
+      let r = 1 + Rng.int rng 3 in
+      Generators.grid r (1 + Rng.int rng (min 4 (14 / r)))
+  | _ ->
+      let n = 1 + Rng.int rng 14 in
+      Generators.erdos_renyi rng ~n ~p:(Float.min 1. (Rng.float rng *. 2.5 /. float_of_int n))
+
+(* Binary pairwise specs: hardcore, per-vertex fugacities, Ising, 2-spin
+   with a hard 0-0 or 1-1 edge (or both: proper 2-colourings), and a spec
+   whose edge matrix depends on the edge and is not symmetric, so the
+   u < w orientation rule is exercised. *)
+let binary_spec rng g kind =
+  let n = Graph.n g in
+  match kind with
+  | 0 -> Models.hardcore g ~lambda:(0.1 +. (3. *. Rng.float rng))
+  | 1 ->
+      let lambdas = Array.init n (fun _ -> 3. *. Rng.float rng) in
+      Models.weighted_independent_set g ~vertex_lambda:(fun v -> lambdas.(v))
+  | 2 -> Models.ising g ~beta:(2. *. Rng.float rng) ~field:(0.1 +. (2. *. Rng.float rng))
+  | 3 ->
+      let hard () = if Rng.bool rng then 0. else 2. *. Rng.float rng in
+      Models.two_spin g ~beta:(hard ()) ~gamma:(hard ()) ~lambda:(2. *. Rng.float rng)
+  | _ ->
+      let field = Array.init n (fun _ -> 2. *. Rng.float rng) in
+      Spec.create_pairwise g ~q:2
+        {
+          Spec.vertex_weight = (fun v c -> if c = 1 then field.(v) else 1.);
+          edge_weight =
+            (fun u v cu cv ->
+              float_of_int (1 + cu + (2 * cv)) /. float_of_int (1 + ((u + v) mod 3)));
+        }
+
+let qcheck_saw_kernel_bitwise =
+  QCheck.Test.make ~name:"compiled SAW kernel = closure recursion, bit for bit"
+    ~count:300
+    QCheck.(triple (int_range 0 4) (int_range 0 4) small_int)
+    (fun (family, kind, seed) ->
+      let rng = Rng.of_int (seed + (1000 * family) + (100 * kind)) in
+      let g = small_graph rng family in
+      let n = Graph.n g in
+      let spec = binary_spec rng g kind in
+      let tau = Config.empty n in
+      let p = 0.5 *. Rng.float rng in
+      for u = 0 to n - 1 do
+        if Rng.bernoulli rng p then tau.(u) <- Rng.int rng 2
+      done;
+      (* One compiled spec answers every query of the case. *)
+      let compiled = Saw.compile spec in
+      List.for_all
+        (fun _ ->
+          let v = Rng.int rng n in
+          let depth = Rng.int rng (n + 2) in
+          let want = bits (Reference.marginal ~depth spec tau v) in
+          bits (Saw.run compiled ~depth tau v) = want
+          && bits (Saw.marginal ~depth spec tau v) = want)
+        [ 1; 2; 3 ])
+
+let test_saw_kernel_edge_cases () =
+  let same msg ~depth spec tau v =
+    checkb msg true
+      (bits (Saw.marginal ~depth spec tau v) = bits (Reference.marginal ~depth spec tau v))
+  in
+  (* Both spins killed at the root: a proper 2-colouring with the root's
+     neighbours pinned to different colours. *)
+  let two_col = Models.two_spin (Generators.path 3) ~beta:0. ~gamma:0. ~lambda:1. in
+  let tau = Config.of_pinning 3 [ (0, 0); (2, 1) ] in
+  checkb "infeasible root" true (Saw.marginal ~depth:2 two_col tau 1 = None);
+  same "infeasible root, as before" ~depth:2 two_col tau 1;
+  (* lambda = 1e40 overflows past 1e150 within a few levels, so the
+     rescale branch runs at almost every node. *)
+  let heavy = Models.hardcore (Generators.grid 4 4) ~lambda:1e40 in
+  List.iter
+    (fun v -> same "rescaled" ~depth:12 heavy (Config.empty 16) v)
+    [ 0; 5; 15 ];
+  same "rescaled, pinned" ~depth:12 heavy (Config.of_pinning 16 [ (6, 1); (9, 0) ]) 0;
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let compiled = Saw.compile heavy in
+  checkb "negative depth" true (raises (fun () -> Saw.run compiled ~depth:(-1) (Config.empty 16) 0));
+  checkb "value outside {0, 1}" true
+    (raises (fun () -> Saw.run compiled ~depth:2 (Config.of_pinning 16 [ (1, 2) ]) 0));
+  checkb "values out of the walk's reach are not read" true
+    (Saw.run compiled ~depth:2 (Config.of_pinning 16 [ (15, 2) ]) 0 <> None);
+  checkb "pinning of another size" true
+    (raises (fun () -> Saw.run compiled ~depth:2 (Config.empty 15) 0));
+  checkb "non-binary spec" true
+    (raises (fun () -> Saw.compile (Models.coloring (Generators.cycle 4) ~q:3)))
+
+let test_saw_oracle_rejects_negative_depth () =
+  let inst = Instance.unpinned (Models.hardcore (Generators.cycle 5) ~lambda:1.) in
+  checkb "raised when the oracle is built" true
+    (match Inference.saw_oracle ~depth:(-1) inst with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_saw_oracle_other_spec () =
+  (* An oracle built for one spec, asked about an instance of another:
+     the answer must come from the instance's own spec. *)
+  let inst0 = Instance.unpinned (Models.hardcore (Generators.cycle 6) ~lambda:0.5) in
+  let oracle = Inference.saw_oracle ~depth:5 inst0 in
+  let check msg spec =
+    let inst = Instance.of_pins spec [ (2, 0) ] in
+    let want = Saw.marginal ~depth:5 spec inst.Instance.pinned 0 in
+    checkb msg true (bits (Some (oracle.Inference.infer inst 0)) = bits want)
+  in
+  check "same graph, other fugacity" (Models.hardcore (Generators.cycle 6) ~lambda:2.);
+  check "other graph" (Models.ising (Generators.grid 3 3) ~beta:0.4 ~field:1.3);
+  (* And the compiled spec of inst0 still serves inst0's own instances. *)
+  let inst = Instance.pin inst0 3 1 in
+  checkb "own spec" true
+    (bits (Some (oracle.Inference.infer inst 0))
+    = bits (Saw.marginal ~depth:5 inst0.Instance.spec inst.Instance.pinned 0))
+
 let qcheck_chain_matches_enumeration =
   QCheck.Test.make ~name:"Chain DP = enumeration on cycles" ~count:30
     QCheck.(pair small_int (int_range 3 9))
@@ -293,6 +488,12 @@ let suite =
     Alcotest.test_case "saw pinning and infeasibility" `Quick
       test_saw_pinned_root_and_infeasible;
     Alcotest.test_case "saw oracle drives the sampler" `Quick test_saw_oracle_in_pipeline;
+    Alcotest.test_case "saw kernel: infeasible root, rescale, contract" `Quick
+      test_saw_kernel_edge_cases;
+    Alcotest.test_case "saw oracle rejects a negative depth" `Quick
+      test_saw_oracle_rejects_negative_depth;
+    Alcotest.test_case "saw oracle compiles a foreign spec" `Quick test_saw_oracle_other_spec;
+    QCheck_alcotest.to_alcotest qcheck_saw_kernel_bitwise;
     QCheck_alcotest.to_alcotest qcheck_saw_matches_enumeration;
     QCheck_alcotest.to_alcotest qcheck_chain_matches_enumeration;
   ]
