@@ -48,6 +48,21 @@ let tests () =
           (Staged.stage (fun () -> ignore (Local_sampler.plan oracle inst ~seed:1L))))
       [ 256; 1024; 4096 ]
   in
+  (* One whole chain-rule sample (plan plus payload) at growing n; each
+     step pins in place, so what remains superlinear is the per-step
+     inference. *)
+  let sample_rows =
+    List.map
+      (fun n ->
+        let inst =
+          Instance.unpinned (Models.hardcore (Generators.cycle n) ~lambda:1.)
+        in
+        let oracle = Inference.ssm_oracle ~t:2 inst in
+        Test.make
+          ~name:(Printf.sprintf "local_sampler/sample (hardcore cycle:%d, t=2)" n)
+          (Staged.stage (fun () -> ignore (Local_sampler.sample oracle inst ~seed:1L))))
+      [ 256; 1024 ]
+  in
   (* The exact kernel alone on the radius-2 balls that ssm_infer t=1
      gathers on two serve-hot instances, with the annulus pinned the way
      ssm_infer pins it: a forest ball (forest DP) and a non-forest one
@@ -207,7 +222,7 @@ let tests () =
                     Glauber.sweep st rng
                   done))));
   ]
-  @ saw_rows @ kernel_rows @ spec_rows @ plan_rows @ flood_rows
+  @ saw_rows @ kernel_rows @ spec_rows @ plan_rows @ sample_rows @ flood_rows
 
 let run () =
   let grouped = Test.make_grouped ~name:"locsample" (tests ()) in

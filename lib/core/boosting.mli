@@ -17,8 +17,3 @@
 val boost : Inference.oracle -> Instance.t -> Inference.oracle
 (** [boost aplus inst0] is [A×]; its radius is [2t + ℓ] for
     [t = aplus.radius]. *)
-
-val boosted_marginal :
-  Inference.oracle -> t:int -> Instance.t -> int -> Ls_dist.Dist.t
-(** One invocation of [A×] at a vertex, with an explicit ball parameter
-    [t] (the annulus sits between [B_t] and [B_{t+ℓ}]). *)

@@ -37,13 +37,6 @@ let sweep st rng =
   Rng.shuffle rng order;
   Array.iter (fun v -> resample st rng v) order
 
-let run inst ~sweeps ~rng =
-  let st = init inst in
-  for _i = 1 to sweeps do
-    sweep st rng
-  done;
-  Array.copy st.config
-
 let sample_many inst ~sweeps ~thin ~count ~rng =
   let st = init inst in
   for _i = 1 to sweeps do

@@ -28,10 +28,6 @@ val step : state -> Ls_rng.Rng.t -> unit
 val sweep : state -> Ls_rng.Rng.t -> unit
 (** One update at every free vertex, in a fresh uniformly random order. *)
 
-val run : Instance.t -> sweeps:int -> rng:Ls_rng.Rng.t -> int array
-(** Burn-in [sweeps] sweeps from the greedy start; returns the final
-    configuration. *)
-
 val sample_many :
   Instance.t -> sweeps:int -> thin:int -> count:int -> rng:Ls_rng.Rng.t ->
   int array list

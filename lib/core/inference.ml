@@ -98,24 +98,27 @@ let ssm_infer ~t inst v =
            resort answer uniform — failures of this branch are visible in
            the E5/E8 error curves. *)
         let found = ref None in
-        let rec search i inst_acc =
+        let chain = Chain.start inst in
+        let live = Chain.instance chain in
+        let rec search i =
           if !found <> None then ()
           else if i = Array.length gamma then begin
-            match Exact.ball_marginal inst_acc ~ball v with
+            match Exact.ball_marginal live ~ball v with
             | Some d -> found := Some d
             | None -> ()
           end
           else
             for c = 0 to q - 1 do
-              if !found = None then
-                let u = gamma.(i) in
-                let pinned' = Config.extend inst_acc.Instance.pinned u c in
-                if Gibbs.Spec.locally_feasible inst.Instance.spec pinned' then
-                  search (i + 1)
-                    (Instance.create inst.Instance.spec ~pinned:pinned')
+              if !found = None then begin
+                let m = Chain.mark chain in
+                Chain.pin chain gamma.(i) c;
+                if Gibbs.Spec.locally_feasible live.Instance.spec live.Instance.pinned
+                then search (i + 1);
+                Chain.undo chain m
+              end
             done
         in
-        search 0 inst;
+        search 0;
         match !found with Some d -> d | None -> Dist.uniform q)
   end
 

@@ -20,7 +20,10 @@ type oracle = {
       (** LOCAL time complexity: [infer inst v] reads only
           [B_radius(v)]. *)
   infer : Instance.t -> int -> Ls_dist.Dist.t;
-      (** Marginal estimate [μ̂^τ_v]; a point mass when [v] is pinned. *)
+      (** Marginal estimate [μ̂^τ_v]; a point mass when [v] is pinned.
+          [inst] may be a {!Chain}'s live pinning: an oracle must not keep
+          it after it returns, nor write to it.  Every oracle here and
+          {!Boosting.boost} only read it (boosting pins its own chain). *)
 }
 
 val exact : Instance.t -> oracle

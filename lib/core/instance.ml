@@ -22,8 +22,6 @@ let q i = Spec.q i.spec
 let graph i = Spec.graph i.spec
 let locality i = Spec.locality i.spec
 
-let pin i v c = { i with pinned = Config.extend i.pinned v c }
-
 let is_pinned i v = Config.is_assigned i.pinned v
 
 let free_vertices i =

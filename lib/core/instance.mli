@@ -5,7 +5,7 @@
     arbitrary subset of variables.  The target distribution is the
     conditional [μ^τ].  Carrying [τ] explicitly is what enforces
     self-reducibility: pinning more vertices yields another valid
-    instance. *)
+    instance.  {!Chain} pins along an order in place. *)
 
 type t = { spec : Ls_gibbs.Spec.t; pinned : Ls_gibbs.Config.t }
 
@@ -22,9 +22,6 @@ val n : t -> int
 val q : t -> int
 val graph : t -> Ls_graph.Graph.t
 val locality : t -> int
-
-val pin : t -> int -> int -> t
-(** Self-reduction step: a new instance with one more pinned vertex. *)
 
 val is_pinned : t -> int -> bool
 

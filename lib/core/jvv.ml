@@ -18,46 +18,35 @@ let theory_epsilon inst =
   let n = float_of_int (Instance.n inst) in
   1. /. (n *. n *. n)
 
-(* Pass 1/2 share their shape: extend the pinning vertex by vertex, choosing
-   each value by [choose] from the approximate marginal. *)
-let chain_pass (oracle : Inference.oracle) inst ~order ~choose =
-  let current = ref inst in
-  Array.iter
-    (fun v ->
-      if not (Instance.is_pinned !current v) then begin
-        let mu_hat = oracle.Inference.infer !current v in
-        current := Instance.pin !current v (choose v mu_hat)
-      end)
-    order;
-  Array.copy !current.Instance.pinned
-
-(* Prefix pinning tau ∧ sigma^{j-1}: the instance pinning plus sigma's values
-   on the first j-1 order positions.  [support] restricts which vertices the
-   prefix may mention — the certified-locality run passes the gathered
-   radius; by the oracle's radius contract the answers are unchanged. *)
-let prefix_instance ?(support = fun _ -> true) inst ~order ~upto sigma =
-  let pinned = Array.copy inst.Instance.pinned in
-  for j = 0 to upto - 1 do
-    let v = order.(j) in
-    if support v && pinned.(v) = Config.unassigned then pinned.(v) <- sigma.(v)
-  done;
-  Instance.create inst.Instance.spec ~pinned
-
-(* mu_hat^tau(sigma) restricted to the order positions in [positions]:
-   the partial chain-rule product Π_j mu_hat^{sigma^{j-1}}_{v_j}(sigma_{v_j}).
-   Positions at pinned vertices contribute factor 1. *)
-let windowed_chain_product ?support (oracle : Inference.oracle) inst ~order
-    ~positions sigma =
-  List.fold_left
-    (fun acc j ->
-      let v = order.(j) in
-      if Instance.is_pinned inst v then acc
-      else begin
-        let inst_j = prefix_instance ?support inst ~order ~upto:j sigma in
-        let mu_hat = oracle.Inference.infer inst_j v in
-        acc *. Dist.prob mu_hat sigma.(v)
-      end)
-    1. positions
+(* mu_hat^tau(sigma) restricted to the order positions in [positions]
+   (sorted ascending): the partial chain-rule product
+   Π_j mu_hat^{tau ∧ sigma^{j-1}}_{v_j}(sigma_{v_j}).  Positions at pinned
+   vertices contribute factor 1.  One walk over [chain] (at tau) extends
+   the prefix position by position and undoes it at the end.  [support]
+   restricts which vertices the prefix may mention — the
+   certified-locality run passes the gathered radius; by the oracle's
+   radius contract the answers are unchanged. *)
+let windowed_chain_product ?(support = fun _ -> true) (oracle : Inference.oracle)
+    chain ~order ~positions sigma =
+  let m = Chain.mark chain in
+  let next = ref 0 in
+  let product =
+    List.fold_left
+      (fun acc j ->
+        while !next < j do
+          let u = order.(!next) in
+          if support u && sigma.(u) <> Config.unassigned && not (Chain.is_pinned chain u)
+          then Chain.pin chain u sigma.(u);
+          incr next
+        done;
+        let v = order.(j) in
+        if Chain.is_pinned chain v then acc
+        else
+          acc *. Dist.prob (oracle.Inference.infer (Chain.instance chain) v) sigma.(v))
+      1. positions
+  in
+  Chain.undo chain m;
+  product
 
 exception Found_patch of int array
 
@@ -131,6 +120,42 @@ type acceptance = {
 
 let clamp_tolerance = 1e-9
 
+(* One interpolation step at [v]: the patch [sigma_i] of [sigma_prev] on
+   [ball] (see [find_patch]) and its acceptance probability q_{v_i}, eq. (9)
+   via the window of eq. (11): only order positions within distance 2t of v
+   can have differing prefix marginals.  [None] when there is no patch or a
+   windowed product vanishes; [clamps] counts each q > 1 cut back to 1.
+   [chain] sits at tau.  The slack only needs to dominate the mu-hat ratio's
+   deviation from 1; the paper's bound uses all n sites, the adaptive
+   variant only the window that actually enters the ratio (a
+   sigma-independent quantity, so exactness is unaffected — ablated in the
+   benches). *)
+let acceptance ?support (oracle : Inference.oracle) ~epsilon ~adaptive ~clamps
+    chain ~order ~position ~ball ~frozen v sigma_prev =
+  let inst = Chain.instance chain in
+  match find_patch inst ~ball ~frozen ~sigma_prev with
+  | None -> None
+  | Some sigma_i ->
+      let window = Graph.ball (Instance.graph inst) v (2 * oracle.Inference.radius) in
+      let positions =
+        List.sort compare (Array.to_list (Array.map (fun u -> position.(u)) window))
+      in
+      let p_prev =
+        windowed_chain_product ?support oracle chain ~order ~positions sigma_prev
+      in
+      let p_i = windowed_chain_product ?support oracle chain ~order ~positions sigma_i in
+      if not (p_prev > 0.) || not (p_i > 0.) then None
+      else begin
+        let sites = if adaptive then Array.length window else Instance.n inst in
+        let slack = exp (-3. *. float_of_int sites *. epsilon) in
+        let q = p_prev /. p_i *. weight_ratio inst ~ball sigma_i sigma_prev *. slack in
+        if q > 1. +. clamp_tolerance then begin
+          incr clamps;
+          Some (sigma_i, 1.)
+        end
+        else Some (sigma_i, Float.min q 1.)
+      end
+
 let acceptances (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
     ~order ~ground ~y =
   let n = Instance.n inst in
@@ -142,6 +167,7 @@ let acceptances (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
   let patch_failed = ref [] in
   let clamps = ref 0 in
   let sigma_prev = ref (Array.copy ground) in
+  let chain = Chain.start inst in
   Array.iteri
     (fun i v ->
       if not (Instance.is_pinned inst v) then begin
@@ -151,56 +177,31 @@ let acceptances (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
           else if position.(u) <= i then Some y.(u)
           else None
         in
-        match find_patch inst ~ball ~frozen ~sigma_prev:!sigma_prev with
+        match
+          acceptance oracle ~epsilon ~adaptive ~clamps chain ~order ~position ~ball
+            ~frozen v !sigma_prev
+        with
         | None -> patch_failed := v :: !patch_failed
-        | Some sigma_i ->
-            (* Acceptance probability q_{v_i}, eq. (9) via the window of
-               eq. (11): only order positions within distance 2t of v_i can
-               have differing prefix marginals. *)
-            let window = Graph.ball g v (2 * t) in
-            let positions =
-              List.sort compare
-                (Array.to_list (Array.map (fun u -> position.(u)) window))
-            in
-            let p_prev =
-              windowed_chain_product oracle inst ~order ~positions !sigma_prev
-            in
-            let p_i = windowed_chain_product oracle inst ~order ~positions sigma_i in
-            if not (p_prev > 0.) || not (p_i > 0.) then
-              patch_failed := v :: !patch_failed
-            else begin
-              (* The slack only needs to dominate the mu-hat ratio's
-                 deviation from 1; the paper's bound uses all n sites, the
-                 adaptive variant only the window that actually enters the
-                 ratio (a sigma-independent quantity, so exactness is
-                 unaffected — ablated in the benches). *)
-              let sites =
-                if adaptive then Array.length window else n
-              in
-              let slack = exp (-3. *. float_of_int sites *. epsilon) in
-              let q = p_prev /. p_i *. weight_ratio inst ~ball sigma_i !sigma_prev *. slack in
-              let q =
-                if q > 1. +. clamp_tolerance then begin
-                  incr clamps;
-                  1.
-                end
-                else Float.min q 1.
-              in
-              qs := (v, q) :: !qs;
-              sigma_prev := sigma_i
-            end
+        | Some (sigma_i, q) ->
+            qs := (v, q) :: !qs;
+            sigma_prev := sigma_i
       end)
     order;
   ( { qs = List.rev !qs; patch_failed = List.rev !patch_failed; clamps = !clamps },
     !sigma_prev )
 
+(* Pass 1 (also the start of the exact law): the arg-max chain pass. *)
+let ground_pass (oracle : Inference.oracle) inst ~order =
+  Chain.run inst ~order ~choose:(fun live v ->
+      Dist.argmax (oracle.Inference.infer live v))
+
 let run (oracle : Inference.oracle) ~epsilon ?adaptive inst ~order ~rng =
   let n = Instance.n inst in
   let failed = Array.make n false in
   (* Pass 1: the ground state. *)
-  let ground = chain_pass oracle inst ~order ~choose:(fun _ mu -> Dist.argmax mu) in
+  let ground = ground_pass oracle inst ~order in
   (* Pass 2: the chain-rule sample Y. *)
-  let y = chain_pass oracle inst ~order ~choose:(fun _ mu -> Dist.sample rng mu) in
+  let y = Sequential_sampler.sample oracle inst ~order ~rng in
   (* Pass 3: interpolate sigma_0 -> Y with local patches and acceptance. *)
   let acc, final = acceptances oracle ~epsilon ?adaptive inst ~order ~ground ~y in
   List.iter (fun v -> failed.(v) <- true) acc.patch_failed;
@@ -231,7 +232,7 @@ type exact_output = {
 
 let output_distribution (oracle : Inference.oracle) ~epsilon ?adaptive inst
     ~order =
-  let ground = chain_pass oracle inst ~order ~choose:(fun _ mu -> Dist.argmax mu) in
+  let ground = ground_pass oracle inst ~order in
   let mu_hat = Sequential_sampler.output_distribution oracle inst ~order in
   let total_clamps = ref 0 in
   let weighted =
@@ -275,6 +276,7 @@ type certified = {
 
 let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
     ~order ~seed =
+  Chain.check_order inst order;
   let n = Instance.n inst in
   let g = Instance.graph inst in
   let spec = inst.Instance.spec in
@@ -330,6 +332,7 @@ let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
   let failed = Array.make n false in
   let clamps = ref 0 in
   let acceptance_product = ref 1. in
+  let chain = Chain.start inst in
   Slocal.run_pass rt ~order ~radius:big_r (fun ctx ->
       let v = Slocal.center ctx in
       if not (Instance.is_pinned inst v) then begin
@@ -351,45 +354,20 @@ let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
           else if position.(u) <= i then Some y_local.(u)
           else None
         in
-        match find_patch inst ~ball ~frozen ~sigma_prev with
+        match
+          acceptance ~support:visible oracle ~epsilon ~adaptive ~clamps chain ~order
+            ~position ~ball ~frozen v sigma_prev
+        with
         | None -> failed.(v) <- true
-        | Some sigma_i ->
-            let window = Graph.ball g v (2 * t) in
-            let positions =
-              List.sort compare
-                (Array.to_list (Array.map (fun u -> position.(u)) window))
-            in
-            let p_prev =
-              windowed_chain_product ~support:visible oracle inst ~order
-                ~positions sigma_prev
-            in
-            let p_i =
-              windowed_chain_product ~support:visible oracle inst ~order
-                ~positions sigma_i
-            in
-            if not (p_prev > 0.) || not (p_i > 0.) then failed.(v) <- true
-            else begin
-              let sites = if adaptive then Array.length window else n in
-              let slack = exp (-3. *. float_of_int sites *. epsilon) in
-              let q =
-                p_prev /. p_i *. weight_ratio inst ~ball sigma_i sigma_prev *. slack
-              in
-              let q =
-                if q > 1. +. clamp_tolerance then begin
-                  incr clamps;
-                  1.
-                end
-                else Float.min q 1.
-              in
-              acceptance_product := !acceptance_product *. q;
-              if not (Rng.bernoulli (Slocal.rng ctx) q) then failed.(v) <- true;
-              (* Commit the patch — writes stay within the t-ball. *)
-              Array.iter
-                (fun u ->
-                  let s = Slocal.read ctx u in
-                  Slocal.write ctx u { s with cur = sigma_i.(u) })
-                ball
-            end
+        | Some (sigma_i, q) ->
+            acceptance_product := !acceptance_product *. q;
+            if not (Rng.bernoulli (Slocal.rng ctx) q) then failed.(v) <- true;
+            (* Commit the patch — writes stay within the t-ball. *)
+            Array.iter
+              (fun u ->
+                let s = Slocal.read ctx u in
+                Slocal.write ctx u { s with cur = sigma_i.(u) })
+              ball
       end);
   let states = Slocal.states rt in
   let y = Array.map (fun s -> s.y) states in

@@ -50,7 +50,8 @@ val run :
     [e^{−3|B_{2t}(v_i)|ε}] — the window that actually enters the ratio of
     eq. (11).  The window size does not depend on [Y], so exactness is
     untouched while the success probability improves from [e^{−O(n²ε)}] to
-    [e^{−O(Σ|W_i|ε)}]; this design choice is ablated in the benches. *)
+    [e^{−O(Σ|W_i|ε)}]; this design choice is ablated in the benches.
+    Every function here taking an [order] checks it ({!Chain.check_order}). *)
 
 type exact_output = {
   conditional : (int array * float) list;

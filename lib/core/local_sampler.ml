@@ -34,16 +34,9 @@ let sample_planned (oracle : Inference.oracle) ~plan ?trace inst ~seed =
   let node_rng v = streams.(v + 1) in
   let sigma = ref [||] in
   let run ~order =
-    let current = ref inst in
-    Array.iter
-      (fun v ->
-        if not (Instance.is_pinned !current v) then begin
-          let mu_hat = oracle.Inference.infer !current v in
-          let c = Dist.sample (node_rng v) mu_hat in
-          current := Instance.pin !current v c
-        end)
-      order;
-    sigma := Array.copy !current.Instance.pinned
+    sigma :=
+      Chain.run inst ~order ~choose:(fun live v ->
+          Dist.sample (node_rng v) (oracle.Inference.infer live v))
   in
   let stats = Scheduler.run_plan plan ?trace ~run () in
   {

@@ -22,55 +22,41 @@ let monte_carlo_marginal ~sample ~q ~samples ~rng v =
   done;
   if !kept = 0 then None else Some (Dist.of_weights counts)
 
-let log_partition_via_sampling ~sample inst ~order ~samples ~rng =
+(* The counting reduction along [order]: ln Z(τ) = ln w(σ) − Σ_i ln μ̂_i for
+   a greedy feasible completion σ, where [estimate live v c] is the
+   marginal estimate μ̂^{τ∧σ^{i-1}}_v(c) on the prefix-pinned instance.
+   Which σ is chosen does not affect exactness, only conditioning. *)
+let chain_log_partition ~name ~estimate inst ~order =
+  let spec = inst.Instance.spec in
   let sigma =
-    match Gibbs.Admissible.greedy_extension inst.Instance.spec inst.Instance.pinned with
+    match Gibbs.Admissible.greedy_extension spec inst.Instance.pinned with
     | Some sigma -> sigma
-    | None -> failwith "Reductions.log_partition_via_sampling: no greedy completion"
+    | None -> failwith (name ^ ": no greedy completion")
   in
   let log_p = ref 0. in
-  let current = ref inst in
-  Array.iter
-    (fun v ->
-      if not (Instance.is_pinned !current v) then begin
-        let hits = ref 0 and kept = ref 0 in
-        for _i = 1 to samples do
-          match sample !current rng with
-          | Some y ->
-              incr kept;
-              if y.(v) = sigma.(v) then incr hits
-          | None -> ()
-        done;
-        if !hits = 0 then
-          failwith
-            "Reductions.log_partition_via_sampling: zero marginal estimate \
-             (increase samples)";
-        log_p := !log_p +. log (float_of_int !hits /. float_of_int !kept);
-        current := Instance.pin !current v sigma.(v)
-      end)
-    order;
-  log (Gibbs.Spec.weight inst.Instance.spec sigma) -. !log_p
+  ignore
+    (Chain.run inst ~order ~choose:(fun live v ->
+         log_p := !log_p +. log (estimate live v sigma.(v));
+         sigma.(v)));
+  Gibbs.Spec.log_weight spec sigma -. !log_p
+
+let log_partition_via_sampling ~sample inst ~order ~samples ~rng =
+  let name = "Reductions.log_partition_via_sampling" in
+  chain_log_partition ~name inst ~order ~estimate:(fun live v c ->
+      let hits = ref 0 and kept = ref 0 in
+      for _i = 1 to samples do
+        match sample live rng with
+        | Some y ->
+            incr kept;
+            if y.(v) = c then incr hits
+        | None -> ()
+      done;
+      if !hits = 0 then failwith (name ^ ": zero marginal estimate (increase samples)");
+      float_of_int !hits /. float_of_int !kept)
 
 let estimate_log_partition (oracle : Inference.oracle) inst ~order =
-  (* A feasible completion to evaluate the chain rule on: greedy local
-     extension (exactness of the estimate does not depend on which sigma is
-     chosen — only numerical conditioning does). *)
-  let sigma =
-    match Gibbs.Admissible.greedy_extension inst.Instance.spec inst.Instance.pinned with
-    | Some sigma -> sigma
-    | None -> failwith "Reductions.estimate_log_partition: no greedy completion"
-  in
-  let log_p = ref 0. in
-  let current = ref inst in
-  Array.iter
-    (fun v ->
-      if not (Instance.is_pinned !current v) then begin
-        let mu_hat = oracle.Inference.infer !current v in
-        let p = Dist.prob mu_hat sigma.(v) in
-        if not (p > 0.) then
-          failwith "Reductions.estimate_log_partition: zero marginal on completion";
-        log_p := !log_p +. log p;
-        current := Instance.pin !current v sigma.(v)
-      end)
-    order;
-  log (Gibbs.Spec.weight inst.Instance.spec sigma) -. !log_p
+  let name = "Reductions.estimate_log_partition" in
+  chain_log_partition ~name inst ~order ~estimate:(fun live v c ->
+      let p = Dist.prob (oracle.Inference.infer live v) c in
+      if not (p > 0.) then failwith (name ^ ": zero marginal on completion");
+      p)

@@ -48,11 +48,15 @@ val log_partition_via_sampling :
     on the prefix-pinned instance, and return
     [ln Ẑ = ln w(σ) − Σ_i ln μ̂_i].  Failed sampler runs ([None]) are
     discarded.  Raises [Failure] when an estimated marginal is 0 (increase
-    [samples]).  Cost: [O(n · samples)] sampler runs. *)
+    [samples]).  Cost: [O(n · samples)] sampler runs.  [sample] gets a
+    {!Chain}'s live pinning, under an oracle's contract: no keeping it,
+    no writing to it. *)
 
 val estimate_log_partition :
   Inference.oracle -> Instance.t -> order:int array -> float
 (** [ln Ẑ(τ)] via the chain rule along the given order, using the oracle's
     marginals and a greedily constructed feasible completion.  With exact
     marginals this equals [ln Z(τ)] exactly; with approximate marginals the
-    error is at most [n·ε] for per-site multiplicative error [ε]. *)
+    error is at most [n·ε] for per-site multiplicative error [ε].  [ln w(σ)]
+    is {!Ls_gibbs.Spec.log_weight}, which does not underflow.  Both
+    reductions check [order] ({!Chain.check_order}). *)

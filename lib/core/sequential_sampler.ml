@@ -3,33 +3,12 @@ module Config = Gibbs.Config
 module Dist = Ls_dist.Dist
 module Slocal = Ls_local.Slocal
 
-let check_order inst order =
-  let n = Instance.n inst in
-  if Array.length order <> n then
-    invalid_arg "Sequential_sampler: order must list every vertex";
-  let seen = Array.make n false in
-  Array.iter
-    (fun v ->
-      if v < 0 || v >= n || seen.(v) then
-        invalid_arg "Sequential_sampler: order is not a permutation";
-      seen.(v) <- true)
-    order
-
 let sample (oracle : Inference.oracle) inst ~order ~rng =
-  check_order inst order;
-  let current = ref inst in
-  Array.iter
-    (fun v ->
-      if not (Instance.is_pinned !current v) then begin
-        let mu_hat = oracle.Inference.infer !current v in
-        let c = Dist.sample rng mu_hat in
-        current := Instance.pin !current v c
-      end)
-    order;
-  Array.copy !current.Instance.pinned
+  Chain.run inst ~order ~choose:(fun live v ->
+      Dist.sample rng (oracle.Inference.infer live v))
 
 let sample_slocal (oracle : Inference.oracle) inst ~order ~seed =
-  check_order inst order;
+  Chain.check_order inst order;
   let g = Instance.graph inst in
   let rt =
     Slocal.create g ~seed ~init:(fun v ->
@@ -64,45 +43,48 @@ let sample_slocal (oracle : Inference.oracle) inst ~order ~seed =
   (sigma, Slocal.single_pass_locality rt)
 
 let output_distribution (oracle : Inference.oracle) inst ~order =
-  check_order inst order;
+  Chain.check_order inst order;
+  let chain = Chain.start inst in
+  let live = Chain.instance chain in
   let acc = ref [] in
-  let rec go i current p =
+  let rec go i p =
     if p <= 0. then ()
     else if i = Array.length order then
-      acc := (Array.copy current.Instance.pinned, p) :: !acc
+      acc := (Array.copy live.Instance.pinned, p) :: !acc
     else begin
       let v = order.(i) in
-      if Instance.is_pinned current v then go (i + 1) current p
+      if Chain.is_pinned chain v then go (i + 1) p
       else begin
-        let mu_hat = oracle.Inference.infer current v in
+        let mu_hat = oracle.Inference.infer live v in
+        let m = Chain.mark chain in
         for c = 0 to Instance.q inst - 1 do
           let pc = Dist.prob mu_hat c in
-          if pc > 0. then go (i + 1) (Instance.pin current v c) (p *. pc)
+          if pc > 0. then begin
+            Chain.pin chain v c;
+            go (i + 1) (p *. pc);
+            Chain.undo chain m
+          end
         done
       end
     end
   in
-  go 0 inst 1.;
+  go 0 1.;
   List.rev !acc
 
 let chain_rule_probability (oracle : Inference.oracle) inst ~order sigma =
-  check_order inst order;
+  if Array.length sigma <> Instance.n inst then
+    invalid_arg
+      "Sequential_sampler.chain_rule_probability: sigma must have one value \
+       per vertex";
   if not (Config.is_total sigma) then
     invalid_arg "Sequential_sampler.chain_rule_probability: sigma not total";
-  let p = ref 1. in
-  let current = ref inst in
-  Array.iter
-    (fun v ->
-      (* Once the probability hits 0 the remaining prefix instances may be
-         infeasible; stop extending. *)
-      if !p > 0. then
-        if Instance.is_pinned !current v then begin
-          if !current.Instance.pinned.(v) <> sigma.(v) then p := 0.
-        end
-        else begin
-          let mu_hat = oracle.Inference.infer !current v in
-          p := !p *. Dist.prob mu_hat sigma.(v);
-          current := Instance.pin !current v sigma.(v)
-        end)
-    order;
+  let agrees c s = c = Config.unassigned || c = s in
+  (* Once the probability hits 0 the remaining prefix instances may be
+     infeasible; stop asking the oracle. *)
+  let p = ref (if Array.for_all2 agrees inst.Instance.pinned sigma then 1. else 0.) in
+  ignore
+    (Chain.run inst ~order ~choose:(fun live v ->
+         if !p > 0. then
+           p := !p *. Dist.prob (oracle.Inference.infer live v) sigma.(v);
+         sigma.(v)));
   !p

@@ -13,7 +13,7 @@ val sample :
   order:int array ->
   rng:Ls_rng.Rng.t ->
   int array
-(** One sample.  [order] must enumerate every vertex exactly once. *)
+(** One sample.  Every function here checks [order] ({!Chain.check_order}). *)
 
 val sample_slocal :
   Inference.oracle ->
@@ -35,4 +35,4 @@ val chain_rule_probability :
   Inference.oracle -> Instance.t -> order:int array -> int array -> float
 (** [μ̂(σ) = Π_i μ̂^{τ ∧ σ^{i-1}}_{v_i}(σ_{v_i})] for a total [σ]
     consistent with the pinning — the quantity the JVV rejection step
-    needs. *)
+    needs; 0 when [σ] disagrees with the pinning. *)

@@ -11,24 +11,22 @@ type point = {
   exhaustive : bool;
 }
 
-let pin_sphere inst sphere values =
-  let pins = Array.to_list (Array.mapi (fun i u -> (u, values.(i))) sphere) in
-  List.fold_left
-    (fun acc (u, c) ->
-      match acc with
-      | None -> None
-      | Some inst' ->
-          if Instance.is_pinned inst' u then
-            if inst'.Instance.pinned.(u) = c then Some inst' else None
-          else Some (Instance.pin inst' u c))
-    (Some inst) pins
-
-(* Marginal at v under a candidate boundary; None when the combined pinning
-   is infeasible. *)
-let marginal_under inst sphere values v =
-  match pin_sphere inst sphere values with
-  | None -> None
-  | Some inst' -> Exact.marginal inst' v
+(* Marginal at v under a candidate boundary, pinned on [chain] and undone
+   afterwards; None when the combined pinning is infeasible. *)
+let marginal_under chain sphere values v =
+  let m = Chain.mark chain in
+  let live = Chain.instance chain in
+  let consistent = ref true in
+  Array.iteri
+    (fun i u ->
+      if !consistent then
+        if Chain.is_pinned chain u then
+          consistent := live.Instance.pinned.(u) = values.(i)
+        else Chain.pin chain u values.(i))
+    sphere;
+  let d = if !consistent then Exact.marginal live v else None in
+  Chain.undo chain m;
+  d
 
 let exhaustive_boundaries q k =
   (* All q^k value tuples. *)
@@ -42,25 +40,25 @@ let exhaustive_boundaries q k =
 
 (* One feasible boundary drawn from the true conditional distribution on
    the sphere (chain rule with exact marginals): guaranteed feasible. *)
-let random_boundary ~rng inst sphere =
-  let current = ref inst in
+let random_boundary ~rng chain sphere =
+  let m = Chain.mark chain in
+  let live = Chain.instance chain in
   let values = Array.make (Array.length sphere) 0 in
-  try
-    Array.iteri
-      (fun i u ->
-        if Instance.is_pinned !current u then
-          values.(i) <- !current.Instance.pinned.(u)
-        else begin
-          match Exact.marginal !current u with
-          | None -> raise Exit
-          | Some m ->
-              let c = Dist.sample rng m in
+  let ok = ref true in
+  Array.iteri
+    (fun i u ->
+      if !ok then
+        if Chain.is_pinned chain u then values.(i) <- live.Instance.pinned.(u)
+        else
+          match Exact.marginal live u with
+          | None -> ok := false
+          | Some mu ->
+              let c = Dist.sample rng mu in
               values.(i) <- c;
-              current := Instance.pin !current u c
-        end)
-      sphere;
-    Some values
-  with Exit -> None
+              Chain.pin chain u c)
+    sphere;
+  Chain.undo chain m;
+  if !ok then Some values else None
 
 let influence_at ?(max_exhaustive = 512) ?(samples = 64) ~rng inst ~v ~d =
   let g = Instance.graph inst in
@@ -76,20 +74,21 @@ let influence_at ?(max_exhaustive = 512) ?(samples = 64) ~rng inst ~v ~d =
   else begin
     let total = float_of_int q ** float_of_int k in
     let exhaustive = total <= float_of_int max_exhaustive in
+    let chain = Chain.start inst in
     let candidates =
       if exhaustive then exhaustive_boundaries q k
       else begin
         let constants = List.init q (fun c -> Array.make k c) in
         let sampled =
           List.filter_map
-            (fun _ -> random_boundary ~rng inst sphere)
+            (fun _ -> random_boundary ~rng chain sphere)
             (List.init samples (fun i -> i))
         in
         constants @ sampled
       end
     in
     let marginals =
-      List.filter_map (fun values -> marginal_under inst sphere values v) candidates
+      List.filter_map (fun values -> marginal_under chain sphere values v) candidates
     in
     let worst_tv = ref 0. and worst_mult = ref 0. in
     let arr = Array.of_list marginals in

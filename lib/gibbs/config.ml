@@ -30,21 +30,6 @@ let num_assigned tau =
 
 let is_total tau = Array.for_all (fun c -> c <> unassigned) tau
 
-let extend tau v c =
-  if tau.(v) <> unassigned then invalid_arg "Config.extend: vertex already assigned";
-  let tau' = Array.copy tau in
-  tau'.(v) <- c;
-  tau'
-
-let set tau v c = tau.(v) <- c
-
-let restrict tau vs =
-  let tau' = empty (Array.length tau) in
-  Array.iter (fun v -> tau'.(v) <- tau.(v)) vs;
-  tau'
-
-let agree_on tau1 tau2 vs = Array.for_all (fun v -> tau1.(v) = tau2.(v)) vs
-
 let diff_domain tau1 tau2 =
   if Array.length tau1 <> Array.length tau2 then
     invalid_arg "Config.diff_domain: size mismatch";

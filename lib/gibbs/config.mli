@@ -28,18 +28,6 @@ val num_assigned : t -> int
 val is_total : t -> bool
 (** All vertices assigned. *)
 
-val extend : t -> int -> int -> t
-(** [extend tau v c] is a copy with [v ↦ c]; [v] must be unassigned. *)
-
-val set : t -> int -> int -> unit
-(** In-place assignment (overwrite allowed). *)
-
-val restrict : t -> int array -> t
-(** [restrict tau vs] keeps only the assignments on [vs]. *)
-
-val agree_on : t -> t -> int array -> bool
-(** Do two configurations coincide on every vertex of the set? *)
-
 val diff_domain : t -> t -> int list
 (** Vertices on which the two configurations differ (including
     assigned-vs-unassigned mismatches). *)

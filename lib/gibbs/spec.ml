@@ -147,17 +147,19 @@ let factor_value s i tau =
   in
   fill 0
 
-let weight s tau =
+(* Fold [f] over the value of every factor of a total configuration. *)
+let fold_factors name s tau ~init ~f =
   if not (Config.is_total tau) then
-    invalid_arg "Spec.weight: configuration not total";
-  let w = ref 1. in
-  Array.iteri
-    (fun i _ ->
-      match factor_value s i tau with
-      | Some x -> w := !w *. x
-      | None -> assert false)
-    s.factors;
-  !w
+    invalid_arg (name ^ ": configuration not total");
+  let acc = ref init in
+  Array.iteri (fun i _ -> acc := f !acc (Option.get (factor_value s i tau))) s.factors;
+  !acc
+
+let weight s tau = fold_factors "Spec.weight" s tau ~init:1. ~f:( *. )
+let log_weight s tau =
+  let w = weight s tau in
+  if Float.classify_float w = FP_normal && w > 0. then log w
+  else fold_factors "Spec.log_weight" s tau ~init:0. ~f:(fun w x -> w +. log x)
 
 let weight_in s ~member tau =
   let w = ref 1. in

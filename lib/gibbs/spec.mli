@@ -53,6 +53,11 @@ val factor_value : t -> int -> Config.t -> float option
 val weight : t -> Config.t -> float
 (** [w(σ)] of a total configuration (eq. 1). *)
 
+val log_weight : t -> Config.t -> float
+(** [ln w(σ)]: [log (weight σ)] when that product is a positive normal
+    float, else the sum of the factors' logs — finite wherever every
+    factor is positive, even when the product under- or overflows. *)
+
 val weight_in : t -> member:(int -> bool) -> Config.t -> float
 (** [w_B(σ) = Π_{(f,S) : S ⊆ B} f(σ_S)] — the ball-restricted weight used
     throughout §4–5.  Every vertex of [B] must be assigned. *)

@@ -446,7 +446,7 @@ let test_saw_oracle_other_spec () =
   check "same graph, other fugacity" (Models.hardcore (Generators.cycle 6) ~lambda:2.);
   check "other graph" (Models.ising (Generators.grid 3 3) ~beta:0.4 ~field:1.3);
   (* And the compiled spec of inst0 still serves inst0's own instances. *)
-  let inst = Instance.pin inst0 3 1 in
+  let inst = Instance.of_pins inst0.Instance.spec [ (3, 1) ] in
   checkb "own spec" true
     (bits (Some (oracle.Inference.infer inst 0))
     = bits (Saw.marginal ~depth:5 inst0.Instance.spec inst.Instance.pinned 0))

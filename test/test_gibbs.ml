@@ -26,13 +26,7 @@ let test_config () =
   checkb "unassigned" false (Config.is_assigned tau 0);
   checki "num assigned" 2 (Config.num_assigned tau);
   Alcotest.check (Alcotest.list Alcotest.int) "domain" [ 1; 3 ]
-    (Config.assigned_vertices tau);
-  let tau' = Config.extend tau 0 1 in
-  checki "extended" 1 tau'.(0);
-  checkb "original untouched" false (Config.is_assigned tau 0);
-  Alcotest.check_raises "re-extend"
-    (Invalid_argument "Config.extend: vertex already assigned") (fun () ->
-      ignore (Config.extend tau 1 0))
+    (Config.assigned_vertices tau)
 
 let test_config_conflict () =
   Alcotest.check_raises "conflict"
@@ -341,7 +335,7 @@ let qcheck_partition_additivity =
       let z = Enumerate.partition spec tau in
       let z' =
         List.fold_left
-          (fun acc c -> acc +. Enumerate.partition spec (Config.extend tau v c))
+          (fun acc c -> acc +. Enumerate.partition spec (Config.of_pinning n [ (v, c) ]))
           0. (List.init 2 (fun c -> c))
       in
       Float.abs (z -. z') <= 1e-9 *. Float.max 1. z)

@@ -14,7 +14,8 @@ open Ls_core
 let checkb = Alcotest.check Alcotest.bool
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 
-let hardcore_cycle n lambda = Instance.unpinned (Models.hardcore (Generators.cycle n) ~lambda)
+let hardcore_spec n lambda = Models.hardcore (Generators.cycle n) ~lambda
+let hardcore_cycle n lambda = Instance.unpinned (hardcore_spec n lambda)
 
 (* --- instance --- *)
 
@@ -23,7 +24,7 @@ let test_instance_basics () =
   Alcotest.check Alcotest.int "n" 5 (Instance.n inst);
   Alcotest.check Alcotest.int "q" 2 (Instance.q inst);
   checkb "feasible" true (Instance.is_feasible inst);
-  let inst' = Instance.pin inst 0 1 in
+  let inst' = Instance.of_pins inst.Instance.spec [ (0, 1) ] in
   checkb "pinned" true (Instance.is_pinned inst' 0);
   checkb "original untouched" false (Instance.is_pinned inst 0);
   Alcotest.check (Alcotest.list Alcotest.int) "free" [ 1; 2; 3; 4 ]
@@ -57,12 +58,12 @@ let test_annulus () =
   Alcotest.check (Alcotest.array Alcotest.int) "annulus" [| 3; 6 |] gamma
 
 let test_annulus_excludes_pinned () =
-  let inst = Instance.pin (hardcore_cycle 9 1.) 3 0 in
+  let inst = Instance.of_pins (hardcore_spec 9 1.) [ (3, 0) ] in
   let gamma = Inference.annulus inst ~v:0 ~t:2 in
   Alcotest.check (Alcotest.array Alcotest.int) "pinned excluded" [| 6 |] gamma
 
 let test_locally_feasible_extension () =
-  let inst = Instance.pin (hardcore_cycle 6 1.) 0 1 in
+  let inst = Instance.of_pins (hardcore_spec 6 1.) [ (0, 1) ] in
   match Inference.locally_feasible_extension inst ~vertices:[| 1; 2; 3 |] with
   | None -> Alcotest.fail "extension must exist"
   | Some sigma ->
@@ -96,13 +97,13 @@ let test_ssm_inference_error_decreases () =
   checkb "t=5 accurate" true (e5 < 0.01)
 
 let test_ssm_inference_pinned_vertex () =
-  let inst = Instance.pin (hardcore_cycle 8 1.) 2 1 in
+  let inst = Instance.of_pins (hardcore_spec 8 1.) [ (2, 1) ] in
   let d = Inference.ssm_infer ~t:2 inst 2 in
   checkf "point mass at pin" 1. (Dist.prob d 1)
 
 let test_ssm_inference_respects_pins () =
   (* Pinning a neighbor occupied forces the vertex out, at any radius. *)
-  let inst = Instance.pin (hardcore_cycle 8 1.) 1 1 in
+  let inst = Instance.of_pins (hardcore_spec 8 1.) [ (1, 1) ] in
   let d = Inference.ssm_infer ~t:2 inst 0 in
   checkf "forced out" 1. (Dist.prob d 0)
 
@@ -152,7 +153,7 @@ let test_boosting_beats_plain_on_mult_error () =
   (* Boosting exists because additive-good inference can still have huge
      multiplicative error near zero-probability values; at equal ball
      budget the boosted answer's mult error must be comparable or better. *)
-  let inst = Instance.pin (hardcore_cycle 12 1.5) 1 1 in
+  let inst = Instance.of_pins (hardcore_spec 12 1.5) [ (1, 1) ] in
   let exact = Option.get (Exact.marginal inst 0) in
   let aplus = Inference.ssm_oracle ~t:2 inst in
   let boosted = Boosting.boost aplus inst in
@@ -186,7 +187,7 @@ let test_log_partition_ssm_oracle () =
   checkb "approximate logZ close" true (Float.abs (est -. truth) < 0.05)
 
 let test_log_partition_pinned () =
-  let inst = Instance.pin (hardcore_cycle 6 1.) 0 1 in
+  let inst = Instance.of_pins (hardcore_spec 6 1.) [ (0, 1) ] in
   let oracle = Inference.exact inst in
   let order = Array.init 6 (fun i -> i) in
   let est = Reductions.estimate_log_partition oracle inst ~order in

@@ -32,6 +32,7 @@ let () =
       ("local", Test_local.suite);
       ("inference", Test_inference.suite);
       ("samplers", Test_samplers.suite);
+      ("chain", Test_chain.suite);
       ("jvv", Test_jvv.suite);
       ("ssm", Test_ssm.suite);
     ]

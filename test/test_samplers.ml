@@ -117,7 +117,7 @@ let test_order_validation () =
   let inst = Instance.unpinned (Models.hardcore (Generators.path 3) ~lambda:1.) in
   let oracle = Inference.exact inst in
   Alcotest.check_raises "duplicate vertex"
-    (Invalid_argument "Sequential_sampler: order is not a permutation") (fun () ->
+    (Invalid_argument "Chain: order is not a permutation") (fun () ->
       ignore
         (Sequential_sampler.sample oracle inst ~order:[| 0; 0; 1 |]
            ~rng:(Rng.create 1L)))
