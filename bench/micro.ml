@@ -63,6 +63,33 @@ let tests () =
           (Staged.stage (fun () -> ignore (Local_sampler.sample oracle inst ~seed:1L))))
       [ 256; 1024 ]
   in
+  (* Ball geometry at growing n: one radius-bounded search, so a ball
+     and one ssm_infer should cost about the same at every n.  The
+     ssm_infer rows pin half the cycle (every vertex 0 or 1 mod 4, to 1
+     and 0), as a chain-rule sample has half-way through; what still
+     grows with n there is locally_feasible_extension's whole-spec
+     feasibility scans. *)
+  let ball_rows =
+    List.map
+      (fun n ->
+        let g = Generators.cycle n in
+        Test.make
+          ~name:(Printf.sprintf "graph/ball r=3 (cycle:%d)" n)
+          (Staged.stage (fun () -> ignore (Graph.ball g (n / 2) 3))))
+      [ 256; 16384 ]
+    @ List.map
+        (fun n ->
+          let spec = Models.hardcore (Generators.cycle n) ~lambda:1. in
+          let pinned =
+            Array.init n (fun u ->
+                match u mod 4 with 0 -> 1 | 1 -> 0 | _ -> Config.unassigned)
+          in
+          let inst = Instance.create spec ~pinned in
+          Test.make
+            ~name:(Printf.sprintf "ssm_infer/t=2 (hardcore cycle:%d, half pinned)" n)
+            (Staged.stage (fun () -> ignore (Inference.ssm_infer ~t:2 inst ((n / 2) + 2)))))
+        [ 256; 1024; 4096; 16384 ]
+  in
   (* The exact kernel alone on the radius-2 balls that ssm_infer t=1
      gathers on two serve-hot instances, with the annulus pinned the way
      ssm_infer pins it: a forest ball (forest DP) and a non-forest one
@@ -222,7 +249,7 @@ let tests () =
                     Glauber.sweep st rng
                   done))));
   ]
-  @ saw_rows @ kernel_rows @ spec_rows @ plan_rows @ sample_rows @ flood_rows
+  @ saw_rows @ ball_rows @ kernel_rows @ spec_rows @ plan_rows @ sample_rows @ flood_rows
 
 let run () =
   let grouped = Test.make_grouped ~name:"locsample" (tests ()) in

@@ -70,9 +70,6 @@ val injected : unit -> string list
 (** The non-Pass verdicts applied since {!install}, oldest first, as
     ["op|site|count|verdict"] lines — the replay bit-identity witness. *)
 
-val env_var : string
-(** ["LOCSAMPLE_SYSFAULT"]. *)
-
 val env_check : unit -> (unit, string) result
 (** Validate [LOCSAMPLE_SYSFAULT] at CLI startup (unset or empty is
     fine). *)

@@ -14,16 +14,17 @@ let exact inst0 =
   in
   { radius; infer }
 
-let annulus inst ~v ~t =
-  let g = Instance.graph inst in
-  let ell = Instance.locality inst in
-  let d = Graph.bfs_distances g v in
+(* B_{t+ℓ}(v) and its annulus Γ = {u : t < d(v,u) ≤ t+ℓ, u unpinned},
+   both sorted by id, from one radius-(t+ℓ) search. *)
+let ball_and_annulus inst ~v ~t =
+  let ball, d = Graph.ball_dist (Instance.graph inst) v (t + Instance.locality inst) in
   let acc = ref [] in
-  for u = Graph.n g - 1 downto 0 do
-    if d.(u) > t && d.(u) <= t + ell && not (Instance.is_pinned inst u) then
-      acc := u :: !acc
+  for i = Array.length ball - 1 downto 0 do
+    if d.(i) > t && not (Instance.is_pinned inst ball.(i)) then acc := ball.(i) :: !acc
   done;
-  Array.of_list !acc
+  (ball, Array.of_list !acc)
+
+let annulus inst ~v ~t = snd (ball_and_annulus inst ~v ~t)
 
 let locally_feasible_extension inst ~vertices =
   let spec = inst.Instance.spec in
@@ -79,10 +80,7 @@ let ssm_infer ~t inst v =
   let q = Instance.q inst in
   if Instance.is_pinned inst v then Dist.point q inst.Instance.pinned.(v)
   else begin
-    let g = Instance.graph inst in
-    let ell = Instance.locality inst in
-    let ball = Graph.ball g v (t + ell) in
-    let gamma = annulus inst ~v ~t in
+    let ball, gamma = ball_and_annulus inst ~v ~t in
     let pinned =
       match locally_feasible_extension inst ~vertices:gamma with
       | Some sigma -> sigma

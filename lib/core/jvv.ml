@@ -300,13 +300,12 @@ let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
         let v = Slocal.center ctx in
         if not (Instance.is_pinned inst v) then begin
           let pinned = Array.copy inst.Instance.pinned in
-          for u = 0 to n - 1 do
-            if Slocal.dist ctx u <= t then begin
+          Array.iter
+            (fun u ->
               let c = field (Slocal.read ctx u) in
               if c <> Config.unassigned && pinned.(u) = Config.unassigned then
-                pinned.(u) <- c
-            end
-          done;
+                pinned.(u) <- c)
+            (Slocal.ball ctx);
           let inst' = Instance.create spec ~pinned in
           let mu_hat = oracle.Inference.infer inst' v in
           let c = choose ctx mu_hat in
@@ -341,13 +340,12 @@ let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
         (* Local views of the interpolation state and of Y. *)
         let sigma_prev = Config.empty n in
         let y_local = Config.empty n in
-        for u = 0 to n - 1 do
-          if visible u then begin
+        Array.iter
+          (fun u ->
             let s = Slocal.read ctx u in
             sigma_prev.(u) <- s.cur;
-            y_local.(u) <- s.y
-          end
-        done;
+            y_local.(u) <- s.y)
+          (Slocal.ball ctx);
         let ball = Graph.ball g v t in
         let frozen u =
           if Instance.is_pinned inst u then Some inst.Instance.pinned.(u)

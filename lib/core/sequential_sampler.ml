@@ -25,12 +25,10 @@ let sample_slocal (oracle : Inference.oracle) inst ~order ~seed =
              influence the oracle (its answers depend on B_radius(v) only),
              so this reconstruction is faithful. *)
           let pinned = Array.copy inst.Instance.pinned in
-          for u = 0 to Slocal.n rt - 1 do
-            if Slocal.dist ctx u <= radius then
-              match Slocal.read ctx u with
-              | Some c -> pinned.(u) <- c
-              | None -> ()
-          done;
+          Array.iter
+            (fun u ->
+              match Slocal.read ctx u with Some c -> pinned.(u) <- c | None -> ())
+            (Slocal.ball ctx);
           let inst' = Instance.create inst.Instance.spec ~pinned in
           let mu_hat = oracle.Inference.infer inst' v in
           let c = Dist.sample (Slocal.rng ctx) mu_hat in

@@ -6,9 +6,6 @@ let make g ~lambda =
   let lg = Line_graph.make g in
   { spec = Models.hardcore lg.Line_graph.line ~lambda; lg; lambda }
 
-let edge_in_matching m sigma u v =
-  sigma.(Line_graph.vertex_of_edge m.lg u v) = 1
-
 let matching_of_config m sigma =
   let acc = ref [] in
   Array.iteri

@@ -15,10 +15,6 @@ type t = {
 
 val make : Ls_graph.Graph.t -> lambda:float -> t
 
-val edge_in_matching : t -> int array -> int -> int -> bool
-(** [edge_in_matching m sigma u v]: does the (total) line-graph
-    configuration [sigma] put base edge [{u,v}] in the matching? *)
-
 val matching_of_config : t -> int array -> (int * int) list
 (** Base edges selected by a line-graph configuration. *)
 

@@ -31,8 +31,6 @@ let two_spin g ~beta ~gamma ~lambda =
           | _ -> 1.);
     }
 
-let is_antiferromagnetic ~beta ~gamma = beta *. gamma < 1.
-
 let ising g ~beta ~field = two_spin g ~beta ~gamma:beta ~lambda:field
 
 let ising_uniqueness_threshold delta =

@@ -23,8 +23,6 @@ val two_spin :
 (** General 2-spin system: edge weight matrix [\[\[β, 1\], \[1, γ\]\]],
     external field [λ] on spin 1.  Anti-ferromagnetic iff [βγ < 1]. *)
 
-val is_antiferromagnetic : beta:float -> gamma:float -> bool
-
 val ising : Ls_graph.Graph.t -> beta:float -> field:float -> Spec.t
 (** Ising: [two_spin ~beta ~gamma:beta ~lambda:field]; [β < 1] is
     anti-ferromagnetic. *)

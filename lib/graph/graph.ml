@@ -125,11 +125,12 @@ let with_ball g v r k =
     s.epoch <- 0
   end;
   s.epoch <- s.epoch + 1;
-  s.busy <- true;
   let epoch = s.epoch and stamp = s.stamp and dist = s.dist and order = s.order in
+  (* An out-of-range [v] raises here, before the scratch is marked busy. *)
   stamp.(v) <- epoch;
   dist.(v) <- 0;
   order.(0) <- v;
+  s.busy <- true;
   (* B_r(v) is empty for r < 0. *)
   let head = ref 0 and tail = ref (if r < 0 then 0 else 1) in
   while !head < !tail do
@@ -147,6 +148,16 @@ let with_ball g v r k =
           end)
         g.adj.(u)
   done;
+  (* Unreachable vertices are at distance [max_int], so they lie in
+     [B_max_int(v)]: append them last, in id order. *)
+  if r = max_int then
+    for u = 0 to g.n - 1 do
+      if stamp.(u) <> epoch then begin
+        dist.(u) <- max_int;
+        order.(!tail) <- u;
+        incr tail
+      end
+    done;
   match k ~order ~dist ~size:!tail with
   | x ->
       s.busy <- false;
@@ -162,21 +173,27 @@ let iter_ball g v r f =
         f u dist.(u)
       done)
 
-let ball g v r =
-  let d = bfs_distances g v in
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    if d.(u) <= r then acc := u :: !acc
-  done;
-  Array.of_list !acc
+(* The ball's vertices [order.(lo .. hi-1)], sorted by id. *)
+let sorted_slice order lo hi =
+  let a = Array.sub order lo (hi - lo) in
+  Array.sort Int.compare a;
+  a
+
+let ball g v r = with_ball g v r (fun ~order ~dist:_ ~size -> sorted_slice order 0 size)
+
+let ball_dist g v r =
+  with_ball g v r (fun ~order ~dist ~size ->
+      let vs = sorted_slice order 0 size in
+      (vs, Array.map (fun u -> dist.(u)) vs))
 
 let sphere g v r =
-  let d = bfs_distances g v in
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    if d.(u) = r then acc := u :: !acc
-  done;
-  Array.of_list !acc
+  with_ball g v r (fun ~order ~dist ~size ->
+      (* BFS order has non-decreasing distance: the sphere is a suffix. *)
+      let lo = ref size in
+      while !lo > 0 && dist.(order.(!lo - 1)) = r do
+        decr lo
+      done;
+      sorted_slice order !lo size)
 
 let eccentricity g v =
   let d = bfs_distances g v in

@@ -52,13 +52,22 @@ val iter_ball : t -> int -> int -> (int -> int -> unit) -> unit
     [B_r(v)], in BFS order from [v] (so [v] first and distances
     non-decreasing).  The search stops at depth [r] and runs over
     reusable per-domain scratch, so it costs the size of the ball, not
-    [n]. *)
+    [n].  At [r = max_int] the ball is every vertex: those unreachable
+    from [v] come last, at distance [max_int]. *)
 
 val ball : t -> int -> int -> int array
-(** [ball g v r] is [B_r(v) = { u | dist(u,v) ≤ r }], sorted. *)
+(** [ball g v r] is [B_r(v) = { u | dist(u,v) ≤ r }], sorted.  One
+    radius-bounded search as {!iter_ball}, then a sort: it costs
+    [O(|B| log |B|)] plus the ball's boundary edges, not [n]. *)
+
+val ball_dist : t -> int -> int -> int array * int array
+(** [ball_dist g v r] is [(ball g v r, d)] where [d.(i)] is the distance
+    from [v] to the [i]-th ball vertex: one search yields both, at the
+    cost of {!ball}. *)
 
 val sphere : t -> int -> int -> int array
-(** [sphere g v r = { u | dist(u,v) = r }], sorted. *)
+(** [sphere g v r = { u | dist(u,v) = r }], sorted.  Costs what
+    [ball g v r] costs. *)
 
 val eccentricity : t -> int -> int
 (** Max distance from a vertex to any reachable vertex. *)

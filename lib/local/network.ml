@@ -149,25 +149,26 @@ type 'input view = {
 
 (* [ball] must be sorted: every per-vertex field is indexed by position
    in [vertices]. *)
-let view_of_ball t ~v ~radius ~ball ~dist =
+let view_of_ball t ~v ~radius ~ball ~dist_center =
   {
     center = v;
     radius;
     vertices = ball;
     view_inputs = Array.map (fun o -> t.inputs.(o)) ball;
-    dist_center = Array.map dist ball;
+    dist_center;
   }
 
 let gather t ~v ~radius =
   if radius < 0 then invalid_arg "Network.gather: negative radius";
-  let dist = Graph.bfs_distances t.graph v in
-  let ball = Graph.ball t.graph v radius in
-  view_of_ball t ~v ~radius ~ball ~dist:(Array.get dist)
+  let ball, dist_center = Graph.ball_dist t.graph v radius in
+  view_of_ball t ~v ~radius ~ball ~dist_center
 
 let view_is_complete t view =
   (* Flooded knowledge is always a subset of the true ball (messages carry
      only true records), so cardinality equality is completeness. *)
-  Array.length view.vertices = Array.length (Graph.ball t.graph view.center view.radius)
+  let size = ref 0 in
+  Graph.iter_ball t.graph view.center view.radius (fun _ _ -> incr size);
+  Array.length view.vertices = !size
 
 let merge_views t a b =
   if a.center <> b.center || a.radius <> b.radius then
@@ -195,8 +196,9 @@ let merge_views t a b =
   if !count = Array.length a.vertices then a
   else if !count = Array.length b.vertices then b
   else
-    view_of_ball t ~v:a.center ~radius:a.radius ~ball:(Array.of_list !union)
-      ~dist:(Array.get dist)
+    let ball = Array.of_list !union in
+    view_of_ball t ~v:a.center ~radius:a.radius ~ball
+      ~dist_center:(Array.map (Array.get dist) ball)
 
 (* The synchronous executor: every directed (round, edge) message is
    subjected to the plan's drop/duplicate/delay/corrupt verdicts, crashed
@@ -550,7 +552,7 @@ let flood_views_with ~run t ~radius =
         Array.of_list
           (List.filter (fun u -> Hashtbl.mem dist u) (List.map fst (Imap.bindings known)))
       in
-      view_of_ball t ~v ~radius ~ball ~dist:(Hashtbl.find dist))
+      view_of_ball t ~v ~radius ~ball ~dist_center:(Array.map (Hashtbl.find dist) ball))
 
 let flood_views ?trace t ~radius =
   flood_views_with t ~radius

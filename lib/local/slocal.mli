@@ -16,7 +16,6 @@ type 's t
 val create : Ls_graph.Graph.t -> seed:int64 -> init:(int -> 's) -> 's t
 
 val graph : _ t -> Ls_graph.Graph.t
-val n : _ t -> int
 
 val state : 's t -> int -> 's
 (** Unrestricted read, for inspecting results {e after} the run. *)
@@ -38,11 +37,19 @@ val read : 's ctx -> int -> 's
 val write : 's ctx -> int -> 's -> unit
 (** Write a state within the declared radius (else [Invalid_argument]). *)
 
+val ball : _ ctx -> int array
+(** The nodes within the declared radius of the processed node, sorted
+    by id.  Shared with the context: do not mutate. *)
+
 val dist : _ ctx -> int -> int
-(** Distance from the processed node. *)
+(** Distance from the processed node: exact within the declared radius,
+    [max_int] beyond it (the step never computes distances past its
+    ball). *)
 
 val process : 's t -> v:int -> radius:int -> ('s ctx -> 'a) -> 'a
-(** Execute one step at node [v] with locality budget [radius]. *)
+(** Execute one step at node [v] with locality budget [radius].  The
+    step's ball is one radius-bounded search made before [f] runs, so
+    a step costs its ball, not [n]. *)
 
 val run_pass : 's t -> order:int array -> radius:int -> ('s ctx -> unit) -> unit
 (** Process every node of [order] once with the same locality budget, then

@@ -181,10 +181,6 @@ val serve_shed : counter
 
 (** {1 Latency and pool utilization} *)
 
-val latency_bounds : float array
-(** Upper bounds of the latency histogram buckets (exponential, doubling
-    from 0.25 virtual time units); one extra open-ended bucket follows. *)
-
 val record_latency : float -> unit
 (** Bucket a virtual link latency into {!snapshot.latency_hist}. *)
 
@@ -208,8 +204,8 @@ type pool = {
 type snapshot = private {
   counts : int array;  (** Counter values by registry slot; read with {!get}. *)
   latency_hist : int array;
-      (** Virtual link-latency histogram over {!latency_bounds} buckets
-          (last bucket open-ended). *)
+      (** Virtual link-latency histogram: buckets doubling from 0.25
+          virtual time units, the last one open-ended. *)
   pool : pool;
 }
 (** An immutable, marshalable value ({!Ls_shard} ships it between

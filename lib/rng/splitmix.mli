@@ -30,9 +30,6 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits62 : t -> int
-(** Next 62-bit non-negative OCaml [int]. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)], using 53 bits of randomness. *)
 

@@ -41,7 +41,7 @@ type request = {
   deadline_ms : int;
       (** Maximum queue wait in milliseconds before the daemon answers
           {!Expired} instead of executing; [0] means no deadline
-          ([0 .. max_deadline_ms]). *)
+          ([0 .. 86_400_000], one day). *)
 }
 
 type err_code =
@@ -91,7 +91,6 @@ type response = { rid : int; body : body }
 val max_spec_len : int
 val max_trials : int
 val max_t : int
-val max_deadline_ms : int
 
 val check_t : int -> (unit, string) result
 (** The radius rule, [t] in [\[0, max_t\]]: {!validate_request} applies
@@ -112,11 +111,9 @@ val decode_response_bytes : string -> (response, string) result
 (** {1 Frame-level} (for callers that already hold a decoded frame) *)
 
 val kind_request : int
-val kind_response : int
 val request_of_frame : Ls_shard.Frame.t -> (request, string) result
 val response_of_frame : Ls_shard.Frame.t -> (response, string) result
 val request_frame : request -> Ls_shard.Frame.t
-val response_frame : response -> Ls_shard.Frame.t
 
 (** {1 Socket IO} (EINTR-safe, via {!Ls_shard.Frame}) *)
 

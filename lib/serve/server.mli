@@ -72,10 +72,6 @@ val default_send_timeout : unit -> float
 (** [LOCSAMPLE_SERVE_SEND_TIMEOUT] when set, else 10 s.  Raises
     [Invalid_argument] exactly as {!default_queue} does. *)
 
-val default_state_dir : unit -> string option
-(** [LOCSAMPLE_SERVE_STATE] when set and non-empty; [None] disables
-    cache persistence. *)
-
 type config = {
   address : address;
   queue_bound : int;  (** Admission bound on {e each connection's} queue. *)
@@ -129,11 +125,6 @@ val run :
     stat; [heartbeat] is invoked once per select round and per executed
     batch (the supervised worker's liveness signal).  Returns the final
     engine counters. *)
-
-val default_supervision : Ls_shard.Supervisor.policy
-(** {!Ls_shard.Supervisor.default_policy} with a 5 s hang timeout
-    (select rounds are 0.5 s; large healthy batches beat slower than
-    shard workers do). *)
 
 val run_supervised :
   ?cfg:config ->

@@ -87,23 +87,3 @@ val reset_phase_counter : unit -> unit
 (** Phase indices are process-global so kill specs address phases by
     execution order; tests reset between runs to keep specs stable. *)
 
-(**/**)
-
-(* The bare transport body, for tests that want to drive one phase
-   without installing process-global state. *)
-val run_phase :
-  config ->
-  'i Ls_local.Network.t ->
-  rounds:int ->
-  size:('m -> int) option ->
-  corrupt:(round:int -> src:int -> dst:int -> 'm -> 'm) option ->
-  digest:('m -> int) option ->
-  ckpt:'s Ls_local.Network.carrier option ->
-  carry:'m Ls_local.Network.carrier option ->
-  trace:Ls_obs.Trace.t option ->
-  init:(int -> 's) ->
-  emit:(int -> 's -> 'm) ->
-  merge:(int -> 's -> 'm list -> 's) ->
-  's array * int
-
-(**/**)

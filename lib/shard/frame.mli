@@ -55,6 +55,5 @@ val read_fd : Unix.file_descr -> (t, read_error) result
     files without touching sockets. *)
 
 val write_string : ?site:string -> Unix.file_descr -> string -> unit
-val read_exact : Unix.file_descr -> bytes -> int -> int -> int
 
 (**/**)

@@ -43,7 +43,6 @@ let counts : (string, int) Hashtbl.t = Hashtbl.create 32
 let m = Mutex.create ()
 
 let set_hook h = the_hook := h
-let hook_installed () = Option.is_some !the_hook
 
 let reset_counts () =
   Mutex.lock m;

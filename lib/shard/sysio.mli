@@ -3,7 +3,7 @@
     Checkpoint/snapshot writes, renames, closes, the serve accept loop
     and worker forks all call these wrappers instead of [Unix] directly.
     With no hook installed they are the raw syscalls plus the shared
-    EINTR-retry discipline ({!retry_eintr} — the same loop the
+    EINTR-retry discipline (one retry loop, the same loop the
     {!Frame} full-IO helpers model).  With a hook installed, each
     operation's fate is decided first from deterministic coordinates
     (operation, call-site name, per-site consultation count), which is
@@ -31,15 +31,9 @@ val set_hook : hook option -> unit
 (** Install (or clear) the process-global hook.  Inherited across
     [fork], so a daemon's worker keeps its parent's schedule. *)
 
-val hook_installed : unit -> bool
-
 val reset_counts : unit -> unit
 (** Zero every per-(op, site) consultation count — required before
     replaying a schedule from the start. *)
-
-val retry_eintr : (unit -> 'a) -> 'a
-(** Run [f] again for as long as it raises [EINTR] — the one shared
-    retry helper for non-looping syscalls (rename, close, open). *)
 
 (** {1 Wrapped syscalls}
 
@@ -52,7 +46,7 @@ val write : site:string -> Unix.file_descr -> bytes -> int -> int -> int
 
 val rename : site:string -> string -> string -> unit
 val close : site:string -> Unix.file_descr -> unit
-(** EINTR-retried via {!retry_eintr}.  A {e real} [EINTR] from
+(** EINTR-retried.  A {e real} [EINTR] from
     [close(2)] is swallowed rather than retried (the descriptor is
     already gone on Linux); injected ones fire before the syscall and
     are retried safely. *)

@@ -31,6 +31,7 @@ let () =
       ("broadcast", Test_broadcast.suite);
       ("local", Test_local.suite);
       ("inference", Test_inference.suite);
+      ("ball", Test_ball.suite);
       ("samplers", Test_samplers.suite);
       ("chain", Test_chain.suite);
       ("jvv", Test_jvv.suite);
