@@ -192,23 +192,12 @@ let tests () =
       (Staged.stage (fun () ->
            ignore (Ls_gibbs.Chain_dp.marginal hardcore64 empty64 0)));
     (* SAW tree on a 4-regular graph: a radius-3 ball there has ~50
-       vertices, so the enumeration engine cannot even enter this row.
-       The one-shot form compiles the spec on every call; the next two
-       rows split it into the query alone and the compile alone. *)
+       vertices, so the enumeration engine cannot even enter this row. *)
     Test.make ~name:"saw/depth=3 (4-regular n=64 hardcore)"
       (Staged.stage
          (let spec4 = Models.hardcore reg_graph ~lambda:0.5 in
           let tau = Config.empty 64 in
           fun () -> ignore (Ls_gibbs.Saw.marginal ~depth:3 spec4 tau 0)));
-    Test.make ~name:"saw/depth=3 compiled (4-regular n=64 hardcore)"
-      (Staged.stage
-         (let c = Ls_gibbs.Saw.compile (Models.hardcore reg_graph ~lambda:0.5) in
-          let tau = Config.empty 64 in
-          fun () -> ignore (Ls_gibbs.Saw.run c ~depth:3 tau 0)));
-    Test.make ~name:"saw/compile (4-regular n=64 hardcore)"
-      (Staged.stage
-         (let spec4 = Models.hardcore reg_graph ~lambda:0.5 in
-          fun () -> ignore (Ls_gibbs.Saw.compile spec4)));
     Test.make ~name:"oracle.infer via ssm_oracle"
       (Staged.stage (fun () -> ignore (oracle.Inference.infer inst64 17)));
     Test.make ~name:"glauber/sweep (C64)"

@@ -6,7 +6,7 @@ let log_z_exact inst =
   let tau = inst.Instance.pinned in
   if Gibbs.Chain_dp.supported spec then Gibbs.Chain_dp.log_partition spec tau
   else if
-    Gibbs.Spec.as_pairwise spec <> None
+    Gibbs.Spec.tables spec <> None
     && Graph.is_forest (Gibbs.Spec.graph spec)
   then Gibbs.Forest_dp.log_partition spec tau
   else begin

@@ -128,12 +128,8 @@ let saw_oracle ~depth inst0 =
   if not (Gibbs.Saw.supported inst0.Instance.spec) then
     invalid_arg "Inference.saw_oracle: binary pairwise spec required";
   if depth < 0 then invalid_arg "Inference.saw_oracle: negative depth";
-  let spec0 = inst0.Instance.spec in
-  let compiled0 = Gibbs.Saw.compile spec0 in
   let infer inst v =
-    let spec = inst.Instance.spec in
-    let compiled = if spec == spec0 then compiled0 else Gibbs.Saw.compile spec in
-    match Gibbs.Saw.run compiled ~depth inst.Instance.pinned v with
+    match Gibbs.Saw.marginal ~depth inst.Instance.spec inst.Instance.pinned v with
     | Some d -> d
     | None -> Dist.uniform (Instance.q inst)
   in

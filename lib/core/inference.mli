@@ -47,10 +47,10 @@ val saw_oracle : depth:int -> Instance.t -> oracle
     views it answers uniform (certifiably visible in the error curves,
     matching {!ssm_oracle}'s fallback).
 
-    The oracle compiles [inst0]'s spec once ({!Ls_gibbs.Saw.compile});
-    an [infer] call on an instance whose spec is not physically that
-    spec compiles its own.  Raises [Invalid_argument] on a negative
-    depth or a spec that is not binary pairwise. *)
+    Each [infer] call walks the weight tables of its own instance's
+    spec ({!Ls_gibbs.Spec.tables}, built when that spec was created), so
+    nothing is built per call or per oracle.  Raises [Invalid_argument]
+    on a negative depth or a spec that is not binary pairwise. *)
 
 val annulus : Instance.t -> v:int -> t:int -> int array
 (** [Γ = B_{t+ℓ}(v) \ (B_t(v) ∪ Λ)], sorted by id — exposed for the

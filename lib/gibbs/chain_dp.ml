@@ -2,7 +2,7 @@ module Graph = Ls_graph.Graph
 module Dist = Ls_dist.Dist
 
 let supported spec =
-  Spec.as_pairwise spec <> None && Graph.max_degree (Spec.graph spec) <= 2
+  Spec.tables spec <> None && Graph.max_degree (Spec.graph spec) <= 2
 
 (* Walk a degree<=2 component starting at [start]: the vertex sequence and
    whether it closes into a cycle.  Cycle orders begin at [start]; path
@@ -83,18 +83,20 @@ let rescale_mat m =
   else (m, 0.)
 
 let build spec tau =
-  let pw = Option.get (Spec.as_pairwise spec) in
+  let tb = Option.get (Spec.tables spec) in
   let q = Spec.q spec in
   let diag u =
     Array.init q (fun c ->
         if Config.is_assigned tau u && tau.(u) <> c then 0.
-        else pw.Spec.vertex_weight u c)
+        else tb.Spec.vertex.((u * q) + c))
   in
+  (* The slot [u -> w] (at most two to scan), [u]'s colour first. *)
   let edge u w =
-    Array.init q (fun cu ->
-        Array.init q (fun cw ->
-            if u < w then pw.Spec.edge_weight u w cu cw
-            else pw.Spec.edge_weight w u cw cu))
+    let s = ref tb.Spec.off.(u) in
+    while tb.Spec.dst.(!s) <> w do
+      incr s
+    done;
+    Array.init q (fun cu -> Array.sub tb.Spec.edge (((!s * q) + cu) * q) q)
   in
   (q, diag, edge)
 
@@ -117,11 +119,8 @@ let component_eval spec tau order is_cycle ~target =
         | [] -> (m, logscale)
         | u :: rest ->
             let next = match rest with [] -> first | w :: _ -> w in
-            let d = diag u in
-            let step =
-              Array.init q (fun i ->
-                  Array.init q (fun j -> d.(i) *. (edge u next).(i).(j)))
-            in
+            let d = diag u and e = edge u next in
+            let step = Array.init q (fun i -> Array.map (fun x -> d.(i) *. x) e.(i)) in
             let m = mat_mul m step q in
             let m, s = rescale_mat m in
             go m (logscale +. s) rest

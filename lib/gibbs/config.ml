@@ -41,12 +41,3 @@ let diff_domain tau1 tau2 =
 
 let values_in_range tau q =
   Array.for_all (fun c -> c = unassigned || (c >= 0 && c < q)) tau
-
-let pp fmt tau =
-  Format.fprintf fmt "[";
-  Array.iteri
-    (fun v c ->
-      if v > 0 then Format.fprintf fmt ";";
-      if c = unassigned then Format.fprintf fmt "·" else Format.fprintf fmt "%d" c)
-    tau;
-  Format.fprintf fmt "]"

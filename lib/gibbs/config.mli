@@ -34,5 +34,3 @@ val diff_domain : t -> t -> int list
 
 val values_in_range : t -> int -> bool
 (** All assigned values lie in [0..q-1]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -97,8 +97,9 @@ let forest_components s =
    pass, up.(i*q + c) = Σ over assignments of the subtree of vs.(i) with
    vs.(i) = c of the product of vertex and edge weights, respecting the
    pinning [tau], rescaled so each vector peaks at 1.  Children are
-   combined in ascending vertex id.  Returns the local index of [root]. *)
-let up_pass ?logscale (pw : Spec.pairwise) q tau s ~parent ~order ~up root =
+   combined in ascending vertex id, the order of [u]'s slots in [tb].
+   Returns the local index of [root]. *)
+let up_pass ?logscale (tb : Spec.tables) q tau s ~parent ~order ~up root =
   let r = local s root in
   parent.(r) <- -1;
   order.(0) <- r;
@@ -106,22 +107,16 @@ let up_pass ?logscale (pw : Spec.pairwise) q tau s ~parent ~order ~up root =
   while !head < !tail do
     let i = order.(!head) in
     incr head;
-    let pi = parent.(i) in
-    Array.iter
-      (fun w ->
-        let j = local s w in
-        if j >= 0 && j <> pi then begin
-          parent.(j) <- i;
-          order.(!tail) <- j;
-          incr tail
-        end)
-      (Graph.neighbors s.g s.vs.(i))
+    let u = s.vs.(i) and pi = parent.(i) in
+    for sl = tb.off.(u) to tb.off.(u + 1) - 1 do
+      let j = local s tb.dst.(sl) in
+      if j >= 0 && j <> pi then begin
+        parent.(j) <- i;
+        order.(!tail) <- j;
+        incr tail
+      end
+    done
   done;
-  let edge_w a b ca cb =
-    (* Evaluate the pairwise edge factor with the smaller-endpoint-first
-       convention of Spec. *)
-    if a < b then pw.Spec.edge_weight a b ca cb else pw.Spec.edge_weight b a cb ca
-  in
   (* Reverse BFS order: children come before parents. *)
   for idx = !tail - 1 downto 0 do
     let i = order.(idx) in
@@ -131,18 +126,18 @@ let up_pass ?logscale (pw : Spec.pairwise) q tau s ~parent ~order ~up root =
       up.(base + c) <-
         (if pinned <> Config.unassigned && pinned <> c then 0.
          else begin
-           let acc = ref (pw.Spec.vertex_weight u c) in
-           Array.iter
-             (fun w ->
-               let j = local s w in
-               if j >= 0 && j <> pi then begin
-                 let msg = ref 0. in
-                 for cc = 0 to q - 1 do
-                   msg := !msg +. (up.((j * q) + cc) *. edge_w w u cc c)
-                 done;
-                 acc := !acc *. !msg
-               end)
-             (Graph.neighbors s.g u);
+           let acc = ref tb.vertex.((u * q) + c) in
+           for sl = tb.off.(u) to tb.off.(u + 1) - 1 do
+             let j = local s tb.dst.(sl) in
+             if j >= 0 && j <> pi then begin
+               (* Slot [u -> w]: [u]'s colour [c] first, the child's [cc]. *)
+               let msg = ref 0. and row = ((sl * q) + c) * q in
+               for cc = 0 to q - 1 do
+                 msg := !msg +. (up.((j * q) + cc) *. tb.edge.(row + cc))
+               done;
+               acc := !acc *. !msg
+             end
+           done;
            !acc
          end)
     done;
@@ -167,9 +162,9 @@ let vanishes up q r =
   go 0
 
 let ball_marginal spec ~ball tau v =
-  match Spec.as_pairwise spec with
+  match Spec.tables spec with
   | None -> Not_forest
-  | Some pw ->
+  | Some tb ->
       with_set (Spec.graph spec) ball (fun s ->
           if v < 0 || v >= Graph.n s.g || local s v < 0 then
             invalid_arg "Forest_dp.ball_marginal: v not in ball";
@@ -182,7 +177,7 @@ let ball_marginal spec ~ball tau v =
                 let k = Array.length ball in
                 let parent = Array.make k 0 and order = Array.make k 0 in
                 let up = Array.make (k * q) 0. in
-                let pass root = up_pass pw q tau s ~parent ~order ~up root in
+                let pass root = up_pass tb q tau s ~parent ~order ~up root in
                 (* Other components contribute a constant factor; it cancels
                    in the normalization unless it is zero, in which case the
                    whole measure vanishes and the marginal is undefined. *)
@@ -203,16 +198,16 @@ let ball_marginal spec ~ball tau v =
 let all_vertices spec = Array.init (Graph.n (Spec.graph spec)) Fun.id
 
 let marginal spec tau v =
-  if Spec.as_pairwise spec = None then
+  if Spec.tables spec = None then
     invalid_arg "Forest_dp.marginal: spec is not pairwise";
   match ball_marginal spec ~ball:(all_vertices spec) tau v with
   | Marginal m -> m
   | Not_forest -> invalid_arg "Forest_dp.marginal: graph is not a forest"
 
 let log_partition spec tau =
-  match Spec.as_pairwise spec with
+  match Spec.tables spec with
   | None -> invalid_arg "Forest_dp.log_partition: spec is not pairwise"
-  | Some pw ->
+  | Some tb ->
       with_set (Spec.graph spec) (all_vertices spec) (fun s ->
           match forest_components s with
           | None -> invalid_arg "Forest_dp.log_partition: graph is not a forest"
@@ -227,7 +222,7 @@ let log_partition spec tau =
                  Array.iter
                    (fun root ->
                      let logscale = ref 0. in
-                     let r = up_pass ~logscale pw q tau s ~parent ~order ~up root in
+                     let r = up_pass ~logscale tb q tau s ~parent ~order ~up root in
                      let z = ref 0. in
                      for c = 0 to q - 1 do
                        z := !z +. up.((r * q) + c)

@@ -11,24 +11,3 @@ let uniqueness_threshold ~rank ~delta =
   else
     let d = float_of_int delta and r = float_of_int rank in
     ((d -. 1.) ** (d -. 1.)) /. ((r -. 1.) *. ((d -. 2.) ** d))
-
-let matching_of_config _ sigma =
-  let acc = ref [] in
-  Array.iteri (fun i c -> if c = 1 then acc := i :: !acc) sigma;
-  List.rev !acc
-
-let is_matching hm sigma =
-  let h = hm.hypergraph in
-  let used = Array.make (Hypergraph.n h) false in
-  try
-    Array.iteri
-      (fun i c ->
-        if c = 1 then
-          Array.iter
-            (fun v ->
-              if used.(v) then raise Exit;
-              used.(v) <- true)
-            (Hypergraph.hyperedge h i))
-      sigma;
-    true
-  with Exit -> false

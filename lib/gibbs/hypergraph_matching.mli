@@ -16,9 +16,3 @@ val make : Ls_graph.Hypergraph.t -> lambda:float -> t
 
 val uniqueness_threshold : rank:int -> delta:int -> float
 (** [λ_c(r, Δ)]; [infinity] when [Δ ≤ 2] or [r ≤ 1]. *)
-
-val matching_of_config : t -> int array -> int list
-(** Indices of selected hyperedges. *)
-
-val is_matching : t -> int array -> bool
-(** No two selected hyperedges intersect. *)

@@ -28,5 +28,3 @@ let is_matching m sigma =
       sigma;
     true
   with Exit -> false
-
-let size _ sigma = Array.fold_left (fun acc c -> acc + c) 0 sigma

@@ -21,6 +21,3 @@ val matching_of_config : t -> int array -> (int * int) list
 val is_matching : t -> int array -> bool
 (** Validity check on the base graph: no two selected edges share an
     endpoint. *)
-
-val size : t -> int array -> int
-(** Number of selected edges. *)

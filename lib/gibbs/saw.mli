@@ -22,41 +22,25 @@
     [O(Δ^depth)] — an alternative inference engine whose work is bounded
     by degree and radius rather than by ball volume.
 
-    The work splits in two.  {!compile} reads the spec's weight closures
-    once and lays them out as flat tables; {!run} walks the tree on those
-    tables.  Per tree node the walk allocates nothing and calls no
-    closure; per call it allocates two [n]-length arrays (the path marks
-    and the exit ranks of the cycle-closing rule), a few words of fixed
-    size and the result. *)
+    The walk reads the spec's weight {!Spec.tables}, built once when
+    {!Spec.create_pairwise} made the spec, so every call costs the same,
+    the first on a spec included: the walks, plus two [n]-length arrays
+    (the path marks and the exit ranks of the cycle-closing rule), a few
+    words of fixed size and the result.  Per tree node it allocates
+    nothing and calls no closure. *)
 
 val supported : Spec.t -> bool
 (** True for pairwise specs over a binary alphabet. *)
 
-type t
-(** A compiled spec: vertex weights, sorted adjacency rows with their
-    offsets, the oriented [2×2] edge matrix and the reverse edge rank of
-    every directed adjacency slot.  Immutable, so one value can serve any
-    number of domains at once. *)
-
-val compile : Spec.t -> t
-(** [O(n + m)] time and space: two [vertex_weight] calls per vertex and
-    four [edge_weight] calls per edge, the reverse slot of an edge
-    holding the transpose.  Raises [Invalid_argument] when the spec is
-    not a binary pairwise spec. *)
-
-val run : t -> depth:int -> Config.t -> int -> Ls_dist.Dist.t option
-(** [run c ~depth tau v]: root marginal of the depth-truncated SAW tree
-    of [v] under the pinning [tau].  Exact when [depth ≥ n]; [None] when
-    every spin has weight 0 (infeasible pinning at the root's view).
-    Raises [Invalid_argument] on a negative depth, on a [tau] whose
-    length is not the compiled graph's [n], or when the walk meets a
-    pinned value outside [{0, 1}] (pins the walk never reaches are not
-    read).
+val marginal : depth:int -> Spec.t -> Config.t -> int -> Ls_dist.Dist.t option
+(** [marginal ~depth spec tau v]: root marginal of the depth-truncated SAW
+    tree of [v] under the pinning [tau].  Exact when [depth ≥ n]; [None]
+    when every spin has weight 0 (infeasible pinning at the root's view).
+    Raises [Invalid_argument] when the spec is not a binary pairwise
+    spec, on a negative depth, on a [tau] whose length is not the spec's
+    [n], or when the walk meets a pinned value outside [{0, 1}] (pins the
+    walk never reaches are not read).
 
     To use it as a LOCAL inference oracle see
     [Ls_core.Inference.saw_oracle] (a walk of length [depth] sees exactly
     [B_depth(v)], so the oracle radius is [depth]). *)
-
-val marginal : depth:int -> Spec.t -> Config.t -> int -> Ls_dist.Dist.t option
-(** [marginal ~depth spec tau v = run (compile spec) ~depth tau v]: the
-    one-shot form, for callers that ask about one spec once. *)

@@ -8,6 +8,14 @@ type pairwise = {
   edge_weight : int -> int -> int -> int -> float;
 }
 
+type tables = {
+  vertex : float array;
+  off : int array;
+  dst : int array;
+  edge : float array;
+  rev : int array;
+}
+
 type t = {
   graph : Graph.t;
   q : int;
@@ -15,6 +23,7 @@ type t = {
   factors_of_vertex : int array array;
   locality : int;
   pairwise : pairwise option;
+  tables : tables option;
 }
 
 (* Largest graph distance between two vertices of [scope].  Each BFS stops
@@ -71,7 +80,7 @@ let scope_diameter g b scope =
     !worst
   end
 
-let build graph ~q ~factors ~pairwise =
+let build graph ~q ~factors ~pairwise ~tables =
   if q < 1 then invalid_arg "Spec: alphabet must be non-empty";
   let factors = Array.of_list factors in
   let n = Graph.n graph in
@@ -104,25 +113,77 @@ let build graph ~q ~factors ~pairwise =
     in
     Array.fold_left (fun acc f -> max acc (scope_diameter graph b f.scope)) 0 factors
   in
-  { graph; q; factors; factors_of_vertex; locality; pairwise }
+  { graph; q; factors; factors_of_vertex; locality; pairwise; tables }
 
-let create graph ~q ~factors = build graph ~q ~factors ~pairwise:None
+let create graph ~q ~factors = build graph ~q ~factors ~pairwise:None ~tables:None
+
+(* [c] as a table index, when it is a value of the alphabet. *)
+let colour q c =
+  if c < 0 || c >= q then invalid_arg "Spec: value outside the alphabet" else c
 
 let create_pairwise graph ~q pw =
-  let vertex_factor v =
-    { scope = [| v |]; table = (fun vals -> pw.vertex_weight v vals.(0)) }
+  if q < 1 then invalid_arg "Spec: alphabet must be non-empty";
+  let n = Graph.n graph in
+  (* False for a negative, infinite or NaN weight. *)
+  let ok x = x >= 0. && x < infinity in
+  let bad what x =
+    invalid_arg
+      (Printf.sprintf "Spec.create_pairwise: %s = %g is not a finite non-negative weight"
+         what x)
   in
-  let edge_factor u v =
-    (* scope sorted, so vals.(0) belongs to the smaller endpoint. *)
-    { scope = [| u; v |]; table = (fun vals -> pw.edge_weight u v vals.(0) vals.(1)) }
+  let vertex =
+    Array.init (n * q) (fun i ->
+        let x = pw.vertex_weight (i / q) (i mod q) in
+        if not (ok x) then bad (Printf.sprintf "vertex_weight %d %d" (i / q) (i mod q)) x;
+        x)
   in
-  let factors = ref [] in
-  for v = Graph.n graph - 1 downto 0 do
-    factors := vertex_factor v :: !factors
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Graph.degree graph u
   done;
-  let edge_factors = ref [] in
-  Graph.iter_edges graph (fun u v -> edge_factors := edge_factor u v :: !edge_factors);
-  build graph ~q ~factors:(!factors @ !edge_factors) ~pairwise:(Some pw)
+  let slots = off.(n) in
+  let dst = Array.make slots 0 and rev = Array.make slots 0 in
+  let edge = Array.make (slots * q * q) 0. in
+  let vertex_factor v =
+    { scope = [| v |]; table = (fun vals -> vertex.((v * q) + colour q vals.(0))) }
+  in
+  (* Scope sorted, so vals.(0) belongs to [u], the row vertex of slot [s]. *)
+  let edge_factor u w s =
+    {
+      scope = [| u; w |];
+      table = (fun vals -> edge.((((s * q) + colour q vals.(0)) * q) + colour q vals.(1)));
+    }
+  in
+  (* Rows are sorted and [u] runs upwards, so the [k]-th time [w] is met
+     as a destination, the source is the [k]-th entry of [w]'s row.  By
+     the time [u] meets a smaller [w], slot [w -> u] is filled, and slot
+     [u -> w] holds its transpose.  Edges are met in [Graph.iter_edges]
+     order. *)
+  let seen = Array.make n 0 and edge_factors = ref [] in
+  for u = 0 to n - 1 do
+    let row = Graph.neighbors graph u in
+    for i = 0 to Array.length row - 1 do
+      let w = row.(i) and s = off.(u) + i in
+      dst.(s) <- w;
+      rev.(s) <- seen.(w);
+      seen.(w) <- seen.(w) + 1;
+      let back = off.(w) + rev.(s) in
+      for j = 0 to (q * q) - 1 do
+        let cu = j / q and cw = j mod q in
+        edge.((s * q * q) + j) <-
+          (if u > w then edge.((back * q * q) + (cw * q) + cu)
+           else begin
+             let x = pw.edge_weight u w cu cw in
+             if not (ok x) then bad (Printf.sprintf "edge_weight %d %d %d %d" u w cu cw) x;
+             x
+           end)
+      done;
+      if u < w then edge_factors := edge_factor u w s :: !edge_factors
+    done
+  done;
+  build graph ~q
+    ~factors:(List.init n vertex_factor @ !edge_factors)
+    ~pairwise:(Some pw) ~tables:(Some { vertex; off; dst; edge; rev })
 
 let graph s = s.graph
 let q s = s.q
@@ -130,6 +191,7 @@ let locality s = s.locality
 let factors s = s.factors
 let factors_of_vertex s v = s.factors_of_vertex.(v)
 let as_pairwise s = s.pairwise
+let tables s = s.tables
 
 let factor_value s i tau =
   let f = s.factors.(i) in

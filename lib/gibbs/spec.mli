@@ -24,14 +24,39 @@ type pairwise = {
       (** [edge_weight u v cu cv] with [u < v]. *)
 }
 
+(** The weights of a pairwise spec, laid out once by {!create_pairwise}
+    for every kernel to read: [n·q + 2m·q²] floats and [n + 1 + 4m] ints.
+    Directed adjacency slot [s] in [off.(u) .. off.(u + 1) - 1] is the
+    edge [u → dst.(s)], in the sorted order of [Graph.neighbors g u], so
+    [s - off.(u)] is the rank of that edge in [u]'s row.  Never written
+    after creation, so one spec serves any number of domains at once. *)
+type tables = private {
+  vertex : float array;  (** [vertex.(v·q + c) = vertex_weight v c]. *)
+  off : int array;  (** Row offsets, length [n + 1]. *)
+  dst : int array;  (** Destination of each slot. *)
+  edge : float array;
+      (** [edge.((s·q + cu)·q + cw)]: the weight of slot [s = u → w] with
+          [u] (the row vertex) coloured [cu] and [w] coloured [cw], i.e.
+          [edge_weight] with its endpoints in id order; the slots [u → w]
+          and [w → u] hold transposed matrices. *)
+  rev : int array;
+      (** [rev.(s)]: the rank of [u] in [w]'s row for slot [u → w], so
+          [off.(w) + rev.(s)] is the reverse slot. *)
+}
+
 type t
 
 val create : Ls_graph.Graph.t -> q:int -> factors:factor list -> t
 (** General constructor; computes locality as the max scope diameter. *)
 
 val create_pairwise : Ls_graph.Graph.t -> q:int -> pairwise -> t
-(** Pairwise constructor: materializes one vertex factor per vertex and one
-    edge factor per edge; locality is 1. *)
+(** Pairwise constructor: fills the spec's {!tables}, calling
+    [vertex_weight] once per (vertex, colour) and [edge_weight] once per
+    (edge, colour pair) and never again, and materializes one vertex
+    factor per vertex and one edge factor per edge whose [table]s index
+    those tables; locality is 1.  Raises [Invalid_argument] naming the
+    first weight that is negative, infinite or NaN, and when a factor is
+    evaluated at a value outside the alphabet. *)
 
 val graph : t -> Ls_graph.Graph.t
 val q : t -> int
@@ -42,9 +67,12 @@ val factors : t -> factor array
 val factors_of_vertex : t -> int -> int array
 (** Indices into {!factors} of the constraints whose scope contains [v]. *)
 
+val tables : t -> tables option
+(** The weight tables when the spec was built by {!create_pairwise}. *)
+
 val as_pairwise : t -> pairwise option
-(** The pairwise structure when the spec was built by
-    {!create_pairwise}. *)
+(** The closures a pairwise spec was built from.  Library kernels read
+    {!tables}; these serve reference implementations. *)
 
 val factor_value : t -> int -> Config.t -> float option
 (** [factor_value spec i tau] evaluates factor [i] when its scope is fully

@@ -301,6 +301,3 @@ let complement g =
 let union g1 g2 =
   if g1.n <> g2.n then invalid_arg "Graph.union: vertex count mismatch";
   create ~n:g1.n ~edges:(edges g1 @ edges g2)
-
-let pp fmt g =
-  Format.fprintf fmt "graph(n=%d, m=%d)" g.n g.m

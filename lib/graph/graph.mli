@@ -97,5 +97,3 @@ val complement : t -> t
 
 val union : t -> t -> t
 (** Union of edge sets; both graphs must have the same vertex count. *)
-
-val pp : Format.formatter -> t -> unit

@@ -84,6 +84,13 @@ type model = {
   render : int array -> string;
 }
 
+(* A library constructor rejects a bad value with [Invalid_argument];
+   here that becomes an [Error] naming what was parsed. *)
+let rejects what f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" what msg)
+
 let parse_model g spec =
   let ( let* ) = Result.bind in
   let render_binary sigma =
@@ -92,15 +99,27 @@ let parse_model g spec =
   let render_csv sigma =
     String.concat "," (List.map string_of_int (Array.to_list sigma))
   in
+  (* The spec's weight tables hold n·q + 2m·q² floats over the graph it
+     lives on: checked against the cap before anything is built. *)
+  let build ~n ~m q make =
+    let fq = float_of_int q in
+    let size = (float_of_int n *. fq) +. (2. *. float_of_int m *. fq *. fq) in
+    if size > float_of_int Protocol.max_table then
+      Error
+        (Printf.sprintf "model %S needs %.0f weight-table entries, over the cap of %d"
+           spec size Protocol.max_table)
+    else rejects (Printf.sprintf "model %S" spec) make
+  in
+  let on_graph q make = build ~n:(Graph.n g) ~m:(Graph.m g) q make in
   match String.split_on_char ':' spec with
   | [ "hardcore"; l ] ->
       let* lambda = float_field "hardcore" l in
-      Ok
-        {
-          spec = Models.hardcore g ~lambda;
-          describe = Printf.sprintf "hardcore(lambda=%g)" lambda;
-          render = render_binary;
-        }
+      on_graph 2 (fun () ->
+          {
+            spec = Models.hardcore g ~lambda;
+            describe = Printf.sprintf "hardcore(lambda=%g)" lambda;
+            render = render_binary;
+          })
   | [ "ising"; b ] | [ "ising"; b; _ ] ->
       let* beta = float_field "ising" b in
       let* field =
@@ -108,51 +127,58 @@ let parse_model g spec =
         | [ _; _; f ] -> float_field "ising field" f
         | _ -> Ok 1.
       in
-      Ok
-        {
-          spec = Models.ising g ~beta ~field;
-          describe = Printf.sprintf "ising(beta=%g, field=%g)" beta field;
-          render = render_binary;
-        }
+      on_graph 2 (fun () ->
+          {
+            spec = Models.ising g ~beta ~field;
+            describe = Printf.sprintf "ising(beta=%g, field=%g)" beta field;
+            render = render_binary;
+          })
   | [ "potts"; q; b ] ->
       let* q = int_field "potts" q in
       let* beta = float_field "potts" b in
-      Ok
-        {
-          spec = Models.potts g ~q ~beta;
-          describe = Printf.sprintf "potts(q=%d, beta=%g)" q beta;
-          render = render_csv;
-        }
+      on_graph q (fun () ->
+          {
+            spec = Models.potts g ~q ~beta;
+            describe = Printf.sprintf "potts(q=%d, beta=%g)" q beta;
+            render = render_csv;
+          })
   | [ "coloring"; q ] ->
       let* q = int_field "coloring" q in
-      Ok
-        {
-          spec = Models.coloring g ~q;
-          describe = Printf.sprintf "coloring(q=%d)" q;
-          render = render_csv;
-        }
+      on_graph q (fun () ->
+          {
+            spec = Models.coloring g ~q;
+            describe = Printf.sprintf "coloring(q=%d)" q;
+            render = render_csv;
+          })
   | [ "matching"; l ] ->
       let* lambda = float_field "matching" l in
-      let m = Matching.make g ~lambda in
-      Ok
-        {
-          spec = m.Matching.spec;
-          describe =
-            Printf.sprintf "matching(lambda=%g) [on the line graph]" lambda;
-          render =
-            (fun sigma ->
-              String.concat " "
-                (List.map
-                   (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-                   (Matching.matching_of_config m sigma)));
-        }
+      (* Hardcore on the line graph: a vertex per edge, an edge per pair
+         of edges sharing an endpoint. *)
+      let pairs = ref 0 in
+      for v = 0 to Graph.n g - 1 do
+        let d = Graph.degree g v in
+        pairs := !pairs + (d * (d - 1) / 2)
+      done;
+      build ~n:(Graph.m g) ~m:!pairs 2 (fun () ->
+          let m = Matching.make g ~lambda in
+          {
+            spec = m.Matching.spec;
+            describe =
+              Printf.sprintf "matching(lambda=%g) [on the line graph]" lambda;
+            render =
+              (fun sigma ->
+                String.concat " "
+                  (List.map
+                     (fun (u, v) -> Printf.sprintf "%d-%d" u v)
+                     (Matching.matching_of_config m sigma)));
+          })
   | _ -> Error (Printf.sprintf "cannot parse model %S" spec)
 
 let make_oracle ~engine ~t inst =
   Result.bind (Protocol.check_t t) @@ fun () ->
   match engine with
   | "ball" -> Ok (Inference.ssm_oracle ~t inst)
-  | "saw" -> Ok (Inference.saw_oracle ~depth:t inst)
+  | "saw" -> rejects "engine \"saw\"" (fun () -> Inference.saw_oracle ~depth:t inst)
   | other -> Error (Printf.sprintf "unknown engine %S (ball|saw)" other)
 
 (* --- compiled instances ----------------------------------------------- *)

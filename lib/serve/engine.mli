@@ -29,15 +29,18 @@ val parse_graph : Ls_rng.Rng.t -> string -> (Ls_graph.Graph.t, string) result
 
 val parse_model : Ls_graph.Graph.t -> string -> (model, string) result
 (** ["hardcore:L"], ["ising:B[:F]"], ["potts:Q:B"], ["coloring:Q"],
-    ["matching:L"]. *)
+    ["matching:L"].  A named [Error] for a model whose weight tables
+    would exceed {!Protocol.max_table} (decided from the graph's size and
+    [q] before any spec is built) and for one a library constructor
+    rejects ([q < 1], a negative or NaN weight). *)
 
 val make_oracle :
   engine:string ->
   t:int ->
   Ls_core.Instance.t ->
   (Ls_core.Inference.oracle, string) result
-(** ["ball"] (Theorem 5.1) or ["saw"] (Weitz); [t] must pass
-    {!Protocol.check_t}. *)
+(** ["ball"] (Theorem 5.1) or ["saw"] (Weitz, binary models only; any
+    other is a named [Error]); [t] must pass {!Protocol.check_t}. *)
 
 type error = Bad_request of string | Overloaded | Internal of string
 

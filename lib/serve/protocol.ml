@@ -22,6 +22,7 @@ let response_magic = "LSRS"
 let max_spec_len = 256
 let max_trials = 1_000_000
 let max_t = 1_000_000
+let max_table = 1 lsl 24
 let max_vector = 1_000_000
 let max_deadline_ms = 86_400_000
 

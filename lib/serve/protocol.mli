@@ -92,6 +92,13 @@ val max_spec_len : int
 val max_trials : int
 val max_t : int
 
+val max_table : int
+(** Cap on a model's weight tables, [n·q + 2m·q²] entries over the graph
+    its spec lives on ({!Ls_gibbs.Spec.tables}): 2²⁴, about 134 MB of
+    floats.  {!Engine.parse_model} refuses a model over it before any
+    spec is built, so neither the daemon nor the CLI allocates tables
+    whose size a client's [q] squares. *)
+
 val check_t : int -> (unit, string) result
 (** The radius rule, [t] in [\[0, max_t\]]: {!validate_request} applies
     it to every request and {!Engine.make_oracle} to every oracle, so the

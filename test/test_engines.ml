@@ -2,8 +2,9 @@
    transfer-matrix DP on paths/cycles (Chain_dp) and Weitz's SAW-tree
    algorithm (Saw).  Both are validated against brute-force enumeration —
    for the SAW tree this in particular certifies the cycle-closing rule —
-   and the compiled SAW kernel against a copy of the closure-based
-   recursion it replaced, bit for bit. *)
+   and the SAW kernel and the chain DP, which read the spec's weight
+   tables, against copies of the closure-based code they replaced, bit
+   for bit. *)
 
 module Graph = Ls_graph.Graph
 module Generators = Ls_graph.Generators
@@ -15,10 +16,12 @@ module Models = Ls_gibbs.Models
 module Enumerate = Ls_gibbs.Enumerate
 module Chain_dp = Ls_gibbs.Chain_dp
 module Saw = Ls_gibbs.Saw
+module Forest_dp = Ls_gibbs.Forest_dp
 
 open Ls_core
 
 let checkb = Alcotest.check Alcotest.bool
+let checki = Alcotest.check Alcotest.int
 
 let random_two_spin rng g =
   Models.two_spin g ~beta:(Rng.float rng *. 2.) ~gamma:(Rng.float rng *. 2.)
@@ -105,6 +108,262 @@ module Reference = struct
       let p0, p1 = pair v ~parent:(-1) depth in
       if p0 <= 0. && p1 <= 0. then None else Some (Dist.of_weights [| p0; p1 |])
     end
+end
+
+(* --- reference: the chain DP as it stood on the spec's closures --- *)
+
+module Chain_reference = struct
+  let supported spec =
+    Spec.as_pairwise spec <> None && Graph.max_degree (Spec.graph spec) <= 2
+
+  (* Walk a degree<=2 component starting at [start]: the vertex sequence and
+     whether it closes into a cycle.  Cycle orders begin at [start]; path
+     orders begin at an endpoint of the component. *)
+  let component_order g start =
+    let rec endpoint u prev =
+      let next =
+        Array.fold_left
+          (fun acc w -> if w <> prev then Some w else acc)
+          None (Graph.neighbors g u)
+      in
+      match next with
+      | None -> (u, false)
+      | Some w -> if w = start then (u, true) else endpoint w u
+    in
+    match Graph.degree g start with
+    | 0 -> ([ start ], false)
+    | d ->
+        let is_cycle =
+          if d = 2 then snd (endpoint (Graph.neighbors g start).(0) start)
+          else false
+        in
+        let rec collect u prev acc stop =
+          let next =
+            Array.fold_left
+              (fun acc' w -> if w <> prev then Some w else acc')
+              None (Graph.neighbors g u)
+          in
+          match next with
+          | Some w when Some w <> stop -> collect w u (w :: acc) stop
+          | _ -> List.rev acc
+        in
+        if is_cycle then
+          (* start, then around the cycle until we would return to start. *)
+          (collect (Graph.neighbors g start).(0) start
+             [ (Graph.neighbors g start).(0); start ]
+             (Some start),
+           true)
+        else begin
+          let e =
+            if d = 1 then start else fst (endpoint (Graph.neighbors g start).(0) start)
+          in
+          (collect e (-1) [ e ] None, false)
+        end
+
+  let mat_vec m v q =
+    Array.init q (fun i ->
+        let acc = ref 0. in
+        for j = 0 to q - 1 do
+          acc := !acc +. (m.(i).(j) *. v.(j))
+        done;
+        !acc)
+
+  let vec_mat v m q =
+    Array.init q (fun j ->
+        let acc = ref 0. in
+        for i = 0 to q - 1 do
+          acc := !acc +. (v.(i) *. m.(i).(j))
+        done;
+        !acc)
+
+  let mat_mul a b q =
+    Array.init q (fun i ->
+        Array.init q (fun j ->
+            let acc = ref 0. in
+            for k = 0 to q - 1 do
+              acc := !acc +. (a.(i).(k) *. b.(k).(j))
+            done;
+            !acc))
+
+  let rescale_vec v =
+    let peak = Array.fold_left Float.max 0. v in
+    if peak > 0. then (Array.map (fun x -> x /. peak) v, log peak) else (v, 0.)
+
+  let rescale_mat m =
+    let peak = Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0. m in
+    if peak > 0. then (Array.map (Array.map (fun x -> x /. peak)) m, log peak)
+    else (m, 0.)
+
+  let build spec tau =
+    let pw = Option.get (Spec.as_pairwise spec) in
+    let q = Spec.q spec in
+    let diag u =
+      Array.init q (fun c ->
+          if Config.is_assigned tau u && tau.(u) <> c then 0.
+          else pw.Spec.vertex_weight u c)
+    in
+    let edge u w =
+      Array.init q (fun cu ->
+          Array.init q (fun cw ->
+              if u < w then pw.Spec.edge_weight u w cu cw
+              else pw.Spec.edge_weight w u cw cu))
+    in
+    (q, diag, edge)
+
+  (* ln Z of one component together with the (unnormalized) marginal vector
+     at [target] (which must lie in the component; for cycles it must be the
+     first vertex of [order]). *)
+  let component_eval spec tau order is_cycle ~target =
+    let q, diag, edge = build spec tau in
+    match order with
+    | [] -> invalid_arg "Chain_dp: empty component"
+    | [ u ] ->
+        let d = diag u in
+        let z = Array.fold_left ( +. ) 0. d in
+        if z > 0. then (log z, if target = Some u then Some d else None)
+        else (neg_infinity, None)
+    | first :: _ when is_cycle ->
+        assert (target = None || target = Some first);
+        (* M = D_0 E_0 D_1 E_1 ... D_{k-1} E_{k-1}; p(x) = M[x][x]. *)
+        let rec go m logscale = function
+          | [] -> (m, logscale)
+          | u :: rest ->
+              let next = match rest with [] -> first | w :: _ -> w in
+              let d = diag u in
+              let step =
+                Array.init q (fun i ->
+                    Array.init q (fun j -> d.(i) *. (edge u next).(i).(j)))
+              in
+              let m = mat_mul m step q in
+              let m, s = rescale_mat m in
+              go m (logscale +. s) rest
+        in
+        let identity =
+          Array.init q (fun i -> Array.init q (fun j -> if i = j then 1. else 0.))
+        in
+        let m, logscale = go identity 0. order in
+        let p = Array.init q (fun x -> m.(x).(x)) in
+        let z = Array.fold_left ( +. ) 0. p in
+        if z > 0. then (log z +. logscale, if target = None then None else Some p)
+        else (neg_infinity, None)
+    | _ ->
+        (* Open chain: forward row vectors L_j = 1ᵀ D_0 E_0 ... E_{j-1} and
+           backward column vectors R_j = E_j D_{j+1} ... D_{k-1} 1, so that
+           p_j(x) = L_j(x) · D_j(x,x) · R_j(x). *)
+        let vs = Array.of_list order in
+        let k = Array.length vs in
+        let left = Array.make k [||] in
+        let log_left = ref 0. in
+        let cur = ref (Array.make q 1.) in
+        for j = 0 to k - 1 do
+          left.(j) <- !cur;
+          if j < k - 1 then begin
+            let d = diag vs.(j) in
+            let scaled = Array.mapi (fun c x -> x *. d.(c)) !cur in
+            let next = vec_mat scaled (edge vs.(j) vs.(j + 1)) q in
+            let next, s = rescale_vec next in
+            log_left := !log_left +. s;
+            cur := next
+          end
+        done;
+        let right = Array.make k [||] in
+        let cur = ref (Array.make q 1.) in
+        for j = k - 1 downto 0 do
+          right.(j) <- !cur;
+          if j > 0 then begin
+            let d = diag vs.(j) in
+            let scaled = Array.mapi (fun c x -> x *. d.(c)) !cur in
+            let next = mat_vec (edge vs.(j - 1) vs.(j)) scaled q in
+            let next, _s = rescale_vec next in
+            cur := next
+          end
+        done;
+        let d_last = diag vs.(k - 1) in
+        let z =
+          Array.fold_left ( +. ) 0.
+            (Array.mapi (fun c x -> x *. d_last.(c)) left.(k - 1))
+        in
+        if z <= 0. then (neg_infinity, None)
+        else begin
+          let log_z = log z +. !log_left in
+          let marginal =
+            match target with
+            | None -> None
+            | Some t ->
+                let j = ref (-1) in
+                Array.iteri (fun idx u -> if u = t then j := idx) vs;
+                if !j < 0 then None
+                else begin
+                  let d = diag vs.(!j) in
+                  let p =
+                    Array.init q (fun x -> left.(!j).(x) *. d.(x) *. right.(!j).(x))
+                  in
+                  if Array.for_all (fun x -> x <= 0.) p then None else Some p
+                end
+          in
+          (log_z, marginal)
+        end
+
+  let check spec =
+    if not (supported spec) then
+      invalid_arg "Chain_dp: pairwise spec with max degree <= 2 required"
+
+  let component_representatives g =
+    let comp = Graph.components g in
+    let seen = Hashtbl.create 8 in
+    let reps = ref [] in
+    Array.iteri
+      (fun v c ->
+        if not (Hashtbl.mem seen c) then begin
+          Hashtbl.replace seen c ();
+          reps := v :: !reps
+        end)
+      comp;
+    (comp, List.rev !reps)
+
+  let log_partition spec tau =
+    check spec;
+    let g = Spec.graph spec in
+    let _, reps = component_representatives g in
+    List.fold_left
+      (fun acc start ->
+        let order, is_cycle = component_order g start in
+        let lz, _ = component_eval spec tau order is_cycle ~target:None in
+        acc +. lz)
+      0. reps
+
+  let marginal spec tau v =
+    check spec;
+    let g = Spec.graph spec in
+    let q = Spec.q spec in
+    let comp, reps = component_representatives g in
+    let answer = ref None in
+    try
+      List.iter
+        (fun start ->
+          if comp.(start) = comp.(v) then begin
+            (* Start the walk at v so cycle marginals land on the first
+               position; for paths any order works, the target is located by
+               index. *)
+            let order, is_cycle = component_order g v in
+            let lz, m = component_eval spec tau order is_cycle ~target:(Some v) in
+            if lz = neg_infinity then raise Exit;
+            match m with
+            | Some p ->
+                answer :=
+                  Some
+                    (if Config.is_assigned tau v then Dist.point q tau.(v)
+                     else Dist.of_weights p)
+            | None -> raise Exit
+          end
+          else begin
+            let order, is_cycle = component_order g start in
+            let lz, _ = component_eval spec tau order is_cycle ~target:None in
+            if lz = neg_infinity then raise Exit
+          end)
+        reps;
+      !answer
+    with Exit -> None
 end
 
 let bits = function
@@ -385,15 +644,12 @@ let qcheck_saw_kernel_bitwise =
       for u = 0 to n - 1 do
         if Rng.bernoulli rng p then tau.(u) <- Rng.int rng 2
       done;
-      (* One compiled spec answers every query of the case. *)
-      let compiled = Saw.compile spec in
+      (* One spec's tables answer every query of the case. *)
       List.for_all
         (fun _ ->
           let v = Rng.int rng n in
           let depth = Rng.int rng (n + 2) in
-          let want = bits (Reference.marginal ~depth spec tau v) in
-          bits (Saw.run compiled ~depth tau v) = want
-          && bits (Saw.marginal ~depth spec tau v) = want)
+          bits (Saw.marginal ~depth spec tau v) = bits (Reference.marginal ~depth spec tau v))
         [ 1; 2; 3 ])
 
 let test_saw_kernel_edge_cases () =
@@ -415,16 +671,17 @@ let test_saw_kernel_edge_cases () =
     [ 0; 5; 15 ];
   same "rescaled, pinned" ~depth:12 heavy (Config.of_pinning 16 [ (6, 1); (9, 0) ]) 0;
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  let compiled = Saw.compile heavy in
-  checkb "negative depth" true (raises (fun () -> Saw.run compiled ~depth:(-1) (Config.empty 16) 0));
+  let marginal ~depth tau = Saw.marginal ~depth heavy tau 0 in
+  checkb "negative depth" true (raises (fun () -> marginal ~depth:(-1) (Config.empty 16)));
   checkb "value outside {0, 1}" true
-    (raises (fun () -> Saw.run compiled ~depth:2 (Config.of_pinning 16 [ (1, 2) ]) 0));
+    (raises (fun () -> marginal ~depth:2 (Config.of_pinning 16 [ (1, 2) ])));
   checkb "values out of the walk's reach are not read" true
-    (Saw.run compiled ~depth:2 (Config.of_pinning 16 [ (15, 2) ]) 0 <> None);
+    (marginal ~depth:2 (Config.of_pinning 16 [ (15, 2) ]) <> None);
   checkb "pinning of another size" true
-    (raises (fun () -> Saw.run compiled ~depth:2 (Config.empty 15) 0));
+    (raises (fun () -> marginal ~depth:2 (Config.empty 15)));
   checkb "non-binary spec" true
-    (raises (fun () -> Saw.compile (Models.coloring (Generators.cycle 4) ~q:3)))
+    (raises (fun () ->
+         Saw.marginal ~depth:2 (Models.coloring (Generators.cycle 4) ~q:3) (Config.empty 4) 0))
 
 let test_saw_oracle_rejects_negative_depth () =
   let inst = Instance.unpinned (Models.hardcore (Generators.cycle 5) ~lambda:1.) in
@@ -445,7 +702,7 @@ let test_saw_oracle_other_spec () =
   in
   check "same graph, other fugacity" (Models.hardcore (Generators.cycle 6) ~lambda:2.);
   check "other graph" (Models.ising (Generators.grid 3 3) ~beta:0.4 ~field:1.3);
-  (* And the compiled spec of inst0 still serves inst0's own instances. *)
+  (* And inst0's own instances are answered from inst0's spec. *)
   let inst = Instance.of_pins inst0.Instance.spec [ (3, 1) ] in
   checkb "own spec" true
     (bits (Some (oracle.Inference.infer inst 0))
@@ -466,6 +723,167 @@ let qcheck_chain_matches_enumeration =
           | Some a, Some b -> Dist.tv a b < 1e-9
           | _ -> false)
         (List.init n (fun v -> v)))
+
+(* --- the spec's weight tables --- *)
+
+(* Distinct weights per (vertex, colour) and per oriented (edge, colour
+   pair), so a table read in the wrong orientation or slot shows. *)
+let distinct_weights g q =
+  let n = Graph.n g in
+  {
+    Spec.vertex_weight = (fun v c -> float_of_int (1 + (v * q) + c));
+    edge_weight =
+      (fun u w cu cw -> float_of_int (1 + (((((u * n) + w) * q) + cu) * q) + cw) /. 7.);
+  }
+
+let test_tables_contents () =
+  let rng = Rng.create 23L in
+  let graphs =
+    [
+      ("cycle", Generators.cycle 7);
+      ("tree", Generators.random_tree rng 9);
+      ("grid", Generators.grid 3 4);
+      (* ER with vertex 10 isolated by construction. *)
+      ( "ER",
+        Graph.create ~n:12 ~edges:(Graph.edges (Generators.erdos_renyi rng ~n:10 ~p:0.3)) );
+    ]
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun q ->
+          let what = Printf.sprintf "%s q=%d" name q in
+          let pw = distinct_weights g q in
+          let tb = Option.get (Spec.tables (Spec.create_pairwise g ~q pw)) in
+          let n = Graph.n g and m = Graph.m g in
+          checkb (what ^ ": sizes") true
+            (Array.length tb.Spec.vertex = n * q
+            && Array.length tb.Spec.off = n + 1
+            && Array.length tb.Spec.dst = 2 * m
+            && Array.length tb.Spec.rev = 2 * m
+            && Array.length tb.Spec.edge = 2 * m * q * q);
+          let ok = ref true in
+          for u = 0 to n - 1 do
+            for c = 0 to q - 1 do
+              if tb.Spec.vertex.((u * q) + c) <> pw.Spec.vertex_weight u c then ok := false
+            done;
+            let row = Graph.neighbors g u in
+            if tb.Spec.off.(u + 1) - tb.Spec.off.(u) <> Array.length row then ok := false
+            else
+              Array.iteri
+                (fun i w ->
+                  let s = tb.Spec.off.(u) + i in
+                  if tb.Spec.dst.(s) <> w then ok := false;
+                  if tb.Spec.dst.(tb.Spec.off.(w) + tb.Spec.rev.(s)) <> u then ok := false;
+                  for cu = 0 to q - 1 do
+                    for cw = 0 to q - 1 do
+                      let want =
+                        if u < w then pw.Spec.edge_weight u w cu cw
+                        else pw.Spec.edge_weight w u cw cu
+                      in
+                      if tb.Spec.edge.((((s * q) + cu) * q) + cw) <> want then ok := false
+                    done
+                  done)
+                row
+          done;
+          checkb (what ^ ": every entry is its closure, row vertex first") true !ok)
+        [ 1; 2; 3; 5 ])
+    graphs;
+  let raises f = match f () with _ -> false | exception Invalid_argument m -> m <> "" in
+  let g = Generators.path 3 in
+  let with_vertex vw = { (distinct_weights g 2) with Spec.vertex_weight = vw } in
+  checkb "a NaN vertex weight is refused" true
+    (raises (fun () ->
+         Spec.create_pairwise g ~q:2 (with_vertex (fun v _ -> if v = 2 then nan else 1.))));
+  checkb "an infinite vertex weight is refused" true
+    (raises (fun () ->
+         Spec.create_pairwise g ~q:2 (with_vertex (fun _ c -> if c = 1 then infinity else 1.))));
+  checkb "a negative edge weight is refused" true
+    (raises (fun () ->
+         Spec.create_pairwise g ~q:2
+           { (distinct_weights g 2) with Spec.edge_weight = (fun _ _ _ _ -> -1.) }))
+
+(* Once a pairwise spec exists, no kernel calls its weight closures. *)
+let test_tables_no_closure_calls () =
+  let calls = ref 0 in
+  let counted (pw : Spec.pairwise) =
+    {
+      Spec.vertex_weight = (fun v c -> incr calls; pw.Spec.vertex_weight v c);
+      edge_weight = (fun u w cu cw -> incr calls; pw.Spec.edge_weight u w cu cw);
+    }
+  in
+  let g = Generators.cycle 8 in
+  List.iter
+    (fun q ->
+      calls := 0;
+      let spec = Spec.create_pairwise g ~q (counted (distinct_weights g q)) in
+      checki (Printf.sprintf "q=%d: n·q + m·q² calls at creation" q)
+        ((8 * q) + (8 * q * q)) !calls;
+      calls := 0;
+      let tau = Config.of_pinning 8 [ (4, 0) ] in
+      if q = 2 then ignore (Saw.marginal ~depth:5 spec tau 0);
+      ignore (Forest_dp.ball_marginal spec ~ball:[| 7; 0; 1; 2 |] tau 0);
+      ignore (Chain_dp.marginal spec tau 0);
+      ignore (Chain_dp.log_partition spec tau);
+      ignore (Enumerate.marginal spec tau 0);
+      ignore (Spec.weight spec (Array.init 8 (fun v -> v mod q)));
+      checki (Printf.sprintf "q=%d: no closure call after creation" q) 0 !calls)
+    [ 2; 3 ]
+
+(* Paths, cycles and isolated vertices, in one graph whose vertex ids are
+   shuffled, so walks meet both edge orientations. *)
+let mixed_chain_graph rng =
+  let parts = List.init (1 + Rng.int rng 3) (fun _ -> (Rng.int rng 3, 1 + Rng.int rng 7)) in
+  let n = List.fold_left (fun acc (kind, k) -> acc + if kind = 0 then k + 2 else k) 0 parts in
+  let label = Array.init n Fun.id in
+  Rng.shuffle rng label;
+  let edges = ref [] and next = ref 0 in
+  List.iter
+    (fun (kind, k) ->
+      (* kind 0: a cycle of k + 2 >= 3; 1: a path of k; 2: k isolated. *)
+      let len = if kind = 0 then k + 2 else k in
+      let v i = label.(!next + i) in
+      if kind <> 2 then
+        for i = 0 to len - 2 do
+          edges := (v i, v (i + 1)) :: !edges
+        done;
+      if kind = 0 then edges := (v (len - 1), v 0) :: !edges;
+      next := !next + len)
+    parts;
+  Graph.create ~n ~edges:!edges
+
+let qcheck_chain_tables_bitwise =
+  QCheck.Test.make ~name:"chain DP on tables = closure chain DP, bit for bit" ~count:200
+    QCheck.(pair (int_range 0 2) small_int)
+    (fun (family, seed) ->
+      let rng = Rng.of_int (seed + (1000 * family)) in
+      let g =
+        match family with
+        | 0 -> Generators.cycle (3 + Rng.int rng 10)
+        | 1 -> Generators.path (1 + Rng.int rng 12)
+        | _ -> mixed_chain_graph rng
+      in
+      let n = Graph.n g and q = 1 + Rng.int rng 4 in
+      let salt = Rng.int rng 1000 in
+      let hard = Rng.bool rng in
+      let spec =
+        Spec.create_pairwise g ~q
+          {
+            Spec.vertex_weight =
+              (fun v c -> float_of_int (1 + ((salt + (3 * v) + c) mod 5)) /. 3.);
+            edge_weight =
+              (fun u w cu cw ->
+                let h = (salt + (7 * u) + (11 * w) + (5 * cu) + (13 * cw)) mod 6 in
+                if hard && h = 0 then 0. else float_of_int (1 + h) /. 4.);
+          }
+      in
+      let tau = random_pinning rng n q in
+      Int64.bits_of_float (Chain_dp.log_partition spec tau)
+      = Int64.bits_of_float (Chain_reference.log_partition spec tau)
+      && List.for_all
+           (fun v ->
+             bits (Chain_dp.marginal spec tau v) = bits (Chain_reference.marginal spec tau v))
+           (List.init n Fun.id))
 
 let suite =
   [
@@ -496,4 +914,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_saw_kernel_bitwise;
     QCheck_alcotest.to_alcotest qcheck_saw_matches_enumeration;
     QCheck_alcotest.to_alcotest qcheck_chain_matches_enumeration;
+    QCheck_alcotest.to_alcotest qcheck_chain_tables_bitwise;
+    Alcotest.test_case "spec tables: every entry is its closure" `Quick test_tables_contents;
+    Alcotest.test_case "spec tables: no closure call after creation" `Quick
+      test_tables_no_closure_calls;
   ]

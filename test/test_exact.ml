@@ -373,6 +373,42 @@ let qcheck_ball_kernels_bitwise =
       in
       same_marginal && same_first && same_weights && same_log_z)
 
+(* The models above have symmetric edge matrices.  Here the weight of an
+   edge depends on its endpoints and on which colour is whose, so a
+   kernel reading the spec's tables in the wrong orientation shows. *)
+let qcheck_forest_oriented_bitwise =
+  QCheck.Test.make ~name:"forest DP on tables = closure forest DP, oriented weights"
+    ~count:300
+    QCheck.(pair (int_range 1 4) small_int)
+    (fun (q, seed) ->
+      let rng = Rng.of_int ((100 * q) + seed) in
+      (* A random tree plus isolated vertices: a forest. *)
+      let tree = Generators.random_tree rng (1 + Rng.int rng 10) in
+      let n = Graph.n tree + Rng.int rng 3 in
+      let g = Graph.create ~n ~edges:(Graph.edges tree) in
+      let salt = Rng.int rng 1000 and hard = Rng.bool rng in
+      let spec =
+        Spec.create_pairwise g ~q
+          {
+            Spec.vertex_weight =
+              (fun v c -> float_of_int (1 + ((salt + (3 * v) + c) mod 5)) /. 3.);
+            edge_weight =
+              (fun u w cu cw ->
+                let h = (salt + (7 * u) + (11 * w) + (5 * cu) + (13 * cw)) mod 6 in
+                if hard && h = 0 then 0. else float_of_int (1 + h) /. 4.);
+          }
+      in
+      let pinned = Config.empty n in
+      for u = 0 to n - 1 do
+        if Rng.bernoulli rng 0.25 then pinned.(u) <- Rng.int rng q
+      done;
+      let v = Rng.int rng n in
+      let inst = Instance.create spec ~pinned in
+      let ball = random_set rng g v in
+      bits (Exact.ball_marginal inst ~ball v) = bits (Reference.ball_marginal inst ~ball v)
+      && Int64.bits_of_float (Forest_dp.log_partition spec pinned)
+         = Int64.bits_of_float (Reference.log_partition spec pinned))
+
 (* --- one contract for both kernels --- *)
 
 let raises_naming_ball_marginal f =
@@ -436,4 +472,5 @@ let suite =
     Alcotest.test_case "ball_marginal contract" `Quick test_ball_contract;
     QCheck_alcotest.to_alcotest qcheck_ball_kernels_bitwise;
     QCheck_alcotest.to_alcotest qcheck_scope_diameter;
+    QCheck_alcotest.to_alcotest qcheck_forest_oriented_bitwise;
   ]

@@ -381,6 +381,59 @@ let test_engine_duplicate_ids () =
   checkb "first slot answers its own request" true (List.nth batch 0 = solo a);
   checkb "second slot answers its own request" true (List.nth batch 1 = solo b)
 
+(* A request whose model a library constructor rejects is answered
+   [Bad_request] alone: its batch-mates (other keys, built before and
+   after it) get the answers they get on their own. *)
+let test_engine_bad_model_alone () =
+  let infer ~id ?engine model =
+    req ~id ~op:Protocol.Infer ~graph:"cycle:8" ?engine ~model ()
+  in
+  let first = infer ~id:0 "hardcore:1" and last = infer ~id:2 "ising:0.5" in
+  let solo r = Engine.submit (Engine.create ()) ~domains:1 r in
+  List.iter
+    (fun (bad, named) ->
+      let what = bad.Protocol.model ^ " on " ^ bad.Protocol.engine in
+      match Engine.submit_batch (Engine.create ()) ~domains:1 [ first; bad; last ] with
+      | [ a; Error (Engine.Bad_request msg); c ] ->
+          checkb (what ^ ": message names it") true (contains msg named);
+          checkb (what ^ ": first mate answered") true (a = solo first);
+          checkb (what ^ ": last mate answered") true (c = solo last)
+      | _ -> Alcotest.fail (what ^ ": expected the middle request alone refused"))
+    [
+      (infer ~id:1 "coloring:0", "coloring:0");
+      (infer ~id:1 "hardcore:nan", "hardcore:nan");
+      (infer ~id:1 "potts:3:-1", "potts:3:-1");
+      (infer ~id:1 ~engine:"saw" "coloring:3", "saw");
+    ]
+
+(* A model whose weight tables would exceed Protocol.max_table is refused
+   from the graph's size and q alone: coloring:1100 on cycle:8 needs
+   8·1100 + 16·1100² ≈ 1.9·10⁷ entries, so building it would allocate at
+   least that many words. *)
+let test_engine_table_cap () =
+  let big = req ~id:1 ~op:Protocol.Infer ~graph:"cycle:8" ~model:"coloring:1100" () in
+  let mate = req ~id:0 ~op:Protocol.Infer ~graph:"cycle:8" ~model:"coloring:3" () in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let e = Engine.create () in
+  let before = words () in
+  let refused = Engine.submit e ~domains:1 big in
+  let used = words () -. before in
+  (match refused with
+  | Error (Engine.Bad_request msg) ->
+      checkb "the message names the cap" true
+        (contains msg (string_of_int Protocol.max_table))
+  | _ -> Alcotest.fail "an over-cap model must be Bad_request");
+  checkb (Printf.sprintf "refused without building the tables (%.0f words)" used) true
+    (used < 1e6);
+  match Engine.submit_batch e ~domains:1 [ mate; big ] with
+  | [ Ok (Protocol.Infer_r _) as a; Error (Engine.Bad_request _) ] ->
+      checkb "its batch-mate is answered" true
+        (a = Engine.submit (Engine.create ()) ~domains:1 mate)
+  | _ -> Alcotest.fail "the batch-mate of an over-cap model must be answered"
+
 let test_engine_eviction_pressure () =
   (* An instance cache of 1 under alternating models must evict and the
      stats must say so — and the answers must not change. *)
@@ -1158,6 +1211,12 @@ let test_cli_rejects_bad_values () =
   expect "phase at a negative depth" [ "phase"; "--depth=-1" ] "depth";
   expect "phase at a negative fugacity" [ "phase"; "--lambdas=-1" ]
     "fugacity";
+  (* A model a library constructor rejects, or whose weights are not
+     finite non-negative numbers, is named before the model line prints. *)
+  List.iter
+    (fun m -> expect ("model " ^ m) [ "infer"; "-g"; "cycle:6"; "-m"; m ] m)
+    [ "coloring:0"; "coloring:-1"; "potts:0:1"; "potts:3:-1"; "hardcore:-1";
+      "hardcore:nan"; "ising:nan"; "hardcore:inf" ];
   (* The transcript opens before the connect: no daemon is needed to
      see the error, and none is retried for. *)
   expect "an unwritable transcript"
@@ -1216,4 +1275,7 @@ let suite =
       test_cli_env_exit2;
     Alcotest.test_case "cli: rejected values exit 2 before output" `Quick
       test_cli_rejects_bad_values;
+    Alcotest.test_case "engine: a bad model is refused alone" `Quick
+      test_engine_bad_model_alone;
+    Alcotest.test_case "engine: weight-table cap" `Quick test_engine_table_cap;
   ]
