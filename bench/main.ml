@@ -3,7 +3,8 @@
    `dune exec bench/main.exe` prints every experiment table (E1-E19, the
    paper-shape reproduction indexed in DESIGN.md / EXPERIMENTS.md) followed
    by the Bechamel micro-benchmarks.  Pass experiment ids (e1 ... e19,
-   micro) to run a subset; `--domains K` pins the parallel engine's domain
+   micro, or micro/GROUP for one row group of micro, e.g. micro/kernel)
+   to run a subset; `--domains K` pins the parallel engine's domain
    count (default: LOCSAMPLE_DOMAINS or the core count).
 
    Tables go to stdout; timing lines go to stderr, so stdout is bit-for-bit
@@ -35,8 +36,10 @@ let sections =
     ("e18", Experiments.e18);
     ("e19", Experiments.e19);
     ("decomp", Experiments.decomp_ablation);
-    ("micro", Micro.run);
+    ("micro", fun () -> Micro.run ());
   ]
+  (* [micro/GROUP] times one row group of [micro] alone. *)
+  @ List.map (fun (g, _) -> ("micro/" ^ g, fun () -> Micro.run ~only:g ())) Micro.groups
 
 let usage () =
   Printf.eprintf
@@ -202,7 +205,9 @@ let () =
       | Error msg -> Printf.eprintf "%s\n" msg; exit 2)
     [ Ls_par.Par.env_check; Ls_shard.Ckpt.env_check ];
   let requested =
-    match parse_args Sys.argv with [] -> List.map fst sections | ids -> ids
+    match parse_args Sys.argv with
+    | [] -> List.filter (fun id -> not (String.contains id '/')) (List.map fst sections)
+    | ids -> ids
   in
   print_endline
     "locsample benchmark harness -- reproduction of Feng & Yin, PODC 2018";

@@ -81,12 +81,14 @@ let ssm_infer ~t inst v =
   if Instance.is_pinned inst v then Dist.point q inst.Instance.pinned.(v)
   else begin
     let ball, gamma = ball_and_annulus inst ~v ~t in
-    let pinned =
+    (* The extension is a fresh array of in-alphabet values, so the ball
+       instance is built over it as it stands: [Instance.create] would copy
+       and re-check all n entries again. *)
+    let inst' =
       match locally_feasible_extension inst ~vertices:gamma with
-      | Some sigma -> sigma
-      | None -> inst.Instance.pinned
+      | Some sigma -> { inst with Instance.pinned = sigma }
+      | None -> inst
     in
-    let inst' = Instance.create inst.Instance.spec ~pinned in
     match Exact.ball_marginal inst' ~ball v with
     | Some d -> d
     | None -> (

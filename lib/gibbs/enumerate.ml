@@ -11,101 +11,230 @@ let find a x =
   in
   bin 0 (Array.length a)
 
-let mem members u = find members u >= 0
+let strictly_increasing a =
+  let rec go i = i >= Array.length a || (a.(i - 1) < a.(i) && go (i + 1)) in
+  go 1
 
-let fold_completions spec ~members tau ~init ~f =
-  Array.iteri
-    (fun i u ->
-      if i > 0 && members.(i - 1) >= u then
-        invalid_arg "Enumerate.fold_completions: members must be sorted and distinct")
-    members;
-  let q = Spec.q spec in
-  let factors = Spec.factors spec in
-  (* The relevant factors (scope inside the set), in ascending factor id:
-     each is found once, from the smallest vertex of its scope. *)
-  let ids = ref [] in
-  Array.iter
-    (fun u ->
+(* Per-domain scratch indexing the members of one call (the pattern of
+   [Graph.with_ball]): [stamp.(u) = epoch] marks [u] as a member and
+   [slot.(u)] is where its value sits in the working configuration, so
+   nothing of length n is cleared or allocated per call.  [ent] holds the
+   completion entries, three ints each, grown by doubling.  A call made
+   from inside [f] gets a fresh scratch. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable slot : int array;
+  mutable ent : int array;
+  mutable epoch : int;
+  mutable busy : bool;
+}
+
+let fresh_scratch () = { stamp = [||]; slot = [||]; ent = [||]; epoch = 0; busy = false }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+let with_scratch n k =
+  let sc = Domain.DLS.get scratch_key in
+  let sc = if sc.busy then fresh_scratch () else sc in
+  if Array.length sc.stamp < n then begin
+    sc.stamp <- Array.make n 0;
+    sc.slot <- Array.make n 0;
+    sc.epoch <- 0
+  end;
+  sc.epoch <- sc.epoch + 1;
+  sc.busy <- true;
+  match k sc with
+  | x ->
+      sc.busy <- false;
+      x
+  | exception e ->
+      sc.busy <- false;
+      raise e
+
+(* A completion entry is [kind; base; other].  With the working
+   configuration [x] and the completing vertex's value [c], its factor's
+   value is, by kind:
+   - 0, a vertex factor: [vertex.(base + c)];
+   - 1, an edge factor: [edge.(base + c·q + x.(other))], [other] the
+     other endpoint's slot (pinned, or assigned earlier);
+   - 2, a factor of a general spec: the closure of [general.(base)]. *)
+let push sc i kind base other =
+  if 3 * (i + 1) > Array.length sc.ent then begin
+    let ent = Array.make (max 48 (2 * Array.length sc.ent)) 0 in
+    Array.blit sc.ent 0 ent 0 (3 * i);
+    sc.ent <- ent
+  end;
+  sc.ent.(3 * i) <- kind;
+  sc.ent.((3 * i) + 1) <- base;
+  sc.ent.((3 * i) + 2) <- other
+
+(* A factor of a general spec, its scope resolved once to slots of the
+   working configuration; [vals] is its one values buffer, refilled at
+   every evaluation. *)
+type general = { table : int array -> float; src : int array; vals : int array }
+
+let eval_general g x =
+  for p = 0 to Array.length g.vals - 1 do
+    g.vals.(p) <- x.(g.src.(p))
+  done;
+  g.table g.vals
+
+(* Slot [u -> w] of the pairwise tables: the rank of [w] in [u]'s row. *)
+let slot_of (tb : Spec.tables) u w =
+  let rec bin lo hi =
+    let mid = (lo + hi) / 2 in
+    let d = tb.dst.(mid) in
+    if d = w then mid else if d < w then bin (mid + 1) hi else bin lo mid
+  in
+  bin tb.off.(u) tb.off.(u + 1)
+
+(* Is every vertex of [scope] from index [j] on a member that [tau] pins
+   or that is assigned no later than [v]?  Free members are assigned in
+   ascending order, so with [v] free this says that assigning [v]
+   completes the factor; with [v = -1], that [tau] fixes it. *)
+let rec completes sc tau scope v j =
+  j = Array.length scope
+  ||
+  let u = scope.(j) in
+  sc.stamp.(u) = sc.epoch
+  && (u <= v || tau.(u) <> Config.unassigned)
+  && completes sc tau scope v (j + 1)
+
+(* Enumerate the completions of [tau] over the sorted distinct [members]
+   in the working configuration [x] and call [leaf w] at each one of
+   positive weight.  When [local], [x] is indexed by position in
+   [members] (its length at least theirs); otherwise [x] is a copy of
+   [tau], indexed by vertex.  The order of the products is part of the
+   output, since float products depend on it: the prefix over the fully
+   pinned factors in ascending factor id, then at each assignment the
+   factors it completes in [factors_of_vertex] order. *)
+let enumerate spec ~members tau ~local x ~leaf =
+  let n = Graph.n (Spec.graph spec) in
+  let q = Spec.q spec and factors = Spec.factors spec and tables = Spec.tables spec in
+  with_scratch n (fun sc ->
+      let epoch = sc.epoch and k = ref 0 in
+      Array.iteri
+        (fun m u ->
+          sc.stamp.(u) <- epoch;
+          sc.slot.(u) <- (if local then m else u);
+          let c = tau.(u) in
+          if c = Config.unassigned then incr k
+          else begin
+            (* A pinned member's vertex factor is always evaluated, and
+               its table read would refuse such a value. *)
+            if tables <> None && (c < 0 || c >= q) then
+              invalid_arg "Spec: value outside the alphabet";
+            if local then x.(m) <- c
+          end)
+        members;
+      let k = !k in
+      (* The prefix: every factor already fully pinned, each found once
+         from the smallest vertex of its scope, in ascending factor id. *)
+      let pinned_ids = ref [] in
+      Array.iter
+        (fun u ->
+          if tau.(u) <> Config.unassigned then
+            Array.iter
+              (fun i ->
+                let scope = factors.(i).Spec.scope in
+                if scope.(0) = u && completes sc tau scope (-1) 0 then
+                  pinned_ids := i :: !pinned_ids)
+              (Spec.factors_of_vertex spec u))
+        members;
+      let pinned_ids = Array.of_list !pinned_ids in
+      Array.sort Int.compare pinned_ids;
+      let prefix = ref 1. in
       Array.iter
         (fun i ->
           let scope = factors.(i).Spec.scope in
-          if scope.(0) = u && Array.for_all (mem members) scope then ids := i :: !ids)
-        (Spec.factors_of_vertex spec u))
-    members;
-  let ids = Array.of_list !ids in
-  Array.sort Int.compare ids;
-  let scratch = Array.copy tau in
-  (* Track, per relevant factor, how many of its scope vertices are still
-     unassigned; a factor becomes evaluable exactly when this hits 0.  Each
-     factor owns one values buffer, refilled at every evaluation. *)
-  let remaining =
-    Array.map
-      (fun i ->
-        Array.fold_left
-          (fun acc v -> if scratch.(v) = Config.unassigned then acc + 1 else acc)
-          0 factors.(i).Spec.scope)
-      ids
-  in
-  let values = Array.map (fun i -> Array.make (Array.length factors.(i).Spec.scope) 0) ids in
-  let eval j =
-    let fa = factors.(ids.(j)) and vals = values.(j) in
-    let scope = fa.Spec.scope in
-    for k = 0 to Array.length scope - 1 do
-      vals.(k) <- scratch.(scope.(k))
-    done;
-    fa.Spec.table vals
-  in
-  (* Prefix weight: factors already fully assigned by tau. *)
-  let prefix = ref 1. in
-  Array.iteri (fun j r -> if r = 0 then prefix := !prefix *. eval j) remaining;
-  if !prefix <= 0. then init
-  else begin
-    let free = ref [] in
-    for idx = Array.length members - 1 downto 0 do
-      let v = members.(idx) in
-      if scratch.(v) = Config.unassigned then free := v :: !free
-    done;
-    let free = Array.of_list !free in
-    (* The relevant factors each free vertex completes or advances, in
-       ascending factor id. *)
-    let touched =
-      Array.map
-        (fun v ->
-          Spec.factors_of_vertex spec v |> Array.to_list
-          |> List.filter_map (fun i ->
-                 let j = find ids i in
-                 if j >= 0 then Some j else None)
-          |> Array.of_list)
-        free
-    in
-    let k = Array.length free in
-    let acc = ref init in
-    let rec go idx w =
-      if w <= 0. then ()
-      else if idx = k then acc := f !acc scratch w
+          prefix :=
+            !prefix
+            *.
+            match tables with
+            | Some tb when Array.length scope = 1 ->
+                let u = scope.(0) in
+                tb.vertex.((u * q) + tau.(u))
+            | Some tb ->
+                let a = scope.(0) and b = scope.(1) in
+                tb.edge.((((slot_of tb a b * q) + tau.(a)) * q) + tau.(b))
+            | None -> factors.(i).Spec.table (Array.map (fun u -> tau.(u)) scope))
+        pinned_ids;
+      let prefix = !prefix in
+      if prefix <= 0. then ()
       else begin
-        let v = free.(idx) and touched = touched.(idx) in
-        for c = 0 to q - 1 do
-          scratch.(v) <- c;
-          (* Multiply in the factors completed by this assignment. *)
-          let dw = ref 1. in
-          for t = 0 to Array.length touched - 1 do
-            let j = touched.(t) in
-            remaining.(j) <- remaining.(j) - 1;
-            if remaining.(j) = 0 then dw := !dw *. eval j
-          done;
-          go (idx + 1) (w *. !dw);
-          for t = 0 to Array.length touched - 1 do
-            let j = touched.(t) in
-            remaining.(j) <- remaining.(j) + 1
-          done;
-          scratch.(v) <- Config.unassigned
-        done
-      end
-    in
-    go 0 !prefix;
-    !acc
-  end
+        (* The free members in ascending order: the one of rank [i] is
+           written at [x.(pos.(i))], and [start.(i) .. start.(i + 1) - 1]
+           are the entries of the factors that assigning it completes. *)
+        let pos = Array.make k 0 and start = Array.make (k + 1) 0 in
+        let general = ref [] and ngeneral = ref 0 and i = ref 0 and e = ref 0 in
+        Array.iter
+          (fun v ->
+            if tau.(v) = Config.unassigned then begin
+              pos.(!i) <- sc.slot.(v);
+              start.(!i) <- !e;
+              incr i;
+              Array.iter
+                (fun fi ->
+                  let scope = factors.(fi).Spec.scope in
+                  if completes sc tau scope v 0 then begin
+                    (match tables with
+                    | Some _ when Array.length scope = 1 -> push sc !e 0 (v * q) (-1)
+                    | Some tb ->
+                        let o = if scope.(0) = v then scope.(1) else scope.(0) in
+                        push sc !e 1 (slot_of tb v o * q * q) sc.slot.(o)
+                    | None ->
+                        let src = Array.map (fun u -> sc.slot.(u)) scope in
+                        let vals = Array.make (Array.length scope) 0 in
+                        general := { table = factors.(fi).Spec.table; src; vals } :: !general;
+                        push sc !e 2 !ngeneral (-1);
+                        incr ngeneral);
+                    incr e
+                  end)
+                (Spec.factors_of_vertex spec v)
+            end)
+          members;
+        start.(k) <- !e;
+        let general = Array.of_list (List.rev !general) in
+        let vertex, edge =
+          match tables with Some tb -> (tb.vertex, tb.edge) | None -> ([||], [||])
+        in
+        let ent = sc.ent in
+        (* [ws.(i)] is the weight of the partial assignment of ranks below
+           [i]; keeping it in a float array spares a boxed float per node. *)
+        let ws = Array.make (k + 1) prefix in
+        let rec go idx =
+          let w = ws.(idx) in
+          if w <= 0. then ()
+          else if idx = k then leaf w
+          else begin
+            let p = pos.(idx) in
+            for c = 0 to q - 1 do
+              x.(p) <- c;
+              let dw = ref 1. in
+              for t = start.(idx) to start.(idx + 1) - 1 do
+                let base = ent.((3 * t) + 1) in
+                dw :=
+                  !dw
+                  *.
+                  match ent.(3 * t) with
+                  | 0 -> vertex.(base + c)
+                  | 1 -> edge.(base + (c * q) + x.(ent.((3 * t) + 2)))
+                  | _ -> eval_general general.(base) x
+              done;
+              ws.(idx + 1) <- w *. !dw;
+              go (idx + 1)
+            done
+          end
+        in
+        go 0
+      end)
+
+let fold_completions spec ~members tau ~init ~f =
+  if not (strictly_increasing members) then
+    invalid_arg "Enumerate.fold_completions: members must be sorted and distinct";
+  let acc = ref init and sigma = Array.copy tau in
+  enumerate spec ~members tau ~local:false sigma ~leaf:(fun w -> acc := f !acc sigma w);
+  !acc
 
 let all_members spec = Array.init (Graph.n (Spec.graph spec)) Fun.id
 
@@ -124,12 +253,11 @@ let distribution spec tau =
   if not (z > 0.) then failwith "Enumerate.distribution: infeasible pinning";
   List.rev_map (fun (sigma, w) -> (sigma, w /. z)) support
 
-let marginal_weights spec ~members tau v =
-  let weights = Array.make (Spec.q spec) 0. in
-  let (_ : unit) =
-    fold_completions spec ~members tau ~init:() ~f:(fun () sigma w ->
-        weights.(sigma.(v)) <- weights.(sigma.(v)) +. w)
-  in
+(* [v] is the free member at position [iv] of [members]. *)
+let marginal_weights spec ~members tau iv =
+  let weights = Array.make (Spec.q spec) 0. and x = Array.make (Array.length members) 0 in
+  enumerate spec ~members tau ~local:true x ~leaf:(fun w ->
+      weights.(x.(iv)) <- weights.(x.(iv)) +. w);
   if Array.for_all (fun w -> w <= 0.) weights then None
   else Some (Dist.of_weights weights)
 
@@ -140,16 +268,23 @@ let marginal spec tau v =
   else marginal_weights spec ~members:(all_members spec) tau v
 
 let ball_marginal spec ~ball tau v =
-  let members = Array.copy ball in
-  Array.sort Int.compare members;
-  Array.iteri
-    (fun i u ->
-      if i > 0 && members.(i - 1) = u then
-        invalid_arg "Enumerate.ball_marginal: duplicate vertex in ball")
-    members;
-  if not (mem members v) then invalid_arg "Enumerate.ball_marginal: v not in ball";
+  let members =
+    if strictly_increasing ball then ball
+    else begin
+      let members = Array.copy ball in
+      Array.sort Int.compare members;
+      Array.iteri
+        (fun i u ->
+          if i > 0 && members.(i - 1) = u then
+            invalid_arg "Enumerate.ball_marginal: duplicate vertex in ball")
+        members;
+      members
+    end
+  in
+  let iv = find members v in
+  if iv < 0 then invalid_arg "Enumerate.ball_marginal: v not in ball";
   if Config.is_assigned tau v then Some (Dist.point (Spec.q spec) tau.(v))
-  else marginal_weights spec ~members tau v
+  else marginal_weights spec ~members tau iv
 
 let count_feasible spec =
   let n = Graph.n (Spec.graph spec) in

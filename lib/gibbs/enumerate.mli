@@ -5,7 +5,22 @@
     [μ_v(c) = Σ_{σ ∈ C, σ_v = c} w_B(σ) / Σ_{σ ∈ C} w_B(σ)] that the
     paper's inference algorithms (§4.1, §5) compute inside a gathered ball.
     Cost is [O(q^{#free})]; callers keep the free region small (tiny whole
-    instances for validation, radius-bounded balls in the algorithms). *)
+    instances for validation, radius-bounded balls in the algorithms).
+
+    One enumerator serves every entry point.  Its set-up visits only the
+    factors of the set's vertices, over per-domain stamp scratch, and
+    builds two things: the product of the factors [tau] already fixes, and
+    for each free vertex the list of factors that assigning it completes,
+    each resolved once (a pairwise factor to its entry in {!Spec.tables},
+    a general one to its closure, scope sources and one reused values
+    buffer).  The search then multiplies in one list per assignment and
+    keeps its partial weights in a float array, so a node costs its
+    list's table reads and no allocation.  The set-up allocates words in
+    the size of the set, never in n, except where {!fold_completions}
+    hands [f] a whole configuration (one copy of [tau]).  The products
+    are taken in a fixed order, which the output bits depend on: the
+    fixed factors in ascending factor id, then each assignment's list in
+    {!Spec.factors_of_vertex} order. *)
 
 val fold_completions :
   Spec.t ->
@@ -19,10 +34,10 @@ val fold_completions :
     with [tau] on already-assigned members, and call [f acc σ w] with
     [w = w_B(σ) = Π_{(f,S) : S ⊆ B} f(σ_S)] for every [σ] of positive
     weight.  Zero-weight branches are pruned as soon as a completed factor
-    vanishes.  Only the factors of member vertices are visited, so apart
-    from one copy of [tau] the set-up costs the set, not the spec.  The
-    configuration passed to [f] is a scratch buffer — copy it if you keep
-    it. *)
+    vanishes.  The configuration passed to [f] is one copy of [tau],
+    rewritten in place — copy it if you keep it.  A pairwise spec's
+    pinned member holding a value outside the alphabet raises
+    [Invalid_argument]. *)
 
 val partition : Spec.t -> Config.t -> float
 (** [Z(τ) = Σ_{σ ⊇ τ} w(σ)] over total completions of [tau]. *)
@@ -42,7 +57,9 @@ val ball_marginal :
   Spec.t -> ball:int array -> Config.t -> int -> Ls_dist.Dist.t option
 (** Marginal of [v] in the ball-restricted measure [w_B] given the pinnings
     of [tau] inside the ball — the quantity computed locally by the
-    algorithms of Lemma 4.1 and Theorem 5.1.  Raises [Invalid_argument]
+    algorithms of Lemma 4.1 and Theorem 5.1.  [ball] may come in any
+    order; a strictly increasing one (as [Graph.ball_dist] returns it) is
+    used as it stands, without a sorted copy.  Raises [Invalid_argument]
     when [v] is not in [ball] or [ball] repeats a vertex. *)
 
 val count_feasible : Spec.t -> int

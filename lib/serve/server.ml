@@ -230,6 +230,26 @@ let close_conn c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
+(* The drain's close.  Closing a TCP socket that still holds unread
+   bytes resets the connection, and the reset discards the answers still
+   in flight to the peer (written, not yet received); on a Unix socket
+   the peer reads them, then ECONNRESET instead of EOF.  So the bytes the
+   peer sent that were never read — requests that arrived after the stop
+   — are read and dropped first, up to 16 reads. *)
+let close_drained c =
+  if c.alive then begin
+    let buf = Bytes.create read_chunk in
+    let rec discard k =
+      if k > 0 then
+        match Unix.select [ c.fd ] [] [] 0. with
+        | [ _ ], _, _ ->
+            if Unix.read c.fd buf 0 read_chunk > 0 then discard (k - 1)
+        | _ -> ()
+    in
+    (try discard 16 with Unix.Unix_error _ -> ());
+    close_conn c
+  end
+
 let send_response c resp =
   if c.alive then
     try Protocol.write_response c.fd resp with
@@ -630,7 +650,7 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
   in
   Fun.protect
     ~finally:(fun () ->
-      List.iter close_conn !conns;
+      List.iter close_drained !conns;
       if owns_listener then begin
         (try Unix.close listen_fd with Unix.Unix_error _ -> ());
         match cfg.address with

@@ -21,6 +21,7 @@ let () =
       ("graph", Test_graph.suite);
       ("gibbs", Test_gibbs.suite);
       ("exact", Test_exact.suite);
+      ("enumerate", Test_enumerate.suite);
       ("matching_dp", Test_matching_dp.suite);
       ("engines", Test_engines.suite);
       ("counting", Test_counting.suite);

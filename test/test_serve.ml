@@ -950,23 +950,48 @@ let test_server_drain_under_load () =
   List.iter
     (fun r -> Client.send c r)
     (List.init n (fun i -> req ~id:i ~seed:21L ~trials:5_000 ()));
-  (* One select round to admit the burst, then interrupt mid-execution. *)
-  Ls_shard.Supervisor.sleep_ms 60;
+  (* The daemon answers Health as it decodes the frame, so the reply
+     proves every request before it was read and admitted: only then
+     interrupt, mid-execution. *)
+  Client.send c (req ~id:n ~op:Protocol.Health ~graph:"-" ~model:"-" ~engine:"-" ~t:0 ());
+  let seen = Array.make n 0 and answered = ref 0 in
+  let sample resp =
+    checkb "rid in range" true (resp.Protocol.rid >= 0 && resp.Protocol.rid < n);
+    seen.(resp.Protocol.rid) <- seen.(resp.Protocol.rid) + 1;
+    incr answered;
+    match resp.Protocol.body with
+    | Protocol.Sample_r _ -> ()
+    | _ -> Alcotest.fail "unexpected body during drain"
+  in
+  let rec await_health () =
+    match Client.recv c with
+    | Error msg -> Alcotest.fail ("health before the drain: " ^ msg)
+    | Ok { Protocol.rid; body = Protocol.Health_r _ } when rid = n -> ()
+    | Ok resp ->
+        sample resp;
+        await_health ()
+  in
+  await_health ();
   Unix.kill pid Sys.sigterm;
-  let seen = Array.make n 0 in
-  for _ = 1 to n do
+  (* A request the stopping daemon usually never reads: closing over
+     unread bytes would reset the connection (and on TCP discard answers
+     in flight), so the stream must still end in a clean EOF. *)
+  Client.send c (req ~id:(n + 1) ~seed:22L ());
+  while !answered < n do
     match Client.recv c with
     | Error msg -> Alcotest.fail ("the drain must answer first: " ^ msg)
-    | Ok resp ->
-        checkb "rid in range" true (resp.Protocol.rid >= 0 && resp.Protocol.rid < n);
-        seen.(resp.Protocol.rid) <- seen.(resp.Protocol.rid) + 1;
-        (match resp.Protocol.body with
-        | Protocol.Sample_r _ -> ()
-        | _ -> Alcotest.fail "unexpected body during drain")
+    | Ok resp -> sample resp
   done;
-  (match Client.recv c with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "after the drain: EOF, not extra responses");
+  (* The late request is answered, last, only when the daemon read it
+     before the stop took hold. *)
+  let rec finish late =
+    match Client.recv c with
+    | Error "server closed the connection" -> ()
+    | Error msg -> Alcotest.fail ("after the drain: EOF, not " ^ msg)
+    | Ok { Protocol.rid; _ } when rid = n + 1 && not late -> finish true
+    | Ok _ -> Alcotest.fail "after the drain: EOF, not extra responses"
+  in
+  finish false;
   Client.close c;
   let _, status = Unix.waitpid [] pid in
   Array.iteri
