@@ -643,6 +643,34 @@ let e10 () =
 (* E11 — end-to-end round complexity of exact sampling (Cor. 5.3).     *)
 (* ------------------------------------------------------------------ *)
 
+(* E11's recipe, shared with [e11_scale]: the SSM rate measured on a
+   hardcore cycle at lambda = 1, and per n the radius t*, the JVV
+   locality and the scheduler's stats at that locality. *)
+let e11_lambda = 1.
+
+let e11_alpha () =
+  let inst = Instance.unpinned (Models.hardcore (Generators.cycle 64) ~lambda:e11_lambda) in
+  let rng = Rng.create 3L in
+  match Ssm.fit_exponential_rate (Ssm.decay_curve ~rng inst ~v:0 ~max_d:8) with
+  | Some a -> a
+  | None -> 0.5
+
+let e11_row ~alpha n =
+  let fn = float_of_int n in
+  let budget = 5. *. 2. *. (fn ** 4.) in
+  let t_star = int_of_float (Float.ceil (log budget /. log (1. /. alpha))) in
+  let locality = (9 * t_star) + 2 in
+  let stats =
+    Scheduler.compile ~graph:(Generators.cycle n) ~locality
+      ~rng:(Rng.create (Int64.of_int (7 * n)))
+      ~run:(fun ~order:_ -> ())
+      ()
+  in
+  (t_star, locality, stats)
+
+let e11_rounds_per_log3 n stats =
+  Table.f ~digits:1 (float_of_int stats.Scheduler.rounds /. (log (float_of_int n) ** 3.))
+
 let e11 () =
   (* Corollary 5.3: SSM at rate alpha gives exact sampling in
      O(1/(1-alpha) log^3 n) rounds.  We measure each factor of the
@@ -654,32 +682,12 @@ let e11 () =
        - the LOCAL rounds actually charged by the Lemma 3.1 scheduler at
          that locality (decomposition + chromatic simulation).
      The last column, rounds / ln^3 n, should stay bounded. *)
-  let lambda = 1. in
-  let alpha =
-    let inst = Instance.unpinned (Models.hardcore (Generators.cycle 64) ~lambda) in
-    let rng = Rng.create 3L in
-    match Ssm.fit_exponential_rate (Ssm.decay_curve ~rng inst ~v:0 ~max_d:8) with
-    | Some a -> a
-    | None -> 0.5
-  in
-  Printf.printf "\nE11: measured SSM rate alpha = %.3f at lambda = %.1f\n" alpha lambda;
+  let alpha = e11_alpha () in
+  Printf.printf "\nE11: measured SSM rate alpha = %.3f at lambda = %.1f\n" alpha e11_lambda;
   let rows =
     Par.map_list
       (fun n ->
-        let fn = float_of_int n in
-        let budget = 5. *. 2. *. (fn ** 4.) in
-        let t_star =
-          int_of_float (Float.ceil (log budget /. log (1. /. alpha)))
-        in
-        let locality = (9 * t_star) + 2 in
-        let g = Generators.cycle n in
-        let stats =
-          Scheduler.compile ~graph:g ~locality
-            ~rng:(Rng.create (Int64.of_int (7 * n)))
-            ~run:(fun ~order:_ -> ())
-            ()
-        in
-        let log3 = log fn ** 3. in
+        let t_star, locality, stats = e11_row ~alpha n in
         [
           Table.i n;
           Table.i t_star;
@@ -687,7 +695,7 @@ let e11 () =
           Table.i stats.Scheduler.colors;
           Table.i stats.Scheduler.rounds;
           Table.i stats.Scheduler.failures;
-          Table.f ~digits:1 (float_of_int stats.Scheduler.rounds /. log3);
+          e11_rounds_per_log3 n stats;
         ])
       [ 32; 64; 128; 256; 512 ]
   in
@@ -700,6 +708,49 @@ let e11 () =
        rounds = O(log^3 n), i.e. the last column stays bounded."
     ~header:[ "n"; "t*"; "locality"; "colors"; "rounds"; "failures"; "rounds/ln^3 n" ]
     rows
+
+(* E11's recipe out to n = 2^17, where G^{locality+1} stops being
+   complete.  The power graph is implicit, so a plan costs O(n) memory
+   at any locality.  Rows run one after another so that each plan's
+   wall time (stderr, with the stats it belongs to) is its own. *)
+let e11_scale () =
+  let alpha = e11_alpha () in
+  Printf.printf "\nE11-scale: measured SSM rate alpha = %.3f at lambda = %.1f\n" alpha
+    e11_lambda;
+  let sizes = List.init 8 (fun i -> 1 lsl (10 + i)) in
+  let results =
+    List.map
+      (fun n ->
+        let w0 = Unix.gettimeofday () in
+        let t_star, locality, stats = e11_row ~alpha n in
+        Printf.eprintf "[e11-scale n=%d plan %.3fs]\n%!" n (Unix.gettimeofday () -. w0);
+        (n, t_star, locality, stats))
+      sizes
+  in
+  Table.print
+    ~title:"E11-scale  exact-sampling round complexity at scale (hardcore cycles, lambda=1)"
+    ~note:
+      "E11's recipe at n = 2^10 .. 2^17.  clusters = Linial-Saks clusters of\n\
+       G^{locality+1}; the plan's wall time goes to stderr.  Paper shape:\n\
+       rounds = O(log^3 n), i.e. the last column stays bounded."
+    ~header:
+      [ "n"; "t*"; "locality"; "colors"; "clusters"; "failures"; "rounds"; "rounds/ln^3 n" ]
+    (List.map
+       (fun (n, t_star, locality, stats) ->
+         [
+           Table.i n;
+           Table.i t_star;
+           Table.i locality;
+           Table.i stats.Scheduler.colors;
+           Table.i stats.Scheduler.clusters;
+           Table.i stats.Scheduler.failures;
+           Table.i stats.Scheduler.rounds;
+           e11_rounds_per_log3 n stats;
+         ])
+       results);
+  match List.find_opt (fun (_, _, _, s) -> s.Scheduler.colors > 1) results with
+  | Some (n, _, _, _) -> Printf.printf "first n with colors > 1: %d\n" n
+  | None -> Printf.printf "first n with colors > 1: none\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: decomposition truncation budgets vs certifiable failures. *)
@@ -2109,25 +2160,3 @@ let e19 () =
            ])
          results)
   end
-
-let run_all () =
-  e1 ();
-  e2 ();
-  e3 ();
-  e4 ();
-  e5 ();
-  e6 ();
-  e7 ();
-  e8 ();
-  e9 ();
-  e10 ();
-  e11 ();
-  e12 ();
-  e13 ();
-  e14 ();
-  e15 ();
-  e16 ();
-  e17 ();
-  e18 ();
-  e19 ();
-  decomp_ablation ()

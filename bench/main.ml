@@ -3,9 +3,9 @@
    `dune exec bench/main.exe` prints every experiment table (E1-E19, the
    paper-shape reproduction indexed in DESIGN.md / EXPERIMENTS.md) followed
    by the Bechamel micro-benchmarks.  Pass experiment ids (e1 ... e19,
-   micro, or micro/GROUP for one row group of micro, e.g. micro/kernel)
-   to run a subset; `--domains K` pins the parallel engine's domain
-   count (default: LOCSAMPLE_DOMAINS or the core count).
+   e11-scale, micro, or micro/GROUP for one row group of micro, e.g.
+   micro/kernel) to run a subset; `--domains K` pins the parallel
+   engine's domain count (default: LOCSAMPLE_DOMAINS or the core count).
 
    Tables go to stdout; timing lines go to stderr, so stdout is bit-for-bit
    identical at every domain count and can be diffed to check the engine's
@@ -27,6 +27,7 @@ let sections =
     ("e9", Experiments.e9);
     ("e10", Experiments.e10);
     ("e11", Experiments.e11);
+    ("e11-scale", Experiments.e11_scale);
     ("e12", Experiments.e12);
     ("e13", Experiments.e13);
     ("e14", Experiments.e14);

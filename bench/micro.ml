@@ -65,8 +65,6 @@ let core_rows () =
     Test.make ~name:"matching_dp/edge_marginal (tree depth 10)"
       (Staged.stage (fun () ->
            ignore (Matching_dp.edge_marginal tree10 ~lambda:1. ~pins:[] (0, 1))));
-    Test.make ~name:"graph/power^3 (C64)"
-      (Staged.stage (fun () -> ignore (Graph.power cycle64 3)));
     Test.make ~name:"sequential_sample (C64, t=2 oracle)"
       (Staged.stage (fun () ->
            ignore
@@ -108,6 +106,17 @@ let plan_rows () =
         ~name:(Printf.sprintf "local_sampler/plan (hardcore cycle:%d, t=2)" n)
         (Staged.stage (fun () -> ignore (Local_sampler.plan oracle inst ~seed:1L))))
     [ 256; 1024; 4096 ]
+  (* The scheduler alone, where G^{locality+1} is dense: on grid:8x8 at
+     locality 10 (sample-saw's plan) it is nearly complete. *)
+  @ List.map
+      (fun (name, g, locality) ->
+        Test.make
+          ~name:(Printf.sprintf "scheduler/compile_plan (%s, locality %d)" name locality)
+          (Staged.stage (fun () ->
+               ignore
+                 (Ls_local.Scheduler.compile_plan ~graph:g ~locality
+                    ~rng:(Rng.create 1L) ()))))
+      [ ("grid:8x8", Generators.grid 8 8, 10); ("cycle:256", Generators.cycle 256, 4) ]
 
 (* One whole chain-rule sample (plan plus payload) at growing n; each
    step pins in place, so what remains superlinear is the per-step

@@ -126,7 +126,10 @@ let with_ball g v r k =
   end;
   s.epoch <- s.epoch + 1;
   let epoch = s.epoch and stamp = s.stamp and dist = s.dist and order = s.order in
-  (* An out-of-range [v] raises here, before the scratch is marked busy. *)
+  (* An out-of-range [v] raises here, before the scratch is marked busy.
+     The scratch may be longer than [g.n] (a bigger graph grew it), so
+     the check indexes the graph's rows, not the scratch. *)
+  let (_ : int array) = g.adj.(v) in
   stamp.(v) <- epoch;
   dist.(v) <- 0;
   order.(0) <- v;
@@ -137,16 +140,20 @@ let with_ball g v r k =
     let u = order.(!head) in
     incr head;
     let du = dist.(u) in
-    if du < r then
-      Array.iter
-        (fun w ->
-          if stamp.(w) <> epoch then begin
-            stamp.(w) <- epoch;
-            dist.(w) <- du + 1;
-            order.(!tail) <- w;
-            incr tail
-          end)
-        g.adj.(u)
+    if du < r then begin
+      (* A [for] loop over the row, not [Array.iter]: a closure over [du]
+         would be allocated once per dequeued vertex. *)
+      let row = g.adj.(u) in
+      for i = 0 to Array.length row - 1 do
+        let w = row.(i) in
+        if stamp.(w) <> epoch then begin
+          stamp.(w) <- epoch;
+          dist.(w) <- du + 1;
+          order.(!tail) <- w;
+          incr tail
+        end
+      done
+    end
   done;
   (* Unreachable vertices are at distance [max_int], so they lie in
      [B_max_int(v)]: append them last, in id order. *)
@@ -171,6 +178,22 @@ let iter_ball g v r f =
       for i = 0 to size - 1 do
         let u = order.(i) in
         f u dist.(u)
+      done)
+
+(* Distances in G^k are [⌈d_G/k⌉], so B_r(v) of G^k is B_{k·r}(v) of G:
+   one host search, no power graph.  A host radius past [max_int] is
+   clamped to [max_int], whose search also appends the unreachable
+   vertices; those are outside every finite power ball, so [pd <= r]
+   drops them unless [r = max_int] asks for them. *)
+let iter_power_ball g ~k v r f =
+  if k < 1 then invalid_arg "Graph.iter_power_ball: exponent must be >= 1";
+  let host_r = if r < 0 then -1 else if r > max_int / k then max_int else k * r in
+  with_ball g v host_r (fun ~order ~dist ~size ->
+      for i = 0 to size - 1 do
+        let u = order.(i) in
+        let d = dist.(u) in
+        let pd = if d = max_int then max_int else (d + k - 1) / k in
+        if pd <= r then f u pd
       done)
 
 (* The ball's vertices [order.(lo .. hi-1)], sorted by id. *)
@@ -260,20 +283,6 @@ let induced g vs =
         g.adj.(v))
     vs;
   (create ~n:k ~edges:!edges, vs)
-
-let power g k =
-  if k < 1 then invalid_arg "Graph.power: exponent must be >= 1";
-  let m = ref 0 in
-  let adj =
-    Array.init g.n (fun v ->
-        with_ball g v k (fun ~order ~dist:_ ~size ->
-            (* order.(0) is v itself. *)
-            let row = Array.sub order 1 (size - 1) in
-            Array.sort Int.compare row;
-            m := !m + (size - 1);
-            row))
-  in
-  { n = g.n; adj; m = !m / 2 }
 
 let is_triangle_free g =
   try

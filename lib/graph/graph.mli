@@ -4,8 +4,9 @@
     sorted neighbor lists, built once from an edge list; all algorithms in
     the repository treat graphs as immutable.  This module provides the
     graph-theoretic vocabulary of the paper: distances [dist_G(u,v)], balls
-    [B_r(v)], power graphs [G^k] (used by the network decomposition of
-    Lemma 3.1), induced subgraphs (used by ball enumeration), and the
+    [B_r(v)], balls of the power graph [G^k] (used by the network
+    decomposition of Lemma 3.1, which never materialises [G^k]), induced
+    subgraphs (used by ball enumeration), and the
     structural predicates the applications need (max degree, triangle-
     freeness, forest test). *)
 
@@ -55,6 +56,15 @@ val iter_ball : t -> int -> int -> (int -> int -> unit) -> unit
     [n].  At [r = max_int] the ball is every vertex: those unreachable
     from [v] come last, at distance [max_int]. *)
 
+val iter_power_ball : t -> k:int -> int -> int -> (int -> int -> unit) -> unit
+(** [iter_power_ball g ~k v r f] calls [f u d] once for every [u] in
+    [B_r(v)] of the power graph [G^k] ([u ~ w] iff
+    [1 ≤ dist_G(u,w) ≤ k]), where [d = ⌈dist_G(v,u)/k⌉] is the [G^k]
+    distance, in non-decreasing [d].  [G^k] is never built: this is one
+    {!iter_ball} search of radius [k·r] on [g], so it costs the host
+    ball and O(1) words.  [r < 0] visits nothing; [k < 1] raises
+    [Invalid_argument]. *)
+
 val ball : t -> int -> int -> int array
 (** [ball g v r] is [B_r(v) = { u | dist(u,v) ≤ r }], sorted.  One
     radius-bounded search as {!iter_ball}, then a sort: it costs
@@ -85,9 +95,6 @@ val induced : t -> int array -> t * int array
 (** [induced g vs] is the subgraph induced by the vertex set [vs]
     (duplicates rejected) together with the map from new indices to
     original vertex ids (i.e. [vs] itself, sorted). *)
-
-val power : t -> int -> t
-(** [power g k] is [G^k]: [u ~ v] iff [1 ≤ dist_G(u,v) ≤ k]. *)
 
 val is_triangle_free : t -> bool
 

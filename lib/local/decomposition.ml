@@ -24,7 +24,8 @@ let log2_ceil n =
 let default_radius_cap n = (2 * log2_ceil (max 2 n)) + 2
 let default_phase_cap n = (4 * log2_ceil (max 2 n)) + 4
 
-let linial_saks ?radius_cap ?phase_cap g rng =
+let linial_saks ?radius_cap ?phase_cap ?(hop = 1) g rng =
+  if hop < 1 then invalid_arg "Decomposition.linial_saks: hop must be >= 1";
   let n = Graph.n g in
   let radius_cap = Option.value radius_cap ~default:(default_radius_cap n) in
   let phase_cap = Option.value phase_cap ~default:(default_phase_cap n) in
@@ -35,48 +36,51 @@ let linial_saks ?radius_cap ?phase_cap g rng =
   let unclustered v = cluster_of.(v) = -1 in
   let phases_used = ref 0 in
   let phase = ref 0 in
-  (* The still-unclustered vertices in increasing id.  Every per-phase
-     loop runs over them alone, in the order a sweep of 0..n-1 would, so
-     a phase costs its candidates' balls rather than n. *)
-  let pending = ref (Array.init n Fun.id) in
+  (* The still-unclustered vertices in increasing id are
+     [pending.(0 .. live-1)].  Every per-phase loop runs over them alone,
+     in the order a sweep of 0..n-1 would, so a phase costs its
+     candidates' balls rather than n. *)
+  let pending = Array.init n Fun.id and live = ref n in
   let radii = Array.make n 0 in
   let best_r = Array.make n (-1) in
   let best_u = Array.make n (-1) in
   let best_dist = Array.make n max_int in
-  while !phase < phase_cap && Array.length !pending > 0 do
+  while !phase < phase_cap && !live > 0 do
     incr phases_used;
     (* Draw truncated geometric radii for the still-unclustered vertices. *)
-    Array.iter
-      (fun v ->
-        radii.(v) <- min (Rng.geometric rng 0.5) radius_cap;
-        best_r.(v) <- -1;
-        best_u.(v) <- -1;
-        best_dist.(v) <- max_int)
-      !pending;
+    for i = 0 to !live - 1 do
+      let v = pending.(i) in
+      radii.(v) <- min (Rng.geometric rng 0.5) radius_cap;
+      best_r.(v) <- -1;
+      best_u.(v) <- -1;
+      best_dist.(v) <- max_int
+    done;
     (* Candidate election: per vertex, the best (r_u, u) with d(u,v) <= r_u
-       among unclustered u.  BFS from each candidate center u, cut at r_u.
-       Candidates are visited in increasing id, so a later u wins a tie on
-       r_u exactly as the lexicographic key (r_u, u) says. *)
-    Array.iter
-      (fun u ->
-        let r_u = radii.(u) in
-        Graph.iter_ball g u r_u (fun v d ->
-            if unclustered v && r_u >= best_r.(v) then begin
-              best_r.(v) <- r_u;
-              best_u.(v) <- u;
-              best_dist.(v) <- d
-            end))
-      !pending;
+       among unclustered u, d measured in G^hop.  One host search from
+       each candidate center u, cut at hop·r_u.  Candidates are visited in
+       increasing id, so a later u wins a tie on r_u exactly as the
+       lexicographic key (r_u, u) says; the order of visits inside a ball
+       does not matter, as each v is visited once per candidate. *)
+    for i = 0 to !live - 1 do
+      let u = pending.(i) in
+      let r_u = radii.(u) in
+      Graph.iter_power_ball g ~k:hop u r_u (fun v d ->
+          if unclustered v && r_u >= best_r.(v) then begin
+            best_r.(v) <- r_u;
+            best_u.(v) <- u;
+            best_dist.(v) <- d
+          end)
+    done;
     (* Strict-interior vertices join their winner's cluster this phase. *)
     let members_of = Hashtbl.create 16 in
-    Array.iter
-      (fun v ->
-        let r_u = best_r.(v) and u = best_u.(v) in
-        if u >= 0 && best_dist.(v) < r_u then begin
-          let prev = try Hashtbl.find members_of u with Not_found -> [] in
-          Hashtbl.replace members_of u ((v, best_dist.(v)) :: prev)
-        end)
-      !pending;
+    for i = 0 to !live - 1 do
+      let v = pending.(i) in
+      let r_u = best_r.(v) and u = best_u.(v) in
+      if u >= 0 && best_dist.(v) < r_u then begin
+        let prev = try Hashtbl.find members_of u with Not_found -> [] in
+        Hashtbl.replace members_of u ((v, best_dist.(v)) :: prev)
+      end
+    done;
     Hashtbl.iter
       (fun u members ->
         let id = !num_clusters in
@@ -91,7 +95,16 @@ let linial_saks ?radius_cap ?phase_cap g rng =
           vs;
         clusters := { center = u; color = !phase; members = vs; radius } :: !clusters)
       members_of;
-    pending := Array.of_seq (Seq.filter unclustered (Array.to_seq !pending));
+    (* Keep the still-unclustered prefix, in order, in place. *)
+    let kept = ref 0 in
+    for i = 0 to !live - 1 do
+      let v = pending.(i) in
+      if unclustered v then begin
+        pending.(!kept) <- v;
+        incr kept
+      end
+    done;
+    live := !kept;
     incr phase
   done;
   let failed = Array.map (fun c -> c = -1) cluster_of in
@@ -110,11 +123,11 @@ let linial_saks ?radius_cap ?phase_cap g rng =
     phase_cap;
   }
 
-let is_valid g d =
+let is_valid ?(hop = 1) g d =
   let n = Graph.n g in
   let ok = ref true in
   (* Membership consistency. *)
-  let seen = Array.make n false in
+  let seen = Array.make n false and reached = Array.make n (-1) in
   Array.iteri
     (fun idx cl ->
       Array.iter
@@ -125,9 +138,10 @@ let is_valid g d =
           if d.color_of.(v) <> cl.color then ok := false)
         cl.members;
       if cl.radius > d.radius_cap then ok := false;
-      (* Weak-diameter check: member distances to the center. *)
-      let dists = Graph.bfs_distances g cl.center in
-      Array.iter (fun v -> if dists.(v) > cl.radius then ok := false) cl.members)
+      (* Weak radius: one G^hop ball of the cluster's radius around its
+         center must reach every member. *)
+      Graph.iter_power_ball g ~k:hop cl.center cl.radius (fun v _ -> reached.(v) <- idx);
+      Array.iter (fun v -> if reached.(v) <> idx then ok := false) cl.members)
     d.clusters;
   for v = 0 to n - 1 do
     if d.failed.(v) then begin
@@ -135,11 +149,15 @@ let is_valid g d =
     end
     else if not seen.(v) then ok := false
   done;
-  (* Same-color clusters must be non-adjacent. *)
-  Graph.iter_edges g (fun u v ->
-      let cu = d.cluster_of.(u) and cv = d.cluster_of.(v) in
-      if cu >= 0 && cv >= 0 && cu <> cv && d.color_of.(u) = d.color_of.(v) then
-        ok := false);
+  (* Same-color clusters must be non-adjacent in G^hop: no two of them
+     within host distance [hop]. *)
+  for u = 0 to n - 1 do
+    let cu = d.cluster_of.(u) in
+    if cu >= 0 then
+      Graph.iter_ball g u hop (fun v _ ->
+          let cv = d.cluster_of.(v) in
+          if cv >= 0 && cv <> cu && d.color_of.(u) = d.color_of.(v) then ok := false)
+  done;
   !ok
 
 let max_radius_of_color d color =

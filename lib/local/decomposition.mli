@@ -4,7 +4,10 @@
     clusters of weak diameter [≤ D], colored with [C] colors so that
     same-colored clusters are non-adjacent.  Lemma 3.1 compiles SLOCAL
     algorithms to LOCAL by computing such a decomposition on the power
-    graph [G^{r+1}] and scheduling color classes sequentially.
+    graph [G^{r+1}] and scheduling color classes sequentially.  The power
+    graph stays implicit: [~hop:k] decomposes [G^k] through host-graph
+    balls ({!Ls_graph.Graph.iter_power_ball}), so memory stays O(n)
+    however dense [G^k] is.
 
     This is the classic construction: per phase, every still-unclustered
     vertex [u] draws a truncated geometric radius [r_u]; vertex [v] elects
@@ -22,7 +25,9 @@ type cluster = {
   center : int;
   color : int;  (** Phase that formed the cluster. *)
   members : int array;  (** Sorted; may exclude the center itself. *)
-  radius : int;  (** Max member distance to center (weak, in the host graph). *)
+  radius : int;
+      (** Max member distance to center (weak: measured in [G^hop], through
+          any vertex of the host graph). *)
 }
 
 type t = {
@@ -42,12 +47,20 @@ val default_phase_cap : int -> int
 (** [⌈4·log₂ n⌉ + 4]. *)
 
 val linial_saks :
-  ?radius_cap:int -> ?phase_cap:int -> Ls_graph.Graph.t -> Ls_rng.Rng.t -> t
+  ?radius_cap:int -> ?phase_cap:int -> ?hop:int -> Ls_graph.Graph.t -> Ls_rng.Rng.t -> t
+(** [linial_saks ~hop g rng] decomposes [G^hop] (default [hop = 1], [g]
+    itself); every distance, radius and cap is in [G^hop] hops.  Each
+    candidate's ball is one host search of radius [hop·r_u], and the
+    output equals that of the same construction run on a materialised
+    [G^hop] with the same draws.  [hop < 1] raises [Invalid_argument]. *)
 
-val is_valid : Ls_graph.Graph.t -> t -> bool
-(** Check the invariants: every non-failed vertex is in exactly one
-    cluster, member radii are within the cap, and same-color clusters are
-    non-adjacent in the host graph. *)
+val is_valid : ?hop:int -> Ls_graph.Graph.t -> t -> bool
+(** Check the invariants of a decomposition of [G^hop] (default
+    [hop = 1]): every non-failed vertex is in exactly one cluster, member
+    radii are within the cap and reached by one [G^hop] ball of the
+    cluster radius around the center, and same-color clusters are
+    non-adjacent in [G^hop] (every pair is more than [hop] apart in
+    [g]).  Memory is O(n). *)
 
 val max_radius_of_color : t -> int -> int
 (** Largest cluster radius within one color class (0 if the class is

@@ -27,21 +27,22 @@ type plan = {
   p_failures : int;
 }
 
-(* The expensive, cacheable half: power graph, Linial–Saks decomposition,
-   the realized global ordering, and the round bill.  A plan is a pure
-   function of (graph, locality, the rng's draw sequence, caps) and holds
-   no reference to the graph or the decomposition, so it can sit in an
-   LRU cache for as long as the keying seed stays meaningful. *)
+(* The expensive, cacheable half: Linial–Saks decomposition of the
+   implicit power graph G^{locality+1}, the realized global ordering, and
+   the round bill.  A plan is a pure function of (graph, locality, the
+   rng's draw sequence, caps) and holds no reference to the graph or the
+   decomposition, so it can sit in an LRU cache for as long as the keying
+   seed stays meaningful. *)
 let compile_plan ~graph ~locality ~rng ?radius_cap ?phase_cap () =
-  let power = Graph.power graph (locality + 1) in
-  let d = Decomposition.linial_saks ?radius_cap ?phase_cap power rng in
+  let hop = locality + 1 in
+  let d = Decomposition.linial_saks ?radius_cap ?phase_cap ~hop graph rng in
   (* Global order: colors in increasing order; within a color, clusters in
-     index order; within a cluster, members by distance from the center
-     (BFS order), ties by id — any fixed rule yields a valid adversarial
+     index order; within a cluster, members by G^hop distance from the
+     center, ties by id — any fixed rule yields a valid adversarial
      ordering pi.  Every member lies within the cluster radius of its
-     center, so a BFS cut there reaches them all; a member [v] at distance
-     [dist] sorts by the key [dist * n + v]. *)
-  let n = Graph.n power in
+     center, so a G^hop ball of that radius reaches them all; a member
+     [v] at distance [dist] sorts by the key [dist * n + v]. *)
+  let n = Graph.n graph in
   let order = ref [] in
   let by_color = Array.make d.Decomposition.num_colors [] in
   Array.iteri
@@ -55,7 +56,8 @@ let compile_plan ~graph ~locality ~rng ?radius_cap ?phase_cap () =
           let cl = d.Decomposition.clusters.(idx) in
           let keys = Array.make (Array.length cl.Decomposition.members) 0 in
           let k = ref 0 in
-          Graph.iter_ball power cl.Decomposition.center cl.Decomposition.radius
+          Graph.iter_power_ball graph ~k:hop cl.Decomposition.center
+            cl.Decomposition.radius
             (fun v dist ->
               if d.Decomposition.cluster_of.(v) = idx then begin
                 keys.(!k) <- (dist * n) + v;
@@ -74,12 +76,12 @@ let compile_plan ~graph ~locality ~rng ?radius_cap ?phase_cap () =
   in
   (* Round accounting (documented in the interface). *)
   let decomposition_rounds =
-    d.Decomposition.phase_cap * d.Decomposition.radius_cap * (locality + 1)
+    d.Decomposition.phase_cap * d.Decomposition.radius_cap * hop
   in
   let sim_rounds = ref 0 in
   for c = 0 to d.Decomposition.num_colors - 1 do
     let r_c = Decomposition.max_radius_of_color d c in
-    sim_rounds := !sim_rounds + (2 * ((r_c * (locality + 1)) + locality))
+    sim_rounds := !sim_rounds + (2 * ((r_c * hop) + locality))
   done;
   let max_cluster_radius =
     Array.fold_left

@@ -1,7 +1,10 @@
 (** The SLOCAL → LOCAL compiler (Lemma 3.1, after Ghaffari–Kuhn–Maus).
 
     Given an SLOCAL algorithm with locality [r], compute a Linial–Saks
-    decomposition of the power graph [G^{r+1}] and process color classes
+    decomposition of the power graph [G^{r+1}] — implicitly: [G^{r+1}] is
+    never built, every ball of it is one host-graph ball of [r+1] times
+    its radius ({!Ls_graph.Graph.iter_power_ball}), so a plan costs O(n)
+    memory however dense [G^{r+1}] is — and process color classes
     sequentially; within a color class all clusters run in parallel (they
     are [> r]-separated in [G], so concurrent steps cannot interact), and
     within a cluster the nodes are processed sequentially by the cluster
@@ -46,8 +49,9 @@ type plan = {
   p_max_cluster_radius : int;
   p_failures : int;
 }
-(** A compiled schedule: the expensive half of {!compile} — power graph,
-    Linial–Saks decomposition, realized ordering, round bill — detached
+(** A compiled schedule: the expensive half of {!compile} — Linial–Saks
+    decomposition of the implicit [G^{r+1}], realized ordering, round
+    bill — detached
     from any payload.  A plan is a pure function of
     [(graph, locality, rng draw sequence, caps)] and holds no reference to
     the graph, so it can be cached and replayed against many payloads

@@ -444,7 +444,9 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
      bytes without waiting for the count requested. *)
   let scratch = Bytes.create read_chunk in
   let rec drain c =
-    if c.alive then
+    (* A stop that lands between two reads ends the reading here, so a
+       frame that arrives after the SIGTERM handler ran is not admitted. *)
+    if c.alive && not !stop_flag then
       match Unix.select [ c.fd ] [] [] 0. with
       | [ _ ], _, _ -> (
           match Unix.read c.fd scratch 0 read_chunk with
@@ -638,6 +640,10 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
         @ List.map (fun c -> c.fd) !conns
       in
       (match Unix.select fds [] [] 0.5 with
+      | _ when !stop_flag ->
+          (* The signal was handled inside select's blocking section:
+             stop before accepting or reading anything more. *)
+          ()
       | readable, _, _ ->
           if List.memq listen_fd readable then accept_new ();
           List.iter

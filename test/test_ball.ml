@@ -326,6 +326,25 @@ let test_ball_allocation () =
     (fun () -> ignore (Graph.ball g 16384 1));
   check "ball after a raise" [| 0; 1; 16383 |] (fun () -> Graph.ball g 0 1)
 
+(* The search itself allocates nothing per visited vertex: a
+   radius-1000 ball visits 2001 vertices of [cycle:16384].  Before it, a
+   smaller graph's out-of-range centre raises on a scratch that a bigger
+   graph grew, and must not leave that scratch in use. *)
+let test_wide_ball_allocation () =
+  let g = Generators.cycle 16384 in
+  ignore (Graph.ball g 0 1);
+  Alcotest.check_raises "centre out of a smaller graph" (Invalid_argument "index out of bounds")
+    (fun () -> Graph.iter_ball (Generators.cycle 8) 8 1 (fun _ _ -> ()));
+  let sum, minor, major =
+    words (fun () ->
+        let sum = ref 0 in
+        Graph.iter_ball g 8200 1000 (fun _ d -> sum := !sum + d);
+        !sum)
+  in
+  Alcotest.(check int) "distance sum" (1000 * 1001) sum;
+  checkb (Printf.sprintf "r=1000: %.0f minor words < 200" minor) true (minor < 200.);
+  checkb (Printf.sprintf "r=1000: %.0f major words < 200" major) true (major < 200.)
+
 (* A ball query made inside another one's callback gets its own scratch. *)
 let test_nested_ball () =
   let g = Generators.path 9 in
@@ -340,6 +359,8 @@ let test_nested_ball () =
 let suite =
   [
     Alcotest.test_case "ball allocates O(1) words at any n" `Quick test_ball_allocation;
+    Alcotest.test_case "a radius-1000 ball allocates O(1) words" `Quick
+      test_wide_ball_allocation;
     Alcotest.test_case "nested ball queries" `Quick test_nested_ball;
     QCheck_alcotest.to_alcotest qcheck_graph;
     QCheck_alcotest.to_alcotest qcheck_annulus;

@@ -9,6 +9,28 @@ module Rng = Ls_rng.Rng
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* Frozen reference code the library no longer carries. *)
+module Reference = struct
+  (* G^k, materialised from one whole-graph BFS per vertex: what the
+     Linial–Saks plan decomposed before the power graph became implicit. *)
+  let power g k =
+    let n = Graph.n g in
+    let edges = ref [] in
+    for v = 0 to n - 1 do
+      let d = Graph.bfs_distances g v in
+      for u = v + 1 to n - 1 do
+        if d.(u) <= k then edges := (v, u) :: !edges
+      done
+    done;
+    Graph.create ~n ~edges:!edges
+end
+
+(* [(u, d)] pairs of [Graph.iter_power_ball g ~k v r], in visit order. *)
+let power_ball g k v r =
+  let seen = ref [] in
+  Graph.iter_power_ball g ~k v r (fun u d -> seen := (u, d) :: !seen);
+  List.rev !seen
+
 let test_create_basic () =
   let g = Graph.create ~n:4 ~edges:[ (0, 1); (1, 2); (1, 2); (2, 1) ] in
   checki "n" 4 (Graph.n g);
@@ -107,10 +129,18 @@ let test_induced () =
 
 let test_power () =
   let g = Generators.path 5 in
-  let g2 = Graph.power g 2 in
-  checkb "dist-2 edge" true (Graph.mem_edge g2 0 2);
-  checkb "no dist-3 edge" false (Graph.mem_edge g2 0 3);
-  checki "m of P5^2" 7 (Graph.m g2)
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "B_1(0) in P5^2" [ (0, 0); (1, 1); (2, 1) ] (power_ball g 2 0 1);
+  Alcotest.check pairs "B_2(0) in P5^2" [ (0, 0); (1, 1); (2, 1); (3, 2); (4, 2) ]
+    (power_ball g 2 0 2);
+  Alcotest.check pairs "negative radius: empty" [] (power_ball g 2 0 (-1));
+  (* Each G^2 edge is seen from both ends: 2·m of P5^2, as materialised. *)
+  let degree_sum =
+    List.fold_left (fun acc v -> acc + List.length (power_ball g 2 v 1) - 1) 0 [ 0; 1; 2; 3; 4 ]
+  in
+  checki "m of P5^2" (Graph.m (Reference.power g 2)) (degree_sum / 2);
+  Alcotest.check_raises "exponent 0" (Invalid_argument "Graph.iter_power_ball: exponent must be >= 1")
+    (fun () -> Graph.iter_power_ball g ~k:0 0 1 (fun _ _ -> ()))
 
 let test_components () =
   let g = Graph.create ~n:5 ~edges:[ (0, 1); (3, 4) ] in
@@ -250,17 +280,23 @@ let qcheck_power_distances =
     (fun (seed, n, k) ->
       let rng = Rng.of_int seed in
       let g = Generators.erdos_renyi rng ~n ~p:0.3 in
-      let gk = Graph.power g k in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        let d = Graph.bfs_distances g u in
-        for v = 0 to n - 1 do
-          if u <> v then
-            let expected = d.(v) <= k in
-            if Graph.mem_edge gk u v <> expected then ok := false
-        done
-      done;
-      !ok)
+      let gk = Reference.power g k in
+      (* Every radius matches a BFS of the materialised G^k: [max_int]
+         also lists the unreachable vertices, and [max_int / 2] (a host
+         radius past [max_int] for k ≥ 3) must not. *)
+      List.for_all
+        (fun r ->
+          List.for_all
+            (fun v ->
+              let d = Graph.bfs_distances gk v in
+              let seen = power_ball g k v r in
+              let dists = List.map snd seen in
+              List.for_all (fun (u, du) -> d.(u) = du) seen
+              && List.sort compare (List.map fst seen)
+                 = List.filter (fun u -> d.(u) <= r) (List.init n Fun.id)
+              && dists = List.sort compare dists)
+            (List.init n Fun.id))
+        [ -1; 0; 1; 2; 3; max_int / 2; max_int ])
 
 let qcheck_iter_ball_matches_bfs =
   QCheck.Test.make ~name:"iter_ball visits B_r(v) with BFS distances, in BFS order"

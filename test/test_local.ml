@@ -215,12 +215,12 @@ let test_scheduler_same_color_clusters_separated () =
   let rng = Rng.create 17L in
   let locality = 2 in
   let g = Generators.grid 4 6 in
-  let power = Graph.power g (locality + 1) in
-  let d = Decomposition.linial_saks power rng in
+  let hop = locality + 1 in
+  let d = Decomposition.linial_saks ~hop g rng in
   checkb "decomposition of the power graph is valid" true
-    (Decomposition.is_valid power d);
+    (Decomposition.is_valid ~hop g d);
+  checkb "radii are in G^hop hops, not G's" false (Decomposition.is_valid g d);
   (* Non-adjacency in G^{locality+1} == distance > locality+1 in G. *)
-  Graph.iter_edges g (fun _ _ -> ());
   Array.iteri
     (fun i ci ->
       Array.iteri
@@ -263,6 +263,24 @@ let test_scheduler_failure_path () =
   checki "all failed" 10 stats.Scheduler.failures;
   checkb "flags set" true (Array.for_all (fun f -> f) stats.Scheduler.failed)
 
+(* The plan never builds G^{locality+1}: at locality 400 the power graph
+   would hold 800 neighbours per vertex, so a plan that allocates a
+   small constant times n words cannot have materialised it. *)
+let test_scheduler_plan_memory () =
+  let n = 65536 and locality = 400 in
+  let g = Generators.cycle n in
+  ignore (Graph.ball g 0 1);
+  let plan, minor, major =
+    Test_ball.words (fun () ->
+        Scheduler.compile_plan ~graph:g ~locality ~rng:(Rng.create 31L) ())
+  in
+  checki "every vertex scheduled" n (Array.length plan.Scheduler.p_order);
+  let words = minor +. major in
+  checkb
+    (Printf.sprintf "%.0f words < 128 n" words)
+    true
+    (words < 128. *. float_of_int n)
+
 let test_flood_views_meter_bits () =
   let g = Generators.cycle 6 in
   let net = Network.create g ~inputs:(Array.make 6 ()) ~seed:29L in
@@ -295,20 +313,13 @@ let qcheck_decomposition_valid =
 (* --- Differential check: ball-local plan vs whole-graph BFS --- *)
 
 (* The plan path as it stood when every BFS swept the whole graph: the
-   power graph from one full BFS per vertex, candidate election from one
-   full BFS per candidate, member ordering from one full BFS per cluster
-   center.  The ball-local code must reproduce it exactly. *)
+   power graph materialised from one full BFS per vertex
+   ([Test_graph.Reference.power]), candidate election from one full BFS
+   per candidate, member ordering from one full BFS per cluster center.
+   The ball-local code over the implicit power graph must reproduce it
+   exactly. *)
 module Reference = struct
-  let power g k =
-    let n = Graph.n g in
-    let edges = ref [] in
-    for v = 0 to n - 1 do
-      let d = Graph.bfs_distances g v in
-      for u = v + 1 to n - 1 do
-        if d.(u) <= k then edges := (v, u) :: !edges
-      done
-    done;
-    Graph.create ~n ~edges:!edges
+  let power = Test_graph.Reference.power
 
   let linial_saks ?radius_cap ?phase_cap g rng =
     let n = Graph.n g in
@@ -448,8 +459,9 @@ let qcheck_plan_matches_whole_graph_bfs =
       in
       let k = locality + 1 in
       let same_power =
-        let p = Graph.power g k and q = Reference.power g k in
-        Graph.edges p = Graph.edges q && Graph.m p = Graph.m q
+        Decomposition.linial_saks ?radius_cap ?phase_cap ~hop:k g (Rng.of_int seed)
+        = Reference.linial_saks ?radius_cap ?phase_cap (Reference.power g k)
+            (Rng.of_int seed)
       in
       let same_decomposition =
         Decomposition.linial_saks ?radius_cap ?phase_cap g (Rng.of_int seed)
@@ -487,6 +499,7 @@ let suite =
       test_scheduler_same_color_clusters_separated;
     Alcotest.test_case "scheduler rounds scale" `Quick test_scheduler_rounds_scale;
     Alcotest.test_case "scheduler failure path" `Quick test_scheduler_failure_path;
+    Alcotest.test_case "scheduler plan memory is O(n)" `Slow test_scheduler_plan_memory;
     Alcotest.test_case "flooding meters bits" `Quick test_flood_views_meter_bits;
     Alcotest.test_case "reset_bits re-zeroes the meter" `Quick test_reset_bits;
     QCheck_alcotest.to_alcotest qcheck_decomposition_valid;
