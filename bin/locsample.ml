@@ -99,10 +99,9 @@ let async_of_flags ~async_mode ~timeout_base =
 
 (* --- commands ------------------------------------------------------- *)
 
-let sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faults ~policy
-    ~async ~sketch ~sketch_k ~shard_cfg trials =
+let sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faulty ~faults
+    ~policy ~async ~sketch ~sketch_k ~shard_cfg trials =
   let order = Array.init (Instance.n inst) (fun i -> i) in
-  let faulty = not (Faults.is_none faults) || async <> None in
   if faulty then
     Printf.printf "fault plan per trial: %s, retry budget %d%s\n"
       (Faults.describe faults) policy.Resilient.retry_budget
@@ -113,9 +112,6 @@ let sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faults ~policy
             (Ls_local.Async.mode_name (Ls_local.Async.mode cfg)));
   let run_one =
     if faulty then begin
-      let epsilon =
-        match epsilon with Some e -> e | None -> Jvv.theory_epsilon inst
-      in
       (* Per-trial fault plan: the same schedule shape reseeded from the
          trial's own stream, so the sweep stays bit-identical across
          domain counts. *)
@@ -136,14 +132,10 @@ let sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faults ~policy
           in
           (r.Local_sampler.success, r.Local_sampler.sigma)
     end
-    else if exact_jvv then begin
-      let epsilon =
-        match epsilon with Some e -> e | None -> Jvv.theory_epsilon inst
-      in
+    else if exact_jvv then
       fun rng ->
         let r = Jvv.run oracle ~epsilon inst ~order ~rng in
         (r.Jvv.success, r.Jvv.y)
-    end
     else
       fun rng ->
         let r = Local_sampler.sample oracle inst ~seed:(Rng.bits64 rng) in
@@ -244,6 +236,9 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
   let faulty = not (Faults.is_none faults) || async <> None in
   let g, m, inst = make_instance ~graph ~model ~seed in
   let oracle = make_oracle ~engine ~t inst in
+  let epsilon =
+    match epsilon with Some e -> e | None -> Jvv.theory_epsilon inst
+  in
   Printf.printf "graph: %d vertices, %d edges; model: %s\n" (Graph.n g) (Graph.m g)
     m.Engine.describe;
   (* Single runs shard the broadcast phases themselves (the transport
@@ -255,13 +250,10 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
       at_exit Shard.uninstall
   | _ -> ());
   if trials > 1 then
-    sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faults ~policy
-      ~async ~sketch ~sketch_k ~shard_cfg trials
+    sample_many ~m ~inst ~oracle ~exact_jvv ~epsilon ~seed ~faulty ~faults
+      ~policy ~async ~sketch ~sketch_k ~shard_cfg trials
   else if faulty then begin
     if exact_jvv then begin
-      let epsilon =
-        match epsilon with Some e -> e | None -> Jvv.theory_epsilon inst
-      in
       let s =
         Jvv.run_local_resilient oracle ~epsilon ~policy ~faults ?async inst
           ~seed:(Int64.of_int seed)
@@ -291,9 +283,6 @@ let sample graph model t seed engine exact_jvv epsilon trials fault_rate
   end
   else begin
   if exact_jvv then begin
-    let epsilon =
-      match epsilon with Some e -> e | None -> Jvv.theory_epsilon inst
-    in
     let result, stats =
       Jvv.run_local oracle ~epsilon inst ~seed:(Int64.of_int seed)
     in

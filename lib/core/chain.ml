@@ -1,4 +1,5 @@
 module Config = Ls_gibbs.Config
+module Slocal = Ls_local.Slocal
 
 (* [trail.(0 .. depth-1)] are the pinned vertices, oldest first. *)
 type t = { live : Instance.t; mutable trail : int array; mutable depth : int }
@@ -43,3 +44,22 @@ let run inst ~order ~choose =
   let c = start inst in
   Array.iter (fun v -> if not (is_pinned c v) then pin c v (choose c.live v)) order;
   c.live.pinned
+
+let slocal_pass inst rt ~order ~radius ~field ~store ~choose =
+  check_order inst order;
+  let c = start inst in
+  Slocal.run_pass rt ~order ~radius (fun ctx ->
+      let v = Slocal.center ctx in
+      if not (is_pinned c v) then begin
+        (* The chain sits at the caller's pinning between steps: pin what
+           the ball shows, choose, and unpin. *)
+        let m = mark c in
+        Array.iter
+          (fun u ->
+            let x = field (Slocal.read ctx u) in
+            if x <> Config.unassigned && not (is_pinned c u) then pin c u x)
+          (Slocal.ball ctx);
+        let x = choose ctx c.live v in
+        undo c m;
+        Slocal.write ctx v (store (Slocal.read ctx v) x)
+      end)

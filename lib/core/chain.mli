@@ -39,3 +39,21 @@ val run :
     vertex of [order] not yet pinned, pin [choose live v] where [live] is
     the chain's {!instance}.  Returns the final pinning, owned by the
     caller. *)
+
+val slocal_pass :
+  Instance.t ->
+  's Ls_local.Slocal.t ->
+  order:int array ->
+  radius:int ->
+  field:('s -> int) ->
+  store:('s -> int -> 's) ->
+  choose:('s Ls_local.Slocal.ctx -> Instance.t -> int -> int) ->
+  unit
+(** One chain-rule pass on the locality-enforcing SLOCAL runtime, at
+    radius [radius] along [order] ({!check_order}).  At each vertex [v]
+    the instance does not pin, the step pins into one chain the value
+    [field] reads from every state in [v]'s ball ([Config.unassigned]
+    for none; a vertex the instance pins keeps its value), stores
+    [choose ctx live v] at [v] through [store], and unpins.  Values
+    outside the ball cannot move a radius-[radius] oracle's answer, so
+    [live] is a faithful prefix instance for such an oracle. *)

@@ -279,7 +279,6 @@ let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
   Chain.check_order inst order;
   let n = Instance.n inst in
   let g = Instance.graph inst in
-  let spec = inst.Instance.spec in
   let t = oracle.Inference.radius in
   let ell = Instance.locality inst in
   let big_r = (3 * t) + ell in
@@ -293,35 +292,17 @@ let run_certified (oracle : Inference.oracle) ~epsilon ?(adaptive = false) inst
     { ground = c; y = c; cur = Config.unassigned }
   in
   let rt = Slocal.create g ~seed ~init in
-  (* A chain pass through the runtime: read the relevant field of every
-     node within radius t, rebuild the prefix instance, infer, choose. *)
-  let chain_pass_certified ~field ~store ~choose =
-    Slocal.run_pass rt ~order ~radius:t (fun ctx ->
-        let v = Slocal.center ctx in
-        if not (Instance.is_pinned inst v) then begin
-          let pinned = Array.copy inst.Instance.pinned in
-          Array.iter
-            (fun u ->
-              let c = field (Slocal.read ctx u) in
-              if c <> Config.unassigned && pinned.(u) = Config.unassigned then
-                pinned.(u) <- c)
-            (Slocal.ball ctx);
-          let inst' = Instance.create spec ~pinned in
-          let mu_hat = oracle.Inference.infer inst' v in
-          let c = choose ctx mu_hat in
-          Slocal.write ctx v (store (Slocal.read ctx v) c)
-        end)
-  in
   (* Pass 1: ground state. *)
-  chain_pass_certified
+  Chain.slocal_pass inst rt ~order ~radius:t
     ~field:(fun s -> s.ground)
     ~store:(fun s c -> { s with ground = c })
-    ~choose:(fun _ mu -> Dist.argmax mu);
+    ~choose:(fun _ live v -> Dist.argmax (oracle.Inference.infer live v));
   (* Pass 2: the sample Y, drawn from each node's own stream. *)
-  chain_pass_certified
+  Chain.slocal_pass inst rt ~order ~radius:t
     ~field:(fun s -> s.y)
     ~store:(fun s c -> { s with y = c })
-    ~choose:(fun ctx mu -> Dist.sample (Slocal.rng ctx) mu);
+    ~choose:(fun ctx live v ->
+      Dist.sample (Slocal.rng ctx) (oracle.Inference.infer live v));
   (* Pass 2b (radius 0): initialize the interpolation at the ground state. *)
   Slocal.run_pass rt ~order ~radius:0 (fun ctx ->
       let v = Slocal.center ctx in
@@ -410,26 +391,16 @@ let run_local (oracle : Inference.oracle) ~epsilon ?trace inst ~seed =
   in
   finish_local stats (Option.get !out)
 
-module Network = Ls_local.Network
-module Faults = Ls_local.Faults
 module Resilient = Ls_local.Resilient
-module Async = Ls_local.Async
 
 type supervised = {
   sresult : result;
-  sstats : Scheduler.stats;
   resilience : Resilient.report;
   total_rounds : int;
 }
 
-let count_failed failed =
-  Array.fold_left (fun a f -> if f then a + 1 else a) 0 failed
-
-let run_local_resilient (oracle : Inference.oracle) ~epsilon
-    ?(policy = Resilient.default) ?(faults = Faults.none) ?trace ?async inst
-    ~seed =
-  let g = Instance.graph inst in
-  let n = Instance.n inst in
+let run_local_resilient (oracle : Inference.oracle) ~epsilon ?policy ?faults
+    ?trace ?async inst ~seed =
   (* Ball collection for JVV happens per pass: radii t, t, 3t + l
      (Claims 4.6/4.7) — each pass floods its own radius, and a node whose
      flooded view misses part of that pass's ball cannot evaluate its
@@ -437,72 +408,21 @@ let run_local_resilient (oracle : Inference.oracle) ~epsilon
      exactly its radius leaves no slack rounds, which is what makes
      message loss bite (a single 9t+2l flood on a small graph would be
      epidemically redundant and hide the drops). *)
-  let net = Network.create ~faults ?trace g ~inputs:(Array.make n ()) ~seed in
   let t = oracle.Inference.radius in
-  let ell = Instance.locality inst in
-  let pass_radii = [ t; t; (3 * t) + ell ] in
-  let master = Rng.create seed in
-  let best = ref None in
-  let sampler_rounds = ref 0 in
-  let keep (r, s) =
-    match !best with
-    | Some (b, _) when count_failed b.failed <= count_failed r.failed -> ()
-    | _ -> best := Some (r, s)
+  let s =
+    Resilient.supervise ?policy ?faults ?trace ?async ~label:"jvv_resilient"
+      ~blame:"rejection"
+      ~radii:[ t; t; (3 * t) + Instance.locality inst ]
+      (Instance.graph inst) ~seed
+      (fun ~seed ->
+        let result, stats = run_local oracle ~epsilon ?trace inst ~seed in
+        (result, result.failed, stats.Scheduler.rounds))
   in
-  let run_attempt ~attempt:_ =
-    let payload_seed = Rng.bits64 master in
-    let comm_failed = Array.make n false in
-    List.iter
-      (fun radius ->
-        let views =
-          match async with
-          | None -> Network.flood_views net ~radius
-          | Some cfg -> Async.flood_views cfg net ~radius
-        in
-        for v = 0 to n - 1 do
-          if
-            Network.crashed net v
-            || not (Network.view_is_complete net views.(v))
-          then comm_failed.(v) <- true
-        done)
-      pass_radii;
-    let result, stats = run_local oracle ~epsilon ?trace inst ~seed:payload_seed in
-    sampler_rounds := !sampler_rounds + stats.Scheduler.rounds;
-    let failed = Array.mapi (fun v f -> f || comm_failed.(v)) result.failed in
-    let n_failed = count_failed failed in
-    let result = { result with failed; success = n_failed = 0 } in
-    keep (result, stats);
-    if n_failed = 0 then Ok (result, stats)
-    else begin
-      (* Same classification as [Local_sampler.sample_resilient]: when
-         every failed node is crash-stopped for good, retries are futile. *)
-      let all_permanent = ref true in
-      Array.iteri
-        (fun v f ->
-          if f && not (Network.permanently_crashed net v) then
-            all_permanent := false)
-        failed;
-      let why =
-        Printf.sprintf "%d node(s) failed (crash, stalled view, or rejection)"
-          n_failed
-      in
-      Error
-        (if !all_permanent then Resilient.Permanent why
-         else Resilient.Transient why)
-    end
-  in
-  let ok, report =
-    Resilient.run_classified ?trace ~label:"jvv_resilient" policy
-      ~charge:(Network.charge net) run_attempt
-  in
-  let sresult, sstats = match ok with Some rs -> rs | None -> Option.get !best in
-  (* Teardown accounting: no further phase will collect parked copies. *)
-  Network.finish net;
+  let failed = s.Resilient.failed in
   {
-    sresult;
-    sstats;
-    resilience = report;
-    total_rounds = !sampler_rounds + Network.rounds net;
+    sresult = { s.Resilient.value with failed; success = Array.for_all not failed };
+    resilience = s.Resilient.report;
+    total_rounds = s.Resilient.rounds;
   }
 
 let run_local_certified (oracle : Inference.oracle) ~epsilon inst ~seed =

@@ -110,7 +110,6 @@ val run_local :
 
 type supervised = {
   sresult : result;  (** Best attempt; [failed] includes communication failures. *)
-  sstats : Ls_local.Scheduler.stats;  (** Scheduler stats of that attempt. *)
   resilience : Ls_local.Resilient.report;
   total_rounds : int;
       (** Every attempt's scheduler rounds + all flooding + all backoff. *)
@@ -126,21 +125,21 @@ val run_local_resilient :
   Instance.t ->
   seed:int64 ->
   supervised
-(** {!run_local} supervised on a faulty network: each attempt floods the
-    three pass radii [t, t, 3t+ℓ] (Claims 4.6/4.7) over a network carrying
-    [faults] — a node that crashed or whose flooded view misses part of
-    some pass's ball is a communication failure, OR-ed into [failed] —
-    and failed attempts retry per [policy] with exponential backoff,
-    everything charged to [total_rounds].  Each pass floods for exactly
-    its radius, leaving no slack rounds, so message loss genuinely
-    endangers the deadline.  Budget exhaustion returns the best partial
-    result with a degraded [resilience] report.
+(** {!run_local} supervised on a faulty network by
+    {!Ls_local.Resilient.supervise}, the attempt loop it shares with
+    {!Local_sampler.sample_resilient}: each attempt floods the three pass
+    radii [t, t, 3t+ℓ] (Claims 4.6/4.7) — a node that crashed or whose
+    flooded view misses part of some pass's ball is a communication
+    failure, OR-ed into [failed] — and failed attempts retry per
+    [policy] with exponential backoff, everything charged to
+    [total_rounds].  Each pass floods for exactly its radius, leaving no
+    slack rounds, so message loss genuinely endangers the deadline.
+    Budget exhaustion returns the best partial result with a degraded
+    [resilience] report.
     Conditional exactness survives faults: communication failures are
     independent of the payload's randomness (the fault plan has its own
     seed), so conditioned on success the output law is still exactly
-    [μ^τ].  [async] floods over the event-driven executor, exactly as in
-    {!Local_sampler.sample_resilient}; the network is finished before
-    returning. *)
+    [μ^τ]. *)
 
 val run_local_certified :
   Inference.oracle ->

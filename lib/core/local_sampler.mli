@@ -63,9 +63,11 @@ val sample_resilient :
   Instance.t ->
   seed:int64 ->
   result
-(** {!sample} supervised on a faulty network.  Each attempt floods every
-    node's radius-[t] ball over a {!Ls_local.Network} carrying [faults];
-    nodes that crashed or whose flooded view is incomplete are communication
+(** {!sample} supervised on a faulty network by
+    {!Ls_local.Resilient.supervise}, the attempt loop it shares with
+    {!Jvv.run_local_resilient}.  Each attempt floods every node's
+    radius-[t] ball over a {!Ls_local.Network} carrying [faults]; nodes
+    that crashed or whose flooded view is incomplete are communication
     failures, OR-ed into [failed].  Failed attempts are retried per
     [policy] with exponential backoff (charged to [rounds], along with
     every attempt's scheduler and flooding rounds); when the budget runs
@@ -78,6 +80,4 @@ val sample_resilient :
     instead of the synchronous one: in synchronizer mode the execution is
     bit-identical; in adaptive mode a misfired timeout surfaces as an
     incomplete view — one more transient communication failure to retry,
-    never a wrong answer, so the Las Vegas guarantee is preserved.  The
-    network is {!Ls_local.Network.finish}ed before returning, so the
-    conservation identity holds with no pending copies at teardown. *)
+    never a wrong answer, so the Las Vegas guarantee is preserved. *)

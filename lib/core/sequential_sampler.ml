@@ -1,5 +1,4 @@
-module Gibbs = Ls_gibbs
-module Config = Gibbs.Config
+module Config = Ls_gibbs.Config
 module Dist = Ls_dist.Dist
 module Slocal = Ls_local.Slocal
 
@@ -8,31 +7,15 @@ let sample (oracle : Inference.oracle) inst ~order ~rng =
       Dist.sample rng (oracle.Inference.infer live v))
 
 let sample_slocal (oracle : Inference.oracle) inst ~order ~seed =
-  Chain.check_order inst order;
-  let g = Instance.graph inst in
   let rt =
-    Slocal.create g ~seed ~init:(fun v ->
+    Slocal.create (Instance.graph inst) ~seed ~init:(fun v ->
         if Instance.is_pinned inst v then Some inst.Instance.pinned.(v) else None)
   in
-  let radius = oracle.Inference.radius in
-  Slocal.run_pass rt ~order ~radius (fun ctx ->
-      let v = Slocal.center ctx in
-      match Slocal.read ctx v with
-      | Some _ -> ()
-      | None ->
-          (* Rebuild the partially-sampled instance from the states within
-             the locality radius: values sampled outside the radius cannot
-             influence the oracle (its answers depend on B_radius(v) only),
-             so this reconstruction is faithful. *)
-          let pinned = Array.copy inst.Instance.pinned in
-          Array.iter
-            (fun u ->
-              match Slocal.read ctx u with Some c -> pinned.(u) <- c | None -> ())
-            (Slocal.ball ctx);
-          let inst' = Instance.create inst.Instance.spec ~pinned in
-          let mu_hat = oracle.Inference.infer inst' v in
-          let c = Dist.sample (Slocal.rng ctx) mu_hat in
-          Slocal.write ctx v (Some c));
+  Chain.slocal_pass inst rt ~order ~radius:oracle.Inference.radius
+    ~field:(function Some c -> c | None -> Config.unassigned)
+    ~store:(fun _ c -> Some c)
+    ~choose:(fun ctx live v ->
+      Dist.sample (Slocal.rng ctx) (oracle.Inference.infer live v));
   let sigma =
     Array.map
       (function Some c -> c | None -> assert false)

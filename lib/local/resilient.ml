@@ -1,5 +1,6 @@
 (* Bounded retry with exponential backoff for Las Vegas phases running on
-   a faulty network, plus stalled-ball-collection supervision.
+   a faulty network, the LOCAL samplers' flood-and-retry attempt loop on
+   top of it, plus stalled-ball-collection supervision.
 
    The supervisor never hides cost: every backoff round is charged to the
    caller's round meter, and every retry re-runs the supervised phase on
@@ -11,6 +12,7 @@
 module Graph = Ls_graph.Graph
 module Trace = Ls_obs.Trace
 module Metrics = Ls_obs.Metrics
+module Rng = Ls_rng.Rng
 
 type policy = {
   retry_budget : int;
@@ -42,8 +44,6 @@ type report = {
   degraded : bool;
   reasons : string list;
 }
-
-let clean = { attempts = 1; backoff_rounds = 0; degraded = false; reasons = [] }
 
 let describe r =
   if not r.degraded then
@@ -123,9 +123,81 @@ let run_classified ?trace ?(label = "resilient") pol ?(charge = fun _ -> ()) f =
   in
   go 0 pol.backoff_base
 
-let run ?trace ?label pol ?charge f =
-  run_classified ?trace ?label pol ?charge (fun ~attempt ->
-      match f ~attempt with Ok x -> Ok x | Error why -> Error (Transient why))
+type 'a supervised = {
+  value : 'a;
+  failed : bool array;
+  report : report;
+  rounds : int;
+}
+
+let supervise ?(policy = default) ?(faults = Faults.none) ?trace ?async ~label
+    ~blame ~radii g ~seed payload =
+  let n = Graph.n g in
+  (* The physical network carrying the fault plan.  Each attempt first runs
+     genuine ball collection over it, one flood per radius: drops, delays
+     and crashes hit the payload through the same message-passing layer
+     the flood-vs-gather tests validate, and a node whose flooded view
+     misses part of its true ball cannot evaluate its step — it is a
+     communication failure, OR-ed into the payload's Las Vegas flags. *)
+  let net = Network.create ~faults ?trace g ~inputs:(Array.make n ()) ~seed in
+  let master = Rng.create seed in
+  let best = ref None in
+  let payload_rounds = ref 0 in
+  let attempt ~attempt:_ =
+    (* Fresh payload randomness per attempt, deterministically derived:
+       attempts are sequential, so the draw order is reproducible. *)
+    let payload_seed = Rng.bits64 master in
+    let comm_failed = Array.make n false in
+    List.iter
+      (fun radius ->
+        let views =
+          match async with
+          | None -> Network.flood_views net ~radius
+          | Some cfg -> Async.flood_views cfg net ~radius
+        in
+        for v = 0 to n - 1 do
+          if Network.crashed net v || not (Network.view_is_complete net views.(v))
+          then comm_failed.(v) <- true
+        done)
+      radii;
+    let value, failed, rounds = payload ~seed:payload_seed in
+    payload_rounds := !payload_rounds + rounds;
+    let failed = Array.mapi (fun v f -> f || comm_failed.(v)) failed in
+    let n_failed = Array.fold_left (fun a f -> if f then a + 1 else a) 0 failed in
+    (match !best with
+    | Some (_, _, b) when b <= n_failed -> ()
+    | _ -> best := Some (value, failed, n_failed));
+    if n_failed = 0 then Ok ()
+    else begin
+      (* When every failed node has crash-stopped for good, no retry can
+         ever succeed — stop spending budget.  Any salvageable failure
+         (stalled view, payload failure, a node inside its recovery
+         interval) is worth retrying. *)
+      let salvageable = ref false in
+      Array.iteri
+        (fun v f ->
+          if f && not (Network.permanently_crashed net v) then salvageable := true)
+        failed;
+      let why =
+        Printf.sprintf "%d node(s) failed (crash, stalled view, or %s)" n_failed
+          blame
+      in
+      Error (if !salvageable then Transient why else Permanent why)
+    end
+  in
+  let _, report =
+    run_classified ?trace ~label policy ~charge:(Network.charge net) attempt
+  in
+  (* A success is the first attempt with no failure, so the best attempt
+     is the returned one whether or not the budget ran out. *)
+  let value, failed, _ = Option.get !best in
+  (* Teardown: the network runs no further phases, so copies still parked
+     across a phase boundary settle as dead letters — conservation holds
+     with pending = 0 when the supervisor hands the result back. *)
+  Network.finish net;
+  (* Honest meter: every attempt's payload rounds, every flood, every
+     backoff round — nothing is charged to a discarded attempt for free. *)
+  { value; failed; report; rounds = !payload_rounds + Network.rounds net }
 
 let collect_views ?trace ?async ?(label = "collect_views") net ~policy:pol
     ~radius =

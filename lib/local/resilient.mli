@@ -32,9 +32,6 @@ type report = {
   reasons : string list;  (** One line per failed attempt. *)
 }
 
-val clean : report
-(** The trivial report of an unsupervised (fault-free) run. *)
-
 val describe : report -> string
 
 type failure =
@@ -46,22 +43,6 @@ type failure =
           phase is structurally impossible.  The supervisor stops
           immediately and keeps the remaining budget unspent. *)
 
-val run :
-  ?trace:Ls_obs.Trace.t ->
-  ?label:string ->
-  policy ->
-  ?charge:(int -> unit) ->
-  (attempt:int -> ('a, string) result) ->
-  'a option * report
-(** [run pol ~charge f] calls [f ~attempt:0], retrying on [Error] up to
-    [pol.retry_budget] times with backoff [base], [base*factor], ...
-    rounds charged through [charge] before each retry.  Returns the first
-    [Ok] (with a non-degraded report) or [None] with a degraded report
-    listing every failure reason.  Each attempt, backoff and degradation
-    is emitted to [trace] (or the ambient sink) under [label].  Every
-    [Error] is treated as {!Transient}; use {!run_classified} when the
-    phase can tell permanent failures apart. *)
-
 val run_classified :
   ?trace:Ls_obs.Trace.t ->
   ?label:string ->
@@ -69,12 +50,53 @@ val run_classified :
   ?charge:(int -> unit) ->
   (attempt:int -> ('a, failure) result) ->
   'a option * report
-(** Like {!run}, but the phase classifies its failures.  A {!Permanent}
-    failure degrades immediately — no backoff is charged and no further
-    attempt is made (retrying against a crash-stopped node only burns
-    rounds); the [Degraded] trace event's detail is prefixed with
-    ["permanent: "].  {!Transient} failures behave exactly as [Error]
-    does under {!run}. *)
+(** [run_classified pol ~charge f] calls [f ~attempt:0], retrying on
+    [Error] up to [pol.retry_budget] times with backoff [base],
+    [base*factor], ... rounds charged through [charge] before each retry.
+    Returns the first [Ok] (with a non-degraded report) or [None] with a
+    degraded report listing every failure reason.  Each attempt, backoff
+    and degradation is emitted to [trace] (or the ambient sink) under
+    [label].  A {!Permanent} failure degrades immediately — no backoff is
+    charged and no further attempt is made (retrying against a
+    crash-stopped node only burns rounds); the [Degraded] trace event's
+    detail is prefixed with ["permanent: "]. *)
+
+type 'a supervised = {
+  value : 'a;  (** The payload value of the attempt with fewest failures. *)
+  failed : bool array;  (** That attempt's flags, communication failures OR-ed in. *)
+  report : report;
+  rounds : int;
+      (** Every attempt's payload rounds + all flooding + all backoff. *)
+}
+
+val supervise :
+  ?policy:policy ->
+  ?faults:Faults.t ->
+  ?trace:Ls_obs.Trace.t ->
+  ?async:Async.t ->
+  label:string ->
+  blame:string ->
+  radii:int list ->
+  Ls_graph.Graph.t ->
+  seed:int64 ->
+  (seed:int64 -> 'a * bool array * int) ->
+  'a supervised
+(** The Las Vegas attempt loop of the LOCAL samplers, on a faulty network.
+    [supervise ~radii g ~seed payload] builds one {!Network} over [g]
+    carrying [faults] (default none) and runs {!run_classified} under
+    [label] and [policy] (default {!default}).  Each attempt draws a fresh
+    payload seed from [seed]'s stream, floods every node's ball once per
+    radius in [radii] (over [async] when given), then runs
+    [payload ~seed], which returns its value, its own failure flags and
+    the rounds it charged.  A node that crashed or whose flooded view
+    misses part of some ball is a communication failure, OR-ed into the
+    payload's flags.  An attempt with no failed node succeeds; otherwise
+    it fails as {!Permanent} when every failed node crash-stopped for
+    good, as {!Transient} otherwise, with a reason naming [blame] as the
+    payload's own failure cause.  The attempt with fewest failed nodes is
+    returned (the first among equals); the network is
+    {!Network.finish}ed before returning, so the conservation identity
+    holds with no pending copies at teardown. *)
 
 val collect_views :
   ?trace:Ls_obs.Trace.t ->

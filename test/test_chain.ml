@@ -1,8 +1,9 @@
 (* Tests for the chain-rule core (Chain): the in-place pinning with its
    trail, the one order check every entry point goes through, the
    counting reduction's log-weight, and a differential of every chain-rule
-   site against a copy of the loop it replaced — one fresh n-length copy
-   of the pinning per step — bit for bit, oracle call by oracle call. *)
+   site, the SLOCAL passes included, against a copy of the loop it
+   replaced — one fresh n-length copy of the pinning per step — bit for
+   bit, oracle call by oracle call. *)
 
 module Graph = Ls_graph.Graph
 module Generators = Ls_graph.Generators
@@ -13,6 +14,7 @@ module Spec = Ls_gibbs.Spec
 module Models = Ls_gibbs.Models
 module Enumerate = Ls_gibbs.Enumerate
 module Scheduler = Ls_local.Scheduler
+module Slocal = Ls_local.Slocal
 
 open Ls_core
 
@@ -224,6 +226,53 @@ module Reference = struct
       (List.rev !qs);
     (y, ground, failed, !clamps, !acceptance_product)
 
+  (* The SLOCAL chain passes: a fresh copy of the pinning and an
+     [Instance.create] per step.  Sequential_sampler.sample_slocal: *)
+  let sample_slocal (oracle : Inference.oracle) inst ~order ~seed =
+    check_order inst order;
+    let g = Instance.graph inst in
+    let rt =
+      Slocal.create g ~seed ~init:(fun v ->
+          if Instance.is_pinned inst v then Some inst.Instance.pinned.(v) else None)
+    in
+    Slocal.run_pass rt ~order ~radius:oracle.Inference.radius (fun ctx ->
+        let v = Slocal.center ctx in
+        match Slocal.read ctx v with
+        | Some _ -> ()
+        | None ->
+            let pinned = Array.copy inst.Instance.pinned in
+            Array.iter
+              (fun u ->
+                match Slocal.read ctx u with Some c -> pinned.(u) <- c | None -> ())
+              (Slocal.ball ctx);
+            let inst' = Instance.create inst.Instance.spec ~pinned in
+            let mu_hat = oracle.Inference.infer inst' v in
+            let c = Dist.sample (Slocal.rng ctx) mu_hat in
+            Slocal.write ctx v (Some c));
+    let sigma =
+      Array.map (function Some c -> c | None -> assert false) (Slocal.states rt)
+    in
+    (sigma, Slocal.single_pass_locality rt)
+
+  (* Jvv.run_certified's chain pass over one field of a record state. *)
+  let chain_pass_certified (oracle : Inference.oracle) inst rt ~order ~field ~store
+      ~choose =
+    Slocal.run_pass rt ~order ~radius:oracle.Inference.radius (fun ctx ->
+        let v = Slocal.center ctx in
+        if not (Instance.is_pinned inst v) then begin
+          let pinned = Array.copy inst.Instance.pinned in
+          Array.iter
+            (fun u ->
+              let c = field (Slocal.read ctx u) in
+              if c <> Config.unassigned && pinned.(u) = Config.unassigned then
+                pinned.(u) <- c)
+            (Slocal.ball ctx);
+          let inst' = Instance.create inst.Instance.spec ~pinned in
+          let mu_hat = oracle.Inference.infer inst' v in
+          let c = choose ctx mu_hat in
+          Slocal.write ctx v (store (Slocal.read ctx v) c)
+        end)
+
   (* Ssm.influence_at: one pinned copy of the instance per sphere vertex
      and candidate boundary. *)
   let pin_sphere inst sphere values =
@@ -413,6 +462,53 @@ let qcheck_jvv =
             bits r.Jvv.acceptance_product ))
         ~same:( = ))
 
+let qcheck_sample_slocal =
+  seeded "slocal_pass, option states = reference pass" ~count:40 (fun rng ->
+      let inst = random_instance rng in
+      let oracle = random_oracle rng inst in
+      let order = Rng.permutation rng (Instance.n inst) in
+      let seed = Rng.bits64 rng in
+      differential inst oracle
+        ~reference:(fun o -> Reference.sample_slocal o inst ~order ~seed)
+        ~current:(fun o -> Sequential_sampler.sample_slocal o inst ~order ~seed)
+        ~same:( = ))
+
+(* JVV's first two certified passes: an arg-max into one field of a record
+   state, then a node-stream draw into another. *)
+type jvv_state = { ground : int; y : int }
+
+let qcheck_record_slocal_pass =
+  seeded "slocal_pass, record fields = reference pass" ~count:40 (fun rng ->
+      let inst = random_instance rng in
+      let oracle = random_oracle rng inst in
+      let order = Rng.permutation rng (Instance.n inst) in
+      let seed = Rng.bits64 rng in
+      let passes pass =
+        let rt =
+          Slocal.create (Instance.graph inst) ~seed ~init:(fun v ->
+              let c = inst.Instance.pinned.(v) in
+              { ground = c; y = c })
+        in
+        pass rt
+          ~field:(fun s -> s.ground)
+          ~store:(fun s c -> { s with ground = c })
+          ~choose:(fun _ mu -> Dist.argmax mu);
+        pass rt
+          ~field:(fun s -> s.y)
+          ~store:(fun s c -> { s with y = c })
+          ~choose:(fun ctx mu -> Dist.sample (Slocal.rng ctx) mu);
+        (Slocal.states rt, Slocal.pass_localities rt)
+      in
+      differential inst oracle
+        ~reference:(fun o ->
+          passes (fun rt ~field ~store ~choose ->
+              Reference.chain_pass_certified o inst rt ~order ~field ~store ~choose))
+        ~current:(fun o ->
+          passes (fun rt ~field ~store ~choose ->
+              Chain.slocal_pass inst rt ~order ~radius:o.Inference.radius ~field
+                ~store ~choose:(fun ctx live v -> choose ctx (o.Inference.infer live v))))
+        ~same:( = ))
+
 let qcheck_estimate_log_partition =
   seeded "estimate_log_partition = reference loop" ~count:40 (fun rng ->
       let inst = random_instance rng in
@@ -541,6 +637,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_local_sampler;
     QCheck_alcotest.to_alcotest qcheck_output_distribution;
     QCheck_alcotest.to_alcotest qcheck_jvv;
+    QCheck_alcotest.to_alcotest qcheck_sample_slocal;
+    QCheck_alcotest.to_alcotest qcheck_record_slocal_pass;
     QCheck_alcotest.to_alcotest qcheck_estimate_log_partition;
     QCheck_alcotest.to_alcotest qcheck_influence_at;
   ]

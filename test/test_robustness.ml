@@ -222,12 +222,12 @@ let test_retry_backoff_accounting () =
   let charged = ref 0 in
   let calls = ref 0 in
   let x, report =
-    Resilient.run
+    Resilient.run_classified
       (Resilient.policy ~retry_budget:3 ~backoff_base:1 ~backoff_factor:2 ())
       ~charge:(fun r -> charged := !charged + r)
       (fun ~attempt ->
         incr calls;
-        if attempt < 2 then Error "transient" else Ok attempt)
+        if attempt < 2 then Error (Resilient.Transient "transient") else Ok attempt)
   in
   checki "succeeded on third attempt" 2 (Option.get x);
   checki "three calls" 3 !calls;
@@ -239,9 +239,9 @@ let test_retry_backoff_accounting () =
 
 let test_budget_exhaustion_degrades () =
   let x, report =
-    Resilient.run
+    Resilient.run_classified
       (Resilient.policy ~retry_budget:2 ())
-      (fun ~attempt:_ -> Error "hopeless")
+      (fun ~attempt:_ -> Error (Resilient.Transient "hopeless"))
   in
   checkb "no value" true (x = None);
   checkb "degraded" true report.Resilient.degraded;
@@ -298,6 +298,37 @@ let test_resilient_sampler_reproducible () =
     (r.Local_sampler.sigma, r.Local_sampler.failed, r.Local_sampler.rounds)
   in
   checkb "same seeds, same execution" true (run () = run ())
+
+(* Zero-fault identity of the supervised JVV sampler: under [Faults.none]
+   every flood is complete, so attempt 0 is [run_local] at the first
+   payload seed the master stream draws — it succeeds exactly when that
+   run does, with the same sample and flags. *)
+let test_jvv_zero_fault_identity () =
+  let outcomes = Array.make 2 0 in
+  for seed = 1 to 60 do
+    let inst =
+      Instance.unpinned
+        (Models.hardcore (Generators.cycle (4 + (seed mod 9))) ~lambda:1.)
+    in
+    List.iter
+      (fun oracle ->
+        let seed = Int64.of_int seed and epsilon = 1e-3 in
+        let s = Jvv.run_local_resilient oracle ~epsilon ~faults:Faults.none inst ~seed in
+        let plain, _ =
+          Jvv.run_local oracle ~epsilon inst ~seed:(Rng.bits64 (Rng.create seed))
+        in
+        let r = s.Jvv.resilience in
+        let first = r.Resilient.attempts = 1 && not r.Resilient.degraded in
+        checkb "first attempt succeeds iff run_local does" plain.Jvv.success first;
+        if first then begin
+          checkb "same sample" true (s.Jvv.sresult.Jvv.y = plain.Jvv.y);
+          checkb "same flags" true (s.Jvv.sresult.Jvv.failed = plain.Jvv.failed)
+        end;
+        let i = Bool.to_int first in
+        outcomes.(i) <- outcomes.(i) + 1)
+      [ Inference.exact inst; Inference.ssm_oracle ~t:3 inst ]
+  done;
+  checkb "both outcomes occur" true (outcomes.(0) > 0 && outcomes.(1) > 0)
 
 let test_jvv_exact_under_faults () =
   (* The acceptance story of the fault layer: message drops depress the
@@ -517,6 +548,7 @@ let suite =
       test_resilient_sampler_degrades_gracefully;
     Alcotest.test_case "resilient sampler reproducible" `Quick
       test_resilient_sampler_reproducible;
+    Alcotest.test_case "JVV zero-fault identity" `Quick test_jvv_zero_fault_identity;
     Alcotest.test_case "JVV exact under faults" `Slow test_jvv_exact_under_faults;
     Alcotest.test_case "delay survives phase boundary" `Quick
       test_delay_survives_phase_boundary;
