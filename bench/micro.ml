@@ -138,8 +138,16 @@ let sample_rows () =
    ssm_infer rows pin half the cycle (every vertex 0 or 1 mod 4, to 1
    and 0), as a chain-rule sample has half-way through; what still
    grows with n there is locally_feasible_extension's whole-spec
-   feasibility scans. *)
+   feasibility scans.  The SAW kernel on the largest of those
+   instances should cost its walks alone, as it does on grid:8x8. *)
 let ball_rows () =
+  let half_pinned n =
+    let spec = Models.hardcore (Generators.cycle n) ~lambda:1. in
+    let pinned =
+      Array.init n (fun u -> match u mod 4 with 0 -> 1 | 1 -> 0 | _ -> Config.unassigned)
+    in
+    Instance.create spec ~pinned
+  in
   List.map
     (fun n ->
       let g = Generators.cycle n in
@@ -149,16 +157,20 @@ let ball_rows () =
     [ 256; 16384 ]
   @ List.map
       (fun n ->
-        let spec = Models.hardcore (Generators.cycle n) ~lambda:1. in
-        let pinned =
-          Array.init n (fun u ->
-              match u mod 4 with 0 -> 1 | 1 -> 0 | _ -> Config.unassigned)
-        in
-        let inst = Instance.create spec ~pinned in
+        let inst = half_pinned n in
         Test.make
           ~name:(Printf.sprintf "ssm_infer/t=2 (hardcore cycle:%d, half pinned)" n)
           (Staged.stage (fun () -> ignore (Inference.ssm_infer ~t:2 inst ((n / 2) + 2)))))
       [ 256; 1024; 4096; 16384 ]
+  @ [
+      (let n = 16384 in
+       let inst = half_pinned n in
+       Test.make ~name:"saw/depth=10 (hardcore cycle:16384, half pinned)"
+         (Staged.stage (fun () ->
+              ignore
+                (Ls_gibbs.Saw.marginal ~depth:10 inst.Instance.spec inst.Instance.pinned
+                   ((n / 2) + 2)))));
+    ]
 
 (* The exact kernel alone on the radius-2 balls that ssm_infer t=1
    gathers on two serve-hot instances, with the annulus pinned the way

@@ -74,11 +74,11 @@ let mat_mul a b q =
           !acc))
 
 let rescale_vec v =
-  let peak = Array.fold_left Float.max 0. v in
+  let peak = Array.fold_left Spec.fmax 0. v in
   if peak > 0. then (Array.map (fun x -> x /. peak) v, log peak) else (v, 0.)
 
 let rescale_mat m =
-  let peak = Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0. m in
+  let peak = Array.fold_left (fun acc row -> Array.fold_left Spec.fmax acc row) 0. m in
   if peak > 0. then (Array.map (Array.map (fun x -> x /. peak)) m, log peak)
   else (m, 0.)
 

@@ -145,7 +145,7 @@ let up_pass ?logscale (tb : Spec.tables) q tau s ~parent ~order ~up root =
        invariant under positive scaling of a whole message. *)
     let peak = ref 0. in
     for c = 0 to q - 1 do
-      peak := Float.max !peak up.(base + c)
+      peak := Spec.fmax !peak up.(base + c)
     done;
     let peak = !peak in
     if peak > 0. then begin

@@ -73,7 +73,7 @@ let component_dp g ~lambda ~pins root =
             acc +. term)
           0. children
       in
-      let peak = Float.max free matched in
+      let peak = Spec.fmax free matched in
       if peak > 0. then begin
         values.(u) <- { free = free /. peak; matched = matched /. peak };
         logscale := !logscale +. log peak

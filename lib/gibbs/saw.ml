@@ -7,6 +7,17 @@ let supported spec = Spec.q spec = 2 && Spec.tables spec <> None
    so writing a result into it allocates nothing. *)
 type pair = { mutable p0 : float; mutable p1 : float }
 
+(* Per-domain scratch of the cycle-closing rule: [mark.(u) = epoch] while
+   [u] is on the current walk's path, and [exit_rank.(u)] is then the
+   rank, in [u]'s row, of the edge the walk left [u] by.  One epoch per
+   call, so a call reads and writes only the vertices its walks reach,
+   and the marks a raising walk leaves behind are stale at the next
+   epoch (the pattern of [Graph.with_ball]).  No callback runs inside a
+   walk, so calls never nest on a domain. *)
+type scratch = { mutable mark : int array; mutable exit_rank : int array; mutable epoch : int }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { mark = [||]; exit_rank = [||]; epoch = 0 })
+
 let marginal ~depth spec tau v =
   if not (supported spec) then
     invalid_arg "Saw.marginal: spec must be pairwise with a binary alphabet";
@@ -17,8 +28,14 @@ let marginal ~depth spec tau v =
   else begin
     (* With q = 2, [vertex.(2u + c)] and [a.(4s + 2su + sw)]. *)
     let { Spec.vertex; off; dst; edge = a; rev } = Option.get (Spec.tables spec) in
-    let on_path = Array.make n false in
-    let exit_rank = Array.make n (-1) in
+    let sc = Domain.DLS.get scratch_key in
+    if Array.length sc.mark < n then begin
+      sc.mark <- Array.make n 0;
+      sc.exit_rank <- Array.make n 0;
+      sc.epoch <- 0
+    end;
+    sc.epoch <- sc.epoch + 1;
+    let epoch = sc.epoch and mark = sc.mark and exit_rank = sc.exit_rank in
     let ret = { p0 = 0.; p1 = 0. } in
     (* [pair u ~parent budget] leaves in [ret] the unnormalized (p0, p1)
        at the SAW-tree node for vertex [u], reached from [parent] (-1 at
@@ -28,7 +45,7 @@ let marginal ~depth spec tau v =
     let rec pair u ~parent budget =
       let p0 = ref vertex.(2 * u) and p1 = ref vertex.((2 * u) + 1) in
       if budget > 0 then begin
-        on_path.(u) <- true;
+        mark.(u) <- epoch;
         for s = off.(u) to off.(u + 1) - 1 do
           let w = dst.(s) in
           if w <> parent && (!p0 > 0. || !p1 > 0.) then begin
@@ -41,7 +58,7 @@ let marginal ~depth spec tau v =
               if c = 0 || c = 1 then c
               else if c <> Config.unassigned then
                 invalid_arg "Saw.marginal: pinned value outside {0, 1}"
-              else if on_path.(w) then if rev.(s) > exit_rank.(w) then 1 else 0
+              else if mark.(w) = epoch then if rev.(s) > exit_rank.(w) then 1 else 0
               else -1
             in
             if col >= 0 then begin
@@ -49,22 +66,33 @@ let marginal ~depth spec tau v =
               p1 := !p1 *. a.(k + 2 + col)
             end
             else begin
-              exit_rank.(u) <- s - off.(u);
-              pair w ~parent:u (budget - 1);
-              let q0 = ret.p0 and q1 = ret.p1 in
+              (* A free child at budget 0 is a leaf with its vertex
+                 weights, read here rather than by a call. *)
+              let q0 =
+                if budget > 1 then begin
+                  exit_rank.(u) <- s - off.(u);
+                  pair w ~parent:u (budget - 1);
+                  ret.p0
+                end
+                else vertex.(2 * w)
+              in
+              let q1 = if budget > 1 then ret.p1 else vertex.((2 * w) + 1) in
               p0 := !p0 *. ((a.(k) *. q0) +. (a.(k + 1) *. q1));
               p1 := !p1 *. ((a.(k + 2) *. q0) +. (a.(k + 3) *. q1))
             end;
-            (* Rescale to dodge under/overflow on deep recursions. *)
-            let peak = Float.max !p0 !p1 in
+            (* Rescale to dodge under/overflow on deep recursions.  The
+               peak is [Spec.fmax x0 x1] written out: under [-opaque]
+               (dune's dev profile) a call into another module is not
+               inlined and boxes both floats, a quarter of this loop. *)
+            let x0 = !p0 and x1 = !p1 in
+            let peak = if x0 <> x0 then x0 else if x1 > x0 || x1 <> x1 then x1 else x0 in
             if peak > 0. && (peak > 1e150 || peak < 1e-150) then begin
-              p0 := !p0 /. peak;
-              p1 := !p1 /. peak
+              p0 := x0 /. peak;
+              p1 := x1 /. peak
             end
           end
         done;
-        on_path.(u) <- false;
-        exit_rank.(u) <- -1
+        mark.(u) <- 0
       end;
       (* With the budget exhausted, [u] is a free leaf: vertex weight only
          (any fixed truncation works; the error is the SSM rate at the

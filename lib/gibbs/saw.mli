@@ -24,10 +24,12 @@
 
     The walk reads the spec's weight {!Spec.tables}, built once when
     {!Spec.create_pairwise} made the spec, so every call costs the same,
-    the first on a spec included: the walks, plus two [n]-length arrays
-    (the path marks and the exit ranks of the cycle-closing rule), a few
-    words of fixed size and the result.  Per tree node it allocates
-    nothing and calls no closure. *)
+    the first on a spec included: O(walks), independent of [n].  The path
+    marks and exit ranks of the cycle-closing rule live in per-domain
+    scratch stamped with one epoch per call, so a call reads and writes
+    only [B_depth(v)] and allocates a few words of fixed size and the
+    result; the scratch grows once per domain to the largest [n] seen.
+    Per tree node it allocates nothing and calls no closure. *)
 
 val supported : Spec.t -> bool
 (** True for pairwise specs over a binary alphabet. *)

@@ -264,3 +264,6 @@ let conditional s tau v =
   in
   if Array.for_all (fun w -> w <= 0.) weights then None
   else Some (Dist.of_weights weights)
+
+let[@inline] fmax (x0 : float) (x1 : float) =
+  if x0 <> x0 then x0 else if x1 > x0 || x1 <> x1 then x1 else x0

@@ -99,3 +99,10 @@ val conditional : t -> Config.t -> int -> Ls_dist.Dist.t option
     [μ_v^{τ}(c) ∝ Π_{(f,S) ∋ v} f]; requires every other vertex of every
     scope containing [v] to be assigned.  [None] when every value has
     weight 0 (i.e. [tau] off-support). *)
+
+val fmax : float -> float -> float
+(** [Float.max] without its [sign_bit] C calls: NaN when either argument
+    is NaN, the larger one otherwise, and either zero when both are
+    zeros.  The kernels rescale a weight vector by its peak under this
+    max; they divide by the peak only when it is positive, so their
+    bits are the same as under [Float.max]. *)

@@ -17,6 +17,7 @@ module Enumerate = Ls_gibbs.Enumerate
 module Chain_dp = Ls_gibbs.Chain_dp
 module Saw = Ls_gibbs.Saw
 module Forest_dp = Ls_gibbs.Forest_dp
+module Par = Ls_par.Par
 
 open Ls_core
 
@@ -683,6 +684,80 @@ let test_saw_kernel_edge_cases () =
     (raises (fun () ->
          Saw.marginal ~depth:2 (Models.coloring (Generators.cycle 4) ~q:3) (Config.empty 4) 0))
 
+(* The kernel's path marks live in per-domain scratch, so a call costs
+   its walks whatever n is.  Half of cycle:n is pinned, far from the
+   query [n/4]: its depth-10 walks meet no pin and are the same at every
+   n.  Each call allocates no major words, and the same minor words at
+   2^10 and 2^14. *)
+let test_saw_allocation () =
+  let minor_at n =
+    let spec = Models.hardcore (Generators.cycle n) ~lambda:0.5 in
+    let tau =
+      Array.init n (fun u ->
+          if u < n / 2 then Config.unassigned else if u mod 3 = 0 then 1 else 0)
+    in
+    let v = n / 4 in
+    let want = bits (Reference.marginal ~depth:10 spec tau v) in
+    (* The first call on a domain grows its scratch to n. *)
+    ignore (Saw.marginal ~depth:10 spec tau v);
+    let r, minor, major = Test_ball.words (fun () -> Saw.marginal ~depth:10 spec tau v) in
+    checkb (Printf.sprintf "cycle:%d: = Reference" n) true (bits r = want);
+    checkb (Printf.sprintf "cycle:%d: %.0f major words" n major) true (major = 0.);
+    minor
+  in
+  let small = minor_at 1024 in
+  let large = minor_at 16384 in
+  checkb
+    (Printf.sprintf "%.0f minor words at 2^10, %.0f at 2^14" small large)
+    true (small = large)
+
+(* SAW queries alternating between a spec on 16 vertices and one on
+   4096, so one domain's scratch serves both sizes. *)
+let alternating_saw_queries k =
+  let rng = Rng.of_int 11 in
+  let small = Models.ising (Generators.grid 4 4) ~beta:0.4 ~field:1.3 in
+  let large = Models.hardcore (Generators.cycle 4096) ~lambda:0.9 in
+  Array.init k (fun i ->
+      let spec, depth = if i mod 2 = 0 then (small, 17) else (large, 10) in
+      let n = Graph.n (Spec.graph spec) in
+      (spec, random_pinning rng n 2, Rng.int rng n, depth))
+
+(* A walk that raises leaves its path marked under an old epoch; the
+   next call, at either size, must not read those marks. *)
+let test_saw_scratch_hygiene () =
+  let same msg (spec, tau, v, depth) =
+    checkb msg true
+      (bits (Saw.marginal ~depth spec tau v) = bits (Reference.marginal ~depth spec tau v))
+  in
+  let raise_deep spec v =
+    let n = Graph.n (Spec.graph spec) in
+    let far = Graph.sphere (Spec.graph spec) v 3 in
+    let bad = Config.of_pinning n [ (far.(0), 2) ] in
+    checkb "the walk raised" true
+      (match Saw.marginal ~depth:8 spec bad v with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let cycle16 = Models.hardcore (Generators.cycle 16) ~lambda:0.7 in
+  raise_deep cycle16 0;
+  (* Depth 8 meets the raising walk's path; depth 20 closes the cycle. *)
+  same "after a raise, depth 8" (cycle16, Config.empty 16, 0, 8);
+  raise_deep cycle16 0;
+  same "after a raise, depth 20" (cycle16, Config.empty 16, 1, 20);
+  Array.iteri
+    (fun i ((spec, _, v, _) as query) ->
+      if i mod 3 = 0 then raise_deep spec v;
+      same (Printf.sprintf "alternating query %d" i) query)
+    (alternating_saw_queries 12)
+
+(* The same queries from 2 domains: each domain's scratch is its own. *)
+let test_saw_two_domains () =
+  let queries = alternating_saw_queries 24 in
+  let answer marginal (spec, tau, v, depth) = bits (marginal ~depth spec tau v) in
+  checkb "2 domains = Reference" true
+    (Par.map ~domains:2 (answer Saw.marginal) queries
+    = Array.map (answer Reference.marginal) queries)
+
 let test_saw_oracle_rejects_negative_depth () =
   let inst = Instance.unpinned (Models.hardcore (Generators.cycle 5) ~lambda:1.) in
   checkb "raised when the oracle is built" true
@@ -912,6 +987,11 @@ let suite =
       test_saw_oracle_rejects_negative_depth;
     Alcotest.test_case "saw oracle compiles a foreign spec" `Quick test_saw_oracle_other_spec;
     QCheck_alcotest.to_alcotest qcheck_saw_kernel_bitwise;
+    Alcotest.test_case "saw kernel: no major words, same minor words at 2^10 and 2^14"
+      `Quick test_saw_allocation;
+    Alcotest.test_case "saw kernel: scratch after a raise and across sizes" `Quick
+      test_saw_scratch_hygiene;
+    Alcotest.test_case "saw kernel: 2 domains = Reference" `Quick test_saw_two_domains;
     QCheck_alcotest.to_alcotest qcheck_saw_matches_enumeration;
     QCheck_alcotest.to_alcotest qcheck_chain_matches_enumeration;
     QCheck_alcotest.to_alcotest qcheck_chain_tables_bitwise;

@@ -124,6 +124,68 @@ let test_ssm_inference_radius_property () =
   let da = oracle.Inference.infer a 0 and db = oracle.Inference.infer b 0 in
   checkb "identical beyond radius" true (Dist.tv da db < 1e-15)
 
+(* The locality contract for [saw_oracle]: its answer at [v] reads
+   B_r(v) alone (r = its radius), so adding, changing or removing pins
+   outside that ball leaves it bitwise equal.  Every binary model
+   [Engine.parse_model] accepts, at depths 1-6, on graphs of up to 64
+   vertices, so the outside of the ball is large.  The same property
+   does not hold for [ssm_oracle] yet: its feasibility check scans the
+   whole spec. *)
+let qcheck_saw_oracle_locality =
+  let graph rng n =
+    match Rng.int rng 5 with
+    | 0 -> Generators.cycle (3 + Rng.int rng (n - 2))
+    | 1 -> Generators.path (1 + Rng.int rng n)
+    | 2 -> Generators.random_tree rng (1 + Rng.int rng n)
+    | 3 ->
+        let r = 1 + Rng.int rng 8 in
+        Generators.grid r (1 + Rng.int rng (n / r))
+    | _ -> Generators.random_regular rng ~n:(2 * (2 + Rng.int rng ((n / 2) - 1))) ~d:3
+  in
+  let model rng kind =
+    let x lo hi = lo +. ((hi -. lo) *. Rng.float rng) in
+    match kind with
+    | 0 -> Printf.sprintf "hardcore:%.3f" (x 0.1 3.)
+    | 1 -> Printf.sprintf "ising:%.3f:%.3f" (x 0. 2.) (x 0.1 2.)
+    | 2 -> Printf.sprintf "potts:2:%.3f" (x 0. 2.)
+    | 3 -> "coloring:2"
+    | _ -> Printf.sprintf "matching:%.3f" (x 0.1 3.)
+  in
+  let bits d = Array.init (Dist.size d) (fun c -> Int64.bits_of_float (Dist.prob d c)) in
+  QCheck.Test.make ~name:"saw_oracle reads B_radius(v) alone (pins outside change nothing)"
+    ~count:200
+    QCheck.(triple small_int (int_range 0 4) (int_range 1 6))
+    (fun (seed, kind, depth) ->
+      let rng = Rng.of_int seed in
+      (* A matching lives on the line graph: keep that within 64 too. *)
+      let g = graph rng (if kind = 4 then 32 else 64) in
+      let spec = (Result.get_ok (Ls_serve.Engine.parse_model g (model rng kind))).spec in
+      let h = Ls_gibbs.Spec.graph spec in
+      let n = Graph.n h in
+      let tau =
+        Array.init n (fun _ ->
+            if Rng.bernoulli rng 0.3 then Rng.int rng 2 else Config.unassigned)
+      in
+      let oracle = Inference.saw_oracle ~depth (Instance.unpinned spec) in
+      let answer tau v = bits (oracle.Inference.infer (Instance.create spec ~pinned:tau) v) in
+      n = 0
+      || List.for_all
+           (fun _ ->
+             let v = Rng.int rng n in
+             let inside = Array.make n false in
+             Array.iter (fun u -> inside.(u) <- true) (Graph.ball h v oracle.Inference.radius);
+             let tau' =
+               Array.mapi
+                 (fun u c ->
+                   if inside.(u) || Rng.bool rng then c
+                   else if c = Config.unassigned then Rng.int rng 2
+                   else if Rng.bool rng then 1 - c
+                   else Config.unassigned)
+                 tau
+             in
+             answer tau v = answer tau' v)
+           [ 1; 2; 3 ])
+
 let test_ssm_inference_on_colorings () =
   let g = Generators.cycle 10 in
   let inst = Instance.unpinned (Models.coloring g ~q:4) in
@@ -220,6 +282,7 @@ let suite =
     Alcotest.test_case "ssm inference respects pins" `Quick
       test_ssm_inference_respects_pins;
     Alcotest.test_case "oracle radius contract" `Quick test_ssm_inference_radius_property;
+    QCheck_alcotest.to_alcotest qcheck_saw_oracle_locality;
     Alcotest.test_case "ssm inference colorings" `Quick test_ssm_inference_on_colorings;
     Alcotest.test_case "ssm inference tree" `Quick test_ssm_inference_tree;
     Alcotest.test_case "boosting mult error" `Quick test_boosting_multiplicative_error;
