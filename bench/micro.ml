@@ -236,7 +236,9 @@ let flood_rows () =
 
 (* The sample-saw kernel per call: one saw_oracle answer on grid:8x8
    hardcore 0.5 at depth 10, unpinned and with half the other vertices
-   pinned to an independent-set pattern, as they are mid-trial. *)
+   pinned to an independent-set pattern, as they are mid-trial; and the
+   same call at a root that an occupied neighbour forces, which reads
+   the root's row and runs no walk. *)
 let saw_rows () =
   let g = Generators.grid 8 8 in
   let spec = Models.hardcore g ~lambda:0.5 in
@@ -251,14 +253,18 @@ let saw_rows () =
         let free_nbrs = Array.for_all (fun w -> half.(w) <> 1) (Graph.neighbors g u) in
         half.(u) <- (if Rng.bernoulli rng 0.3 && free_nbrs then 1 else 0))
     others;
-  List.map
-    (fun (label, pinned) ->
-      let inst = Instance.create spec ~pinned in
-      let oracle = Inference.saw_oracle ~depth:10 inst in
-      Test.make
-        ~name:(Printf.sprintf "saw/depth=10 (grid:8x8 hardcore 0.5%s)" label)
-        (Staged.stage (fun () -> ignore (oracle.Inference.infer inst v))))
-    [ ("", Config.empty 64); (", half pinned", half) ]
+  let row name pinned =
+    let inst = Instance.create spec ~pinned in
+    let oracle = Inference.saw_oracle ~depth:10 inst in
+    Test.make ~name (Staged.stage (fun () -> ignore (oracle.Inference.infer inst v)))
+  in
+  let forced = Array.copy half in
+  forced.((Graph.neighbors g v).(0)) <- 1;
+  [
+    row "saw/depth=10 (grid:8x8 hardcore 0.5)" (Config.empty 64);
+    row "saw/depth=10 (grid:8x8 hardcore 0.5, half pinned)" half;
+    row "saw/forced root (hardcore grid:8x8)" forced;
+  ]
 
 (* The row groups, in run order.  Each builds its inputs when it runs. *)
 let groups =

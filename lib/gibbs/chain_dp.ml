@@ -74,11 +74,15 @@ let mat_mul a b q =
           !acc))
 
 let rescale_vec v =
-  let peak = Array.fold_left Spec.fmax 0. v in
+  let peak = Spec.peak v 0 (Array.length v) in
   if peak > 0. then (Array.map (fun x -> x /. peak) v, log peak) else (v, 0.)
 
 let rescale_mat m =
-  let peak = Array.fold_left (fun acc row -> Array.fold_left Spec.fmax acc row) 0. m in
+  (* The fold over row peaks is the fold over every entry: the first
+     NaN wins either way, and otherwise both are the largest entry. *)
+  let peak =
+    Array.fold_left (fun acc row -> Spec.fmax acc (Spec.peak row 0 (Array.length row))) 0. m
+  in
   if peak > 0. then (Array.map (Array.map (fun x -> x /. peak)) m, log peak)
   else (m, 0.)
 

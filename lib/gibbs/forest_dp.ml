@@ -143,11 +143,7 @@ let up_pass ?logscale (tb : Spec.tables) q tau s ~parent ~order ~up root =
     done;
     (* Rescale to dodge over/underflow on deep trees: marginals are
        invariant under positive scaling of a whole message. *)
-    let peak = ref 0. in
-    for c = 0 to q - 1 do
-      peak := Spec.fmax !peak up.(base + c)
-    done;
-    let peak = !peak in
+    let peak = Spec.peak up base q in
     if peak > 0. then begin
       for c = 0 to q - 1 do
         up.(base + c) <- up.(base + c) /. peak

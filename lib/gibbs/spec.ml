@@ -14,6 +14,7 @@ type tables = {
   dst : int array;
   edge : float array;
   rev : int array;
+  live : bool array;
 }
 
 type t = {
@@ -117,6 +118,16 @@ let build graph ~q ~factors ~pairwise ~tables =
 
 let create graph ~q ~factors = build graph ~q ~factors ~pairwise:None ~tables:None
 
+let[@inline] fmax (x0 : float) (x1 : float) =
+  if x0 <> x0 then x0 else if x1 > x0 || x1 <> x1 then x1 else x0
+
+let peak (a : float array) pos len =
+  let acc = ref 0. in
+  for i = pos to pos + len - 1 do
+    acc := fmax !acc a.(i)
+  done;
+  !acc
+
 (* [c] as a table index, when it is a value of the alphabet. *)
 let colour q c =
   if c < 0 || c >= q then invalid_arg "Spec: value outside the alphabet" else c
@@ -181,9 +192,34 @@ let create_pairwise graph ~q pw =
       if u < w then edge_factors := edge_factor u w s :: !edge_factors
     done
   done;
+  (* The SAW walk's guarantee per spin, derived in [Saw]'s interface:
+     the smallest weight [lo] on spin [c]'s side (its vertex weights and
+     its row of every slot), the largest entry [hi] and the maximum
+     degree [Δ] satisfy [hi ≤ 2^26] and [lo·(lo/2hi)^(Δ+1) ≥ 2^-70]. *)
+  let live =
+    if q <> 2 then Array.make q false
+    else begin
+      (* One pass over each table: [vertex.(2u + c)] and
+         [edge.(4s + 2c + cw)] are on spin [c]'s side. *)
+      let hi = ref 0. and lo0 = ref infinity and lo1 = ref infinity in
+      for i = 0 to (2 * n) - 1 do
+        let x = vertex.(i) in
+        if x > !hi then hi := x;
+        if i land 1 = 0 then (if x < !lo0 then lo0 := x) else if x < !lo1 then lo1 := x
+      done;
+      for i = 0 to (4 * slots) - 1 do
+        let x = edge.(i) in
+        if x > !hi then hi := x;
+        if i land 2 = 0 then (if x < !lo0 then lo0 := x) else if x < !lo1 then lo1 := x
+      done;
+      let hi = !hi and power = float_of_int (Graph.max_degree graph + 1) in
+      let ok lo = lo > 0. && hi <= 0x1p26 && lo *. ((lo /. (2. *. hi)) ** power) >= 0x1p-70 in
+      [| ok !lo0; ok !lo1 |]
+    end
+  in
   build graph ~q
     ~factors:(List.init n vertex_factor @ !edge_factors)
-    ~pairwise:(Some pw) ~tables:(Some { vertex; off; dst; edge; rev })
+    ~pairwise:(Some pw) ~tables:(Some { vertex; off; dst; edge; rev; live })
 
 let graph s = s.graph
 let q s = s.q
@@ -264,6 +300,3 @@ let conditional s tau v =
   in
   if Array.for_all (fun w -> w <= 0.) weights then None
   else Some (Dist.of_weights weights)
-
-let[@inline] fmax (x0 : float) (x1 : float) =
-  if x0 <> x0 then x0 else if x1 > x0 || x1 <> x1 then x1 else x0

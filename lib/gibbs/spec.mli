@@ -25,7 +25,8 @@ type pairwise = {
 }
 
 (** The weights of a pairwise spec, laid out once by {!create_pairwise}
-    for every kernel to read: [n·q + 2m·q²] floats and [n + 1 + 4m] ints.
+    for every kernel to read: [n·q + 2m·q²] floats, [n + 1 + 4m] ints
+    and [q] flags, computed in one O(n + m) pass.
     Directed adjacency slot [s] in [off.(u) .. off.(u + 1) - 1] is the
     edge [u → dst.(s)], in the sorted order of [Graph.neighbors g u], so
     [s - off.(u)] is the rank of that edge in [u]'s row.  Never written
@@ -42,6 +43,16 @@ type tables = private {
   rev : int array;
       (** [rev.(s)]: the rank of [u] in [w]'s row for slot [u → w], so
           [off.(w) + rev.(s)] is the reverse slot. *)
+  live : bool array;
+      (** [live.(c)], one flag per colour, all false unless [q = 2]: no
+          node of any SAW tree ({!Saw}) can see spin [c]'s weight vanish
+          or leave the float range.  True when every [vertex_weight u c]
+          and every entry [edge.((s·2 + c)·2 + cw)] of the row of [c] is
+          at least [L > 0], every table entry is at most [U ≤ 2^26], and
+          [L·(L/2U)^(Δ+1) ≥ 2^-70] with [Δ] the maximum degree; {!Saw}
+          derives the bound.  Hardcore at [λ ≤ 1] and [Δ ≤ 69]: spin 0
+          only; Ising and two-colour Potts with moderate positive
+          weights: both. *)
 }
 
 type t
@@ -99,6 +110,13 @@ val conditional : t -> Config.t -> int -> Ls_dist.Dist.t option
     [μ_v^{τ}(c) ∝ Π_{(f,S) ∋ v} f]; requires every other vertex of every
     scope containing [v] to be assigned.  [None] when every value has
     weight 0 (i.e. [tau] off-support). *)
+
+val peak : float array -> int -> int -> float
+(** [peak a pos len]: the left fold of {!fmax} from [0.] over
+    [a.(pos) .. a.(pos + len - 1)].  One call per slice: under [-opaque]
+    (dune's dev profile) a call into another module is never inlined and
+    boxes its float arguments and result, so a kernel that called
+    {!fmax} once per element would allocate per element. *)
 
 val fmax : float -> float -> float
 (** [Float.max] without its [sign_bit] C calls: NaN when either argument

@@ -653,6 +653,125 @@ let qcheck_saw_kernel_bitwise =
           bits (Saw.marginal ~depth spec tau v) = bits (Reference.marginal ~depth spec tau v))
         [ 1; 2; 3 ])
 
+(* --- forced roots: the SAW walk's one shortcut --- *)
+
+(* A random 2-spin spec whose weights come from [draw]: [k] random 2×2
+   matrices, edge [u < w] taking matrix [(u·31 + w) mod k], so an edge's
+   matrix is fixed and need not be symmetric.  Either any entry may be
+   an exact zero, or (hardcore-like) only the [(h, h)] entry of a
+   matrix, which leaves spin [1 - h]'s rows positive so that the
+   magnitudes alone decide the guard. *)
+let random_tables_spec rng g draw =
+  let n = Graph.n g in
+  let zero_or p x = if Rng.bernoulli rng p then 0. else x in
+  let structured = Rng.bool rng and h = Rng.int rng 2 in
+  let vw = Array.init (2 * n) (fun _ -> if structured then draw () else zero_or 0.1 (draw ())) in
+  let k = 1 + Rng.int rng 4 in
+  let mats =
+    Array.init k (fun _ ->
+        let hard = Rng.bernoulli rng 0.7 in
+        Array.init 4 (fun i ->
+            if not structured then zero_or 0.25 (draw ())
+            else if hard && i = 3 * h then 0.
+            else draw ()))
+  in
+  Spec.create_pairwise g ~q:2
+    {
+      Spec.vertex_weight = (fun v c -> vw.((2 * v) + c));
+      edge_weight = (fun u w cu cw -> mats.(((u * 31) + w) mod k).((2 * cu) + cw));
+    }
+
+(* A hub of degree 20-40 with a few chords between its leaves, so the
+   SAW trees stay small while the maximum degree is large. *)
+let hub_graph rng =
+  let d = 20 + Rng.int rng 21 in
+  let chords = List.init (Rng.int rng 3) (fun _ -> (1 + Rng.int rng d, 1 + Rng.int rng d)) in
+  let chords = List.filter (fun (a, b) -> a < b) chords |> List.sort_uniq compare in
+  Graph.create ~n:(d + 1) ~edges:(List.init d (fun i -> (0, i + 1)) @ chords)
+
+(* Every binary model [Engine.parse_model] accepts, and random 2-spin
+   tables with exact zeros: moderate weights, weights from 1e-300 to
+   1e300, and weights around the guard's 2^26 cap, on small graphs and on
+   hubs of degree up to 40.  The extremes must make the guard refuse,
+   or the shortcut would answer where the walk under- or overflows. *)
+let forced_root_spec rng =
+  let g = if Rng.int rng 4 = 0 then hub_graph rng else small_graph rng (Rng.int rng 5) in
+  match Rng.int rng 8 with
+  | 0 -> Models.hardcore g ~lambda:(0.05 +. (3. *. Rng.float rng))
+  | 1 -> Models.ising g ~beta:(2. *. Rng.float rng) ~field:(0.1 +. (2. *. Rng.float rng))
+  | 2 | 3 ->
+      let x lo hi = lo +. ((hi -. lo) *. Rng.float rng) in
+      let model =
+        match Rng.int rng 5 with
+        | 0 -> Printf.sprintf "hardcore:%.3f" (x 0.1 3.)
+        | 1 -> Printf.sprintf "ising:%.3f:%.3f" (x 0. 2.) (x 0.1 2.)
+        | 2 -> Printf.sprintf "potts:2:%.3f" (x 0. 2.)
+        | 3 -> "coloring:2"
+        | _ -> Printf.sprintf "matching:%.3f" (x 0.1 3.)
+      in
+      (Result.get_ok (Ls_serve.Engine.parse_model g model)).spec
+  | 4 -> random_tables_spec rng g (fun () -> 0.05 +. (3. *. Rng.float rng))
+  | 5 | 6 -> random_tables_spec rng g (fun () -> 10. ** (600. *. (Rng.float rng -. 0.5)))
+  | _ -> random_tables_spec rng g (fun () -> 2. ** (1. +. (26.5 *. Rng.float rng)))
+
+(* A pinning with values in {0, 1}, biased towards the root's row. *)
+let pin_near rng g v =
+  let tau = Config.empty (Graph.n g) in
+  Array.iteri (fun u _ -> if Rng.bernoulli rng 0.15 then tau.(u) <- Rng.int rng 2) tau;
+  Array.iter (fun w -> if Rng.bernoulli rng 0.6 then tau.(w) <- Rng.int rng 2) (Graph.neighbors g v);
+  tau
+
+let outcome f =
+  match f () with r -> Ok (bits r) | exception Invalid_argument m -> Error m
+
+let qcheck_saw_forced_roots_bitwise =
+  QCheck.Test.make ~name:"saw kernel on forced roots = Reference, bit for bit" ~count:300
+    QCheck.(pair small_int (int_range 1 8))
+    (fun (seed, depth) ->
+      let rng = Rng.of_int (seed + (7919 * depth)) in
+      let spec = forced_root_spec rng in
+      let g = Spec.graph spec in
+      let n = Graph.n g in
+      n = 0
+      || List.for_all
+           (fun _ ->
+             let v = Rng.int rng n in
+             let tau = pin_near rng g v in
+             outcome (fun () -> Saw.marginal ~depth spec tau v)
+             = outcome (fun () -> Reference.marginal ~depth spec tau v))
+           [ 1; 2; 3 ])
+
+let test_saw_live_flags () =
+  let live spec = (Option.get (Spec.tables spec)).Spec.live in
+  let flags name want spec =
+    Alcotest.(check (array bool)) name want (live spec)
+  in
+  let grid = Generators.grid 8 8 in
+  flags "hardcore: spin 0 only" [| true; false |] (Models.hardcore grid ~lambda:0.5);
+  flags "Ising, positive weights: both" [| true; true |]
+    (Models.ising grid ~beta:0.4 ~field:1.3);
+  flags "a zero in row 0 (2-spin, beta = 0): spin 1 only" [| false; true |]
+    (Models.two_spin grid ~beta:0. ~gamma:1.5 ~lambda:1.);
+  flags "proper 2-colourings: neither" [| false; false |] (Models.coloring grid ~q:2);
+  (* Every weight x: L = U = x, so only the cap U ≤ 2^26 can refuse. *)
+  let constant x =
+    Spec.create_pairwise grid ~q:2
+      { Spec.vertex_weight = (fun _ _ -> x); edge_weight = (fun _ _ _ _ -> x) }
+  in
+  flags "every weight 2^26: both" [| true; true |] (constant 0x1p26);
+  flags "every weight just above 2^26: neither" [| false; false |] (constant 0x1.000002p26);
+  flags "hardcore lambda = 1e40: neither" [| false; false |]
+    (Models.hardcore grid ~lambda:1e40);
+  flags "a tiny weight in row 1: spin 0 only" [| true; false |]
+    (Models.two_spin grid ~beta:1. ~gamma:1e-30 ~lambda:1.);
+  (* L·(L/2U)^(Δ+1) with L = U = 1: 2^-(Δ+1) ≥ 2^-70 up to Δ = 69. *)
+  let star d = Graph.create ~n:(d + 1) ~edges:(List.init d (fun i -> (0, i + 1))) in
+  flags "hardcore on a star of degree 69" [| true; false |]
+    (Models.hardcore (star 69) ~lambda:1.);
+  flags "hardcore on a star of degree 70" [| false; false |]
+    (Models.hardcore (star 70) ~lambda:1.);
+  flags "q = 3: no flag" [| false; false; false |] (Models.coloring grid ~q:3)
+
 let test_saw_kernel_edge_cases () =
   let same msg ~depth spec tau v =
     checkb msg true
@@ -680,6 +799,14 @@ let test_saw_kernel_edge_cases () =
     (marginal ~depth:2 (Config.of_pinning 16 [ (15, 2) ]) <> None);
   checkb "pinning of another size" true
     (raises (fun () -> marginal ~depth:2 (Config.empty 15)));
+  (* A forced root reads its row's pins alone: a bad pin in the row still
+     raises (the walk runs), one beyond it is not read. *)
+  let light = Models.hardcore (Generators.grid 4 4) ~lambda:0.5 in
+  let forced pins = Saw.marginal ~depth:6 light (Config.of_pinning 16 pins) 0 in
+  checkb "forced root, bad pin in its row" true
+    (raises (fun () -> forced [ (1, 1); (4, 2) ]));
+  checkb "forced root, bad pin beyond its row" true
+    (bits (forced [ (1, 1); (5, 2) ]) = bits (Some (Dist.point 2 0)));
   checkb "non-binary spec" true
     (raises (fun () ->
          Saw.marginal ~depth:2 (Models.coloring (Generators.cycle 4) ~q:3) (Config.empty 4) 0))
@@ -689,13 +816,13 @@ let test_saw_kernel_edge_cases () =
    query [n/4]: its depth-10 walks meet no pin and are the same at every
    n.  Each call allocates no major words, and the same minor words at
    2^10 and 2^14. *)
+let half_pinned n =
+  Array.init n (fun u -> if u < n / 2 then Config.unassigned else if u mod 3 = 0 then 1 else 0)
+
 let test_saw_allocation () =
   let minor_at n =
     let spec = Models.hardcore (Generators.cycle n) ~lambda:0.5 in
-    let tau =
-      Array.init n (fun u ->
-          if u < n / 2 then Config.unassigned else if u mod 3 = 0 then 1 else 0)
-    in
+    let tau = half_pinned n in
     let v = n / 4 in
     let want = bits (Reference.marginal ~depth:10 spec tau v) in
     (* The first call on a domain grows its scratch to n. *)
@@ -711,6 +838,27 @@ let test_saw_allocation () =
     (Printf.sprintf "%.0f minor words at 2^10, %.0f at 2^14" small large)
     true (small = large)
 
+(* A forced root costs its row: on the same half-pinned cycles, vertex
+   0 is free and its neighbour n - 1 (a multiple of 3 at both sizes) is
+   occupied, so hardcore forces 0 to be unoccupied.  The call allocates
+   what building its result allocates, and no major words. *)
+let test_saw_forced_allocation () =
+  let _, result_words, _ = Test_ball.words (fun () -> Some (Dist.point 2 0)) in
+  List.iter
+    (fun n ->
+      let spec = Models.hardcore (Generators.cycle n) ~lambda:0.5 in
+      let tau = half_pinned n in
+      let want = bits (Reference.marginal ~depth:10 spec tau 0) in
+      checkb (Printf.sprintf "cycle:%d: Reference gives the point mass" n) true
+        (want = bits (Some (Dist.point 2 0)));
+      let r, minor, major = Test_ball.words (fun () -> Saw.marginal ~depth:10 spec tau 0) in
+      checkb (Printf.sprintf "cycle:%d: = Reference" n) true (bits r = want);
+      checkb (Printf.sprintf "cycle:%d: %.0f major words" n major) true (major = 0.);
+      checkb
+        (Printf.sprintf "cycle:%d: %.0f minor words, the result's %.0f" n minor result_words)
+        true (minor = result_words))
+    [ 1024; 16384 ]
+
 (* SAW queries alternating between a spec on 16 vertices and one on
    4096, so one domain's scratch serves both sizes. *)
 let alternating_saw_queries k =
@@ -723,7 +871,9 @@ let alternating_saw_queries k =
       (spec, random_pinning rng n 2, Rng.int rng n, depth))
 
 (* A walk that raises leaves its path marked under an old epoch; the
-   next call, at either size, must not read those marks. *)
+   next call, at either size, must not read those marks.  [raise_deep]
+   pins nothing in the root's row, so the root is never forced and the
+   walk runs. *)
 let test_saw_scratch_hygiene () =
   let same msg (spec, tau, v, depth) =
     checkb msg true
@@ -836,7 +986,8 @@ let test_tables_contents () =
             && Array.length tb.Spec.off = n + 1
             && Array.length tb.Spec.dst = 2 * m
             && Array.length tb.Spec.rev = 2 * m
-            && Array.length tb.Spec.edge = 2 * m * q * q);
+            && Array.length tb.Spec.edge = 2 * m * q * q
+            && Array.length tb.Spec.live = q);
           let ok = ref true in
           for u = 0 to n - 1 do
             for c = 0 to q - 1 do
@@ -998,4 +1149,8 @@ let suite =
     Alcotest.test_case "spec tables: every entry is its closure" `Quick test_tables_contents;
     Alcotest.test_case "spec tables: no closure call after creation" `Quick
       test_tables_no_closure_calls;
+    Alcotest.test_case "saw kernel: a forced root allocates only its result" `Quick
+      test_saw_forced_allocation;
+    QCheck_alcotest.to_alcotest qcheck_saw_forced_roots_bitwise;
+    Alcotest.test_case "spec tables: the SAW live flags" `Quick test_saw_live_flags;
   ]

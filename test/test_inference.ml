@@ -128,7 +128,8 @@ let test_ssm_inference_radius_property () =
    B_r(v) alone (r = its radius), so adding, changing or removing pins
    outside that ball leaves it bitwise equal.  Every binary model
    [Engine.parse_model] accepts, at depths 1-6, on graphs of up to 64
-   vertices, so the outside of the ball is large.  The same property
+   vertices, so the outside of the ball is large; half of the root's
+   neighbours are pinned, so many roots are forced.  The same property
    does not hold for [ssm_oracle] yet: its feasibility check scans the
    whole spec. *)
 let qcheck_saw_oracle_locality =
@@ -172,6 +173,11 @@ let qcheck_saw_oracle_locality =
       || List.for_all
            (fun _ ->
              let v = Rng.int rng n in
+             (* Pins in v's row make forced roots common. *)
+             let tau = Array.copy tau in
+             Array.iter
+               (fun w -> if Rng.bernoulli rng 0.5 then tau.(w) <- Rng.int rng 2)
+               (Graph.neighbors h v);
              let inside = Array.make n false in
              Array.iter (fun u -> inside.(u) <- true) (Graph.ball h v oracle.Inference.radius);
              let tau' =
