@@ -813,9 +813,29 @@ let decomp_ablation () =
 let e12_rates = ref [ 0.; 0.01; 0.02; 0.05; 0.1; 0.15 ]
 let e12_crash_rate = ref 0.01
 let e12_retry_budget = ref 3
-let e12_max_delay = ref 1
-let e12_corrupt_rate = ref 0.
+let e12_max_delay : int option ref = ref None
+let e12_corrupt_rate : float option ref = ref None
 let e12_profile : string option ref = ref None
+
+(* The fault seed is the fault experiments' reproducibility handle: each
+   E12-E14 table is a pure function of it (and the trial seed), at any
+   domain count.  LOCSAMPLE_FAULT_SEED overrides it, like
+   LOCSAMPLE_DOMAINS overrides the domain count; unset or empty means
+   2026.  bench/main.ml checks it at startup, so a malformed value is a
+   named error, never a silent 2026. *)
+let fault_seed_env () =
+  match Sys.getenv_opt "LOCSAMPLE_FAULT_SEED" with
+  | None | Some "" -> Ok 2026L
+  | Some s -> (
+      match Int64.of_string_opt (String.trim s) with
+      | Some seed -> Ok seed
+      | None ->
+          Error
+            (Printf.sprintf "LOCSAMPLE_FAULT_SEED=%S: expected a 64-bit integer"
+               s))
+
+let fault_seed () =
+  match fault_seed_env () with Ok seed -> seed | Error msg -> invalid_arg msg
 
 (* --async MODE from the bench driver: the supervised runs in E12/E13
    flood over the event-driven executor instead of lockstep rounds.  A
@@ -845,15 +865,11 @@ let e12 () =
   let trials = 200 in
   let crash = !e12_crash_rate in
   let policy = Resilient.policy ~retry_budget:!e12_retry_budget () in
-  (* The fault seed is the experiment's reproducibility handle: the whole
-     table is a pure function of it (and the trial seed), at any domain
-     count.  LOCSAMPLE_FAULT_SEED overrides it, like LOCSAMPLE_DOMAINS
-     overrides the domain count. *)
-  let fault_seed =
-    match Sys.getenv_opt "LOCSAMPLE_FAULT_SEED" with
-    | Some s -> (try Int64.of_string s with Failure _ -> 2026L)
-    | None -> 2026L
-  in
+  let fault_seed = fault_seed () in
+  (* Same preset-merge rule as bin/locsample: the profile is the base
+     plan; the swept drop, the --crash-rate value and any explicit
+     --max-delay/--corrupt-rate override its fields. *)
+  let base = Option.map Faults.preset !e12_profile in
   let t = oracle.Inference.radius in
   let rows =
     List.map
@@ -869,24 +885,9 @@ let e12 () =
                   (Ls_rng.Splitmix.mix64 fault_seed)
                   (Rng.bits64 rng)
               in
-              (* Same preset-merge rule as bin/locsample: the profile fills
-                 the fields no flag overrode; the swept drop and the
-                 --crash-rate value always win for their own fields. *)
-              let pr =
-                match !e12_profile with
-                | Some name -> Faults.preset name
-                | None -> Faults.zero_preset
-              in
-              let over flag dflt preset = if flag <> dflt then flag else preset in
               let faults =
-                Faults.make ~seed:fseed ~drop
-                  ~duplicate:pr.Faults.pr_duplicate ~delay:pr.Faults.pr_delay
-                  ~max_delay:(over !e12_max_delay 1 pr.Faults.pr_max_delay)
-                  ~crash ~recovery:pr.Faults.pr_recovery
-                  ~recovery_delay:pr.Faults.pr_recovery_delay
-                  ~corrupt:(over !e12_corrupt_rate 0. pr.Faults.pr_corrupt)
-                  ~partitions:pr.Faults.pr_partitions
-                  ~bursts:pr.Faults.pr_bursts ()
+                Faults.make ?base ~seed:fseed ~drop ~crash
+                  ?max_delay:!e12_max_delay ?corrupt:!e12_corrupt_rate ()
               in
               (* Series 1: unsupervised chain rule over faulty gathering —
                  every node floods its radius-t ball once; any crashed or
@@ -1000,11 +1001,7 @@ let e13 () =
   let trials = 200 in
   let crash = 0.25 and crash_horizon = 12 in
   let policy = Resilient.policy ~retry_budget:!e12_retry_budget () in
-  let fault_seed =
-    match Sys.getenv_opt "LOCSAMPLE_FAULT_SEED" with
-    | Some s -> (try Int64.of_string s with Failure _ -> 2026L)
-    | None -> 2026L
-  in
+  let fault_seed = fault_seed () in
   let rows =
     List.concat_map
       (fun plen ->
@@ -1122,11 +1119,7 @@ let e14 () =
   let trials = !e14_trials in
   let drop = 0.08 and delay = 0.25 and max_delay = 2 and reorder = 0.1 in
   let policy = Resilient.policy ~retry_budget:!e12_retry_budget () in
-  let fault_seed =
-    match Sys.getenv_opt "LOCSAMPLE_FAULT_SEED" with
-    | Some s -> (try Int64.of_string s with Failure _ -> 2026L)
-    | None -> 2026L
-  in
+  let fault_seed = fault_seed () in
   let rows =
     List.concat_map
       (fun law ->

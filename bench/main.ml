@@ -137,7 +137,7 @@ let parse_args argv =
     | Some x -> (
         try
           ignore (Ls_local.Faults.make ~max_delay:x ());
-          Experiments.e12_max_delay := x
+          Experiments.e12_max_delay := Some x
         with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2)
     | None ->
         Printf.eprintf "--max-delay expects an integer >= 1, got %S\n" k;
@@ -147,7 +147,7 @@ let parse_args argv =
     | Some x -> (
         try
           ignore (Ls_local.Faults.make ~corrupt:x ());
-          Experiments.e12_corrupt_rate := x
+          Experiments.e12_corrupt_rate := Some x
         with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2)
     | None ->
         Printf.eprintf "--corrupt-rate expects a probability in [0,1], got %S\n"
@@ -204,7 +204,11 @@ let () =
       match check () with
       | Ok () -> ()
       | Error msg -> Printf.eprintf "%s\n" msg; exit 2)
-    [ Ls_par.Par.env_check; Ls_shard.Ckpt.env_check ];
+    [
+      Ls_par.Par.env_check;
+      Ls_shard.Ckpt.env_check;
+      (fun () -> Result.map ignore (Experiments.fault_seed_env ()));
+    ];
   let requested =
     match parse_args Sys.argv with
     | [] -> List.filter (fun id -> not (String.contains id '/')) (List.map fst sections)

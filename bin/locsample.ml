@@ -58,29 +58,15 @@ let make_oracle ~engine ~t inst = or_die (Engine.make_oracle ~engine ~t inst)
    the API reject exactly the same values; the rejection path mirrors
    --domains: named message on stderr, exit 2.
 
-   --fault-profile names a preset bundle; explicit flags override the
-   preset field they correspond to (a flag left at its default defers to
-   the preset, and invalid explicit values still reach Faults.make, which
-   rejects them by name). *)
+   --fault-profile names the base plan and each explicit fault flag
+   overrides its field, even at the flag's default value: the merge rule
+   is Faults.make's [?base], which also rejects invalid values by name. *)
 let faults_of_flags ~seed ~fault_rate ~crash_rate ~max_delay ~corrupt_rate
     ~skew ~delay_law ~profile =
   or_invalid (fun () ->
-      let p =
-        match profile with
-        | Some name -> Faults.preset name
-        | None -> Faults.zero_preset
-      in
-      let over flag dflt preset = if flag <> dflt then flag else preset in
-      Faults.make ~seed
-        ~drop:(over fault_rate 0. p.Faults.pr_drop)
-        ~duplicate:p.Faults.pr_duplicate ~delay:p.Faults.pr_delay
-        ~max_delay:(over max_delay 1 p.Faults.pr_max_delay)
-        ~crash:(over crash_rate 0. p.Faults.pr_crash)
-        ~recovery:p.Faults.pr_recovery ~recovery_delay:p.Faults.pr_recovery_delay
-        ~corrupt:(over corrupt_rate 0. p.Faults.pr_corrupt)
-        ~partitions:p.Faults.pr_partitions ~bursts:p.Faults.pr_bursts
-        ~law:(Faults.law_of_string delay_law)
-        ~skew ())
+      let base = Option.map Faults.preset profile in
+      Faults.make ?base ~seed ?drop:fault_rate ?max_delay ?crash:crash_rate
+        ?corrupt:corrupt_rate ~law:(Faults.law_of_string delay_law) ~skew ())
 
 let policy_of_flags ~retry_budget =
   or_invalid (fun () -> Resilient.policy ~retry_budget ())
@@ -690,6 +676,48 @@ let engine_arg =
        ~doc:"Inference engine: 'ball' (Theorem 5.1 annulus algorithm) or \
              'saw' (Weitz's self-avoiding-walk tree; binary models only).")
 
+(* Flags that sample and chaos share: one term each, so both commands
+   parse and document them alike. *)
+let async_arg =
+  Arg.(value & opt (some string) None & info [ "async" ] ~docv:"MODE"
+       ~doc:"Flood over the event-driven executor instead of lockstep \
+             rounds: 'synchronizer' (alpha-synchronizer; bit-identical \
+             outputs, rounds and traces under any delay law or skew) or \
+             'adaptive' (EWMA timeouts + capped retransmissions; a \
+             misfired timeout degrades to a retry, never a wrong \
+             sample).  chaos runs every trial batch this way and checks \
+             its sync-vs-async identity invariant either way.")
+
+let max_delay_arg =
+  Arg.(value & opt (some int) None & info [ "max-delay" ] ~docv:"D"
+       ~doc:"Upper bound (>= 1) on how many rounds a delayed copy can \
+             arrive late.  Only meaningful when the plan has a nonzero \
+             delay rate (e.g. via --fault-profile flaky); chaos forces it \
+             onto every generated schedule.")
+
+let corrupt_rate_arg =
+  Arg.(value & opt (some float) None & info [ "corrupt-rate" ] ~docv:"P"
+       ~doc:"Per-(round, edge, copy) payload corruption probability (chaos \
+             forces it onto every generated schedule).  Corrupted flood \
+             records are detected by an integrity digest and quarantined \
+             — billed but never delivered — so corruption costs \
+             availability, never correctness.")
+
+let profile_arg =
+  Arg.(value & opt (some string) None & info [ "fault-profile" ] ~docv:"NAME"
+       ~doc:"Named fault preset: 'lossy' (pure message loss), 'flaky' \
+             (loss + duplication + delay + crash-recovery + corruption), \
+             or 'partitioned' (a partition interval and a drop burst over \
+             light loss).  It is the base plan: each explicit fault flag, \
+             even at its default value, overrides the preset field it \
+             names, and everything funnels through the same validation \
+             (chaos keeps each generated schedule's seed and timing \
+             dimensions).")
+
+let connect_arg =
+  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR"
+       ~doc:"Daemon address (same syntax and default as serve --listen).")
+
 let sample_cmd =
   let jvv = Arg.(value & flag & info [ "exact"; "jvv" ] ~doc:"Use the exact JVV sampler.") in
   let eps =
@@ -704,38 +732,16 @@ let sample_cmd =
                against the exact joint distribution).")
   in
   let fault_rate =
-    Arg.(value & opt float 0. & info [ "fault-rate" ] ~docv:"P"
+    Arg.(value & opt (some float) None & info [ "fault-rate" ] ~docv:"P"
          ~doc:"Per-(round, edge) message drop probability of the injected \
-               fault plan (0 disables fault injection; the zero-fault plan \
-               is bit-identical to the reliable runtime).")
+               fault plan (with every rate at 0 the plan is the zero-fault \
+               plan, bit-identical to the reliable runtime).")
   in
   let crash_rate =
-    Arg.(value & opt float 0. & info [ "crash-rate" ] ~docv:"P"
+    Arg.(value & opt (some float) None & info [ "crash-rate" ] ~docv:"P"
          ~doc:"Per-node crash probability of the injected fault plan (a \
                crashed node is gone for good unless the plan grants it a \
                recovery — see --fault-profile flaky).")
-  in
-  let max_delay =
-    Arg.(value & opt int 1 & info [ "max-delay" ] ~docv:"D"
-         ~doc:"Upper bound (>= 1) on how many rounds a delayed copy can \
-               arrive late.  Only meaningful when the plan has a nonzero \
-               delay rate (e.g. via --fault-profile flaky).")
-  in
-  let corrupt_rate =
-    Arg.(value & opt float 0. & info [ "corrupt-rate" ] ~docv:"P"
-         ~doc:"Per-(round, edge, copy) payload corruption probability.  \
-               Corrupted flood records are detected by an integrity digest \
-               and quarantined — billed but never delivered — so corruption \
-               costs availability, never correctness.")
-  in
-  let profile =
-    Arg.(value & opt (some string) None & info [ "fault-profile" ] ~docv:"NAME"
-         ~doc:"Named fault preset: 'lossy' (pure message loss), 'flaky' \
-               (loss + duplication + delay + crash-recovery + corruption), \
-               or 'partitioned' (a partition interval and a drop burst over \
-               light loss).  Explicit flags override the preset field they \
-               correspond to; everything funnels through the same \
-               validation.")
   in
   let retry_budget =
     Arg.(value & opt int 3 & info [ "retry-budget" ] ~docv:"R"
@@ -755,15 +761,6 @@ let sample_cmd =
                'uniform', 'exp'/'exponential', or 'heavy'/'pareto' — all \
                mean 1.0, so laws change delay tails, not average load.  \
                Timing-only, like --skew.")
-  in
-  let async_mode =
-    Arg.(value & opt (some string) None & info [ "async" ] ~docv:"MODE"
-         ~doc:"Flood over the event-driven executor instead of lockstep \
-               rounds: 'synchronizer' (alpha-synchronizer; bit-identical \
-               outputs, rounds and traces under any delay law or skew) or \
-               'adaptive' (EWMA timeouts + capped retransmissions; a \
-               misfired timeout degrades to a retry, never a wrong \
-               sample).")
   in
   let timeout_base =
     Arg.(value & opt float 3.0 & info [ "timeout-base" ] ~docv:"T"
@@ -806,7 +803,7 @@ let sample_cmd =
                last checkpoint; the run's output must be unchanged.")
   in
   Cmd.v (Cmd.info "sample" ~doc:"Sample a configuration in the LOCAL model")
-    Term.(const (fun () a b c d e f g h i j k l m n o p q r s t u v -> sample a b c d e f g h i j k l m n o p q r s t u v) $ setup_log_term $ graph_arg $ model_arg $ t_arg $ seed_arg $ engine_arg $ jvv $ eps $ trials $ fault_rate $ crash_rate $ max_delay $ corrupt_rate $ skew $ delay_law $ async_mode $ timeout_base $ profile $ retry_budget $ sketch $ sketch_k $ shards $ shard_kill)
+    Term.(const (fun () a b c d e f g h i j k l m n o p q r s t u v -> sample a b c d e f g h i j k l m n o p q r s t u v) $ setup_log_term $ graph_arg $ model_arg $ t_arg $ seed_arg $ engine_arg $ jvv $ eps $ trials $ fault_rate $ crash_rate $ max_delay_arg $ corrupt_rate_arg $ skew $ delay_law $ async_arg $ timeout_base $ profile_arg $ retry_budget $ sketch $ sketch_k $ shards $ shard_kill)
 
 let infer_cmd =
   let vertex = Arg.(value & opt int 0 & info [ "vertex" ] ~docv:"V" ~doc:"Vertex.") in
@@ -847,26 +844,6 @@ let chaos_cmd =
          ~docv:"FILE"
          ~doc:"Where to write the shrunk reproducer on failure.")
   in
-  let async_mode =
-    Arg.(value & opt (some string) None & info [ "async" ] ~docv:"MODE"
-         ~doc:"Run every trial batch over the event-driven executor: \
-               'synchronizer' or 'adaptive'.  The sync-vs-async identity \
-               invariant is checked either way.")
-  in
-  let max_delay =
-    Arg.(value & opt (some int) None & info [ "max-delay" ] ~docv:"D"
-         ~doc:"Force this delay bound onto every generated schedule.")
-  in
-  let corrupt_rate =
-    Arg.(value & opt (some float) None & info [ "corrupt-rate" ] ~docv:"P"
-         ~doc:"Force this corruption rate onto every generated schedule.")
-  in
-  let profile =
-    Arg.(value & opt (some string) None & info [ "fault-profile" ] ~docv:"NAME"
-         ~doc:"Replace every generated schedule's rates with this preset \
-               ('lossy', 'flaky', 'partitioned') before the other override \
-               flags apply — the same precedence as the sample command.")
-  in
   let partition_conv =
     let parse s =
       Result.map_error (fun m -> `Msg m) (Ls_chaos.Chaos.parse_partition s)
@@ -898,7 +875,7 @@ let chaos_cmd =
              minimal reproducers.  Exits 1 on any violation, after writing \
              the reproducer file — whose replay line carries every flag of \
              this command.")
-    Term.(const (fun () a b c d e f g h i j -> chaos a b c d e f g h i j) $ setup_log_term $ seed_arg $ schedules $ trials $ async_mode $ max_delay $ corrupt_rate $ profile $ partitions $ shards $ reproducer)
+    Term.(const (fun () a b c d e f g h i j -> chaos a b c d e f g h i j) $ setup_log_term $ seed_arg $ schedules $ trials $ async_arg $ max_delay_arg $ corrupt_rate_arg $ profile_arg $ partitions $ shards $ reproducer)
 
 let serve_cmd =
   let listen =
@@ -1005,10 +982,6 @@ let serve_cmd =
           $ sysfault)
 
 let query_cmd =
-  let connect =
-    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR"
-         ~doc:"Daemon address (same syntax and default as serve --listen).")
-  in
   let requests =
     Arg.(value & opt int 64 & info [ "requests" ] ~docv:"N"
          ~doc:"Requests to send: a deterministic mixed sample/infer/count \
@@ -1060,7 +1033,7 @@ let query_cmd =
              daemon restarts: a broken connection is reconnected (with \
              backoff) and the window's unanswered requests are resent.")
     Term.(const (fun () a b c d e f g h i -> query a b c d e f g h i)
-          $ setup_log_term $ connect $ requests $ pipeline $ seed_arg
+          $ setup_log_term $ connect_arg $ requests $ pipeline $ seed_arg
           $ transcript $ stats_flag $ deadline_ms $ kill_after
           $ worker_pid_file)
 
@@ -1105,10 +1078,6 @@ let serve_chaos_cmd =
           $ no_sysfault)
 
 let health_cmd =
-  let connect =
-    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR"
-         ~doc:"Daemon address (same syntax and default as serve --listen).")
-  in
   Cmd.v
     (Cmd.info "health"
        ~doc:"Ask a running serve daemon for its degraded-mode report.  \
@@ -1116,7 +1085,7 @@ let health_cmd =
              — snapshot circuit-breaker open, checkpoint-free operation \
              after ENOSPC, connection shedding under EMFILE.  Exits 0 when \
              healthy, 1 when degraded, 2 on usage or connection errors.")
-    Term.(const (fun () a -> health a) $ setup_log_term $ connect)
+    Term.(const (fun () a -> health a) $ setup_log_term $ connect_arg)
 
 let main_cmd =
   Cmd.group

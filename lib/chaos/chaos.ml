@@ -24,55 +24,13 @@ open Ls_core
 
 (* --- schedules -------------------------------------------------------- *)
 
-type spec = {
-  plan_seed : int64;
-  drop : float;
-  duplicate : float;
-  delay : float;
-  max_delay : int;
-  crash : float;
-  recovery : float;
-  recovery_delay : int;
-  corrupt : float;
-  partitions : (int * int * int) list;
-  bursts : (int * int * float) list;
-  law : Faults.law;
-  skew : float;
-  reorder : float;
-}
-
-let quiet plan_seed =
-  {
-    plan_seed;
-    drop = 0.;
-    duplicate = 0.;
-    delay = 0.;
-    max_delay = 1;
-    crash = 0.;
-    recovery = 0.;
-    recovery_delay = 1;
-    corrupt = 0.;
-    partitions = [];
-    bursts = [];
-    law = Faults.Uniform;
-    skew = 0.;
-    reorder = 0.;
-  }
-
-let to_faults s =
-  Faults.make ~seed:s.plan_seed ~drop:s.drop ~duplicate:s.duplicate
-    ~delay:s.delay ~max_delay:s.max_delay ~crash:s.crash ~recovery:s.recovery
-    ~recovery_delay:s.recovery_delay ~corrupt:s.corrupt
-    ~partitions:s.partitions ~bursts:s.bursts ~law:s.law ~skew:s.skew
-    ~reorder:s.reorder ()
-
-let describe s = Faults.describe (to_faults s)
+let quiet seed = Faults.make ~seed ~recovery_delay:1 ()
 
 (* Schedule generation: every dimension of the fault space is exercised
    with positive probability, at rates moderate enough that the workload
    keeps succeeding often (the exactness invariant needs successes). *)
 let gen rng =
-  let plan_seed = Rng.bits64 rng in
+  let seed = Rng.bits64 rng in
   let rate p hi = if Rng.bernoulli rng p then Rng.float rng *. hi else 0. in
   let drop = rate 0.7 0.12 in
   let duplicate = rate 0.4 0.1 in
@@ -106,22 +64,8 @@ let gen rng =
         let a = Rng.int rng 10 in
         (a, a + 1 + Rng.int rng 3, 0.3 +. (Rng.float rng *. 0.6)))
   in
-  {
-    plan_seed;
-    drop;
-    duplicate;
-    delay;
-    max_delay;
-    crash;
-    recovery;
-    recovery_delay;
-    corrupt;
-    partitions;
-    bursts;
-    law;
-    skew;
-    reorder;
-  }
+  Faults.make ~seed ~drop ~duplicate ~delay ~max_delay ~crash ~recovery
+    ~recovery_delay ~corrupt ~partitions ~bursts ~law ~skew ~reorder ()
 
 (* --- overrides (the CLI flag surface, as data) ------------------------- *)
 
@@ -148,33 +92,17 @@ let no_overrides =
     o_shards = None;
   }
 
+(* The profile, when named, replaces the generated rates and schedules;
+   the generated seed and timing dimensions stay, and the explicit
+   overrides win over both. *)
 let apply_overrides o s =
-  let s =
-    match o.o_profile with
-    | None -> s
-    | Some name ->
-        let p = Faults.preset name in
-        {
-          s with
-          drop = p.Faults.pr_drop;
-          duplicate = p.Faults.pr_duplicate;
-          delay = p.Faults.pr_delay;
-          max_delay = p.Faults.pr_max_delay;
-          crash = p.Faults.pr_crash;
-          recovery = p.Faults.pr_recovery;
-          recovery_delay = p.Faults.pr_recovery_delay;
-          corrupt = p.Faults.pr_corrupt;
-          partitions = p.Faults.pr_partitions;
-          bursts = p.Faults.pr_bursts;
-        }
+  let base =
+    match o.o_profile with Some name -> Faults.preset name | None -> s
   in
-  let s =
-    match o.o_max_delay with None -> s | Some d -> { s with max_delay = d }
-  in
-  let s =
-    match o.o_corrupt with None -> s | Some c -> { s with corrupt = c }
-  in
-  match o.o_partitions with [] -> s | ps -> { s with partitions = ps }
+  let partitions = match o.o_partitions with [] -> None | ps -> Some ps in
+  Faults.make ~base ~seed:s.Faults.seed ~law:s.law ~skew:s.skew
+    ~reorder:s.reorder ?max_delay:o.o_max_delay ?corrupt:o.o_corrupt
+    ?partitions ()
 
 (* --- the workload ----------------------------------------------------- *)
 
@@ -207,7 +135,7 @@ let chi_square_critical ~df =
    fault space.  [async] is the executor mode; a fresh config per trial
    keeps its mutable stats out of the cross-domain determinism story. *)
 let one_trial ?async spec inst oracle policy rng =
-  let faults = to_faults { spec with plan_seed = Rng.bits64 rng } in
+  let faults = Faults.reseed spec ~seed:(Rng.bits64 rng) in
   let async = Option.map (fun mode -> Async.make ~mode ()) async in
   let r =
     Local_sampler.sample_resilient oracle ~policy ~faults ?async inst
@@ -222,16 +150,15 @@ let run_spec ?check ?async ?shards ?(trials = 80) spec =
   let inst = workload_instance () in
   let oracle = Inference.ssm_oracle ~t:2 inst in
   let policy = Resilient.policy ~retry_budget:3 () in
-  let faults = to_faults spec in
   (* Invariant: conservation at teardown.  Drive supervised ball collection
      directly on a network we hold, finish it, then account for every
      transmitted copy — pending must be zero once the network is finished
      (parked copies settle as dead letters), not just balanced mid-run. *)
   let g = Generators.cycle workload_n in
   let net =
-    Network.create ~faults g
+    Network.create ~faults:spec g
       ~inputs:(Array.make workload_n ())
-      ~seed:spec.plan_seed
+      ~seed:spec.Faults.seed
   in
   let exec = Option.map (fun mode -> Async.make ~mode ()) async in
   let _views, _failed, _report =
@@ -261,7 +188,7 @@ let run_spec ?check ?async ?shards ?(trials = 80) spec =
   (* Trial batch, used by the remaining invariants.  Domain count 1 here;
      the determinism invariant reruns the same batch on 2 domains and
      demands bit-identical results. *)
-  let batch_seed = Int64.logxor spec.plan_seed 0x5DEECE66DL in
+  let batch_seed = Int64.logxor spec.Faults.seed 0x5DEECE66DL in
   let batch ?async ~domains () =
     Par.run_trials ~domains ~n:trials ~seed:batch_seed
       (one_trial ?async spec inst oracle policy)
@@ -393,24 +320,32 @@ let zero_fault_identity ?async ~seed () =
 
 let remove_nth i l = List.filteri (fun j _ -> j <> i) l
 
-(* Candidate one-step simplifications, most structural first. *)
-let shrink_candidates s =
+(* Candidate one-step simplifications, most structural first.  A plan
+   holds its intervals as records; [make] takes them back as tuples. *)
+let shrink_candidates (s : Faults.t) =
+  let make = Faults.make ~base:s in
+  let partition p = Faults.(p.p_from, p.p_until, p.p_parts) in
+  let burst b = Faults.(b.b_from, b.b_until, b.b_drop) in
   List.concat
     [
-      List.mapi (fun i _ -> { s with partitions = remove_nth i s.partitions }) s.partitions;
-      List.mapi (fun i _ -> { s with bursts = remove_nth i s.bursts }) s.bursts;
-      (if s.crash > 0. then [ { s with crash = 0.; recovery = 0. } ] else []);
-      (if s.recovery > 0. then [ { s with recovery = 0. } ] else []);
-      (if s.corrupt > 0. then [ { s with corrupt = 0. } ] else []);
-      (if s.delay > 0. then [ { s with delay = 0.; max_delay = 1 } ] else []);
-      (if s.duplicate > 0. then [ { s with duplicate = 0. } ] else []);
-      (if s.drop > 0. then [ { s with drop = 0. } ] else []);
-      (if s.skew > 0. then [ { s with skew = 0. } ] else []);
-      (if s.reorder > 0. then [ { s with reorder = 0. } ] else []);
-      (if s.law <> Faults.Uniform then [ { s with law = Faults.Uniform } ]
-       else []);
-      (if s.max_delay > 1 then [ { s with max_delay = 1 } ] else []);
-      (if s.recovery_delay > 1 then [ { s with recovery_delay = 1 } ] else []);
+      List.mapi
+        (fun i _ ->
+          make ~partitions:(List.map partition (remove_nth i s.partitions)) ())
+        s.partitions;
+      List.mapi
+        (fun i _ -> make ~bursts:(List.map burst (remove_nth i s.bursts)) ())
+        s.bursts;
+      (if s.crash > 0. then [ make ~crash:0. ~recovery:0. () ] else []);
+      (if s.recovery > 0. then [ make ~recovery:0. () ] else []);
+      (if s.corrupt > 0. then [ make ~corrupt:0. () ] else []);
+      (if s.delay > 0. then [ make ~delay:0. ~max_delay:1 () ] else []);
+      (if s.duplicate > 0. then [ make ~duplicate:0. () ] else []);
+      (if s.drop > 0. then [ make ~drop:0. () ] else []);
+      (if s.skew > 0. then [ make ~skew:0. () ] else []);
+      (if s.reorder > 0. then [ make ~reorder:0. () ] else []);
+      (if s.law <> Faults.Uniform then [ make ~law:Faults.Uniform () ] else []);
+      (if s.max_delay > 1 then [ make ~max_delay:1 () ] else []);
+      (if s.recovery_delay > 1 then [ make ~recovery_delay:1 () ] else []);
     ]
 
 let shrink ?check ?async ?shards ?trials s =
@@ -420,7 +355,7 @@ let shrink ?check ?async ?shards ?trials s =
 (* --- top level -------------------------------------------------------- *)
 
 type params = { trials : int; overrides : overrides }
-type summary = (spec, params) Harness.summary
+type summary = (Faults.t, params) Harness.summary
 
 let run ?check ?(overrides = no_overrides) ?(schedules = 10) ?(trials = 80)
     ~seed () =
@@ -436,7 +371,7 @@ let run ?check ?(overrides = no_overrides) ?(schedules = 10) ?(trials = 80)
       | Some _ when async <> None ->
           invalid_arg "Chaos.run: --shards is synchronous-only (drop --async)"
       | _ -> ());
-      ignore (to_faults (apply_overrides overrides (quiet seed)));
+      ignore (apply_overrides overrides (quiet seed));
       let shards = overrides.o_shards in
       {
         Harness.zero = zero_fault_identity ?async ~seed ();
@@ -464,7 +399,7 @@ let flags p =
   Buffer.contents b
 
 let reproducer =
-  Harness.report ~command:"chaos" ~describe
+  Harness.report ~command:"chaos" ~describe:Faults.describe
     ~header:(fun p -> Printf.sprintf " trials=%d" p.trials)
     ~flags
     ~zero_fault:(fun v -> "zero-fault identity VIOLATED: " ^ v.detail)

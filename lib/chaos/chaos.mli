@@ -25,33 +25,20 @@
     Once per run, {e zero-fault}: the supervised sampler under
     {!Ls_local.Faults.none} is bit-identical to the unsupervised one.
 
+    {b Schedules} are plain {!Ls_local.Faults.t} plans: a generated
+    schedule, its overrides and every shrink step are {!Ls_local.Faults.make}
+    calls, so they pass the same validation as any other plan, and each
+    trial runs an independent replica of the schedule
+    ({!Ls_local.Faults.reseed}).
+
     {b Determinism.}  The whole run — generation, trials, verdicts,
     shrinking — is a pure function of [(seed, schedules, trials)], so the
     one line printed by {!reproducer} replays a failure exactly. *)
 
-type spec = {
-  plan_seed : int64;
-  drop : float;
-  duplicate : float;
-  delay : float;
-  max_delay : int;
-  crash : float;
-  recovery : float;
-  recovery_delay : int;
-  corrupt : float;
-  partitions : (int * int * int) list;
-  bursts : (int * int * float) list;
-  law : Ls_local.Faults.law;
-  skew : float;
-  reorder : float;
-}
-(** A fault schedule in shrinkable form: the arguments of
-    {!Ls_local.Faults.make}, as data.  The last three are the timing
-    dimensions only the asynchronous executor consults. *)
-
-val quiet : int64 -> spec
-(** The zero-fault schedule with the given plan seed (the shrinker's
-    bottom element; useful for building targeted specs in tests). *)
+val quiet : int64 -> Ls_local.Faults.t
+(** The zero-fault schedule with the given plan seed and a recovery delay
+    of 1 (the shrinker's bottom element; useful for building targeted
+    schedules in tests with [Faults.make ~base:(quiet seed)]). *)
 
 type overrides = {
   o_async : string option;
@@ -76,11 +63,11 @@ val no_overrides : overrides
 type violation = Harness.violation = { invariant : string; detail : string }
 
 val run_spec :
-  ?check:(spec -> violation option) ->
+  ?check:(Ls_local.Faults.t -> violation option) ->
   ?async:Ls_local.Async.mode ->
   ?shards:int ->
   ?trials:int ->
-  spec ->
+  Ls_local.Faults.t ->
   violation list
 (** Run the workload under one schedule and return every invariant
     violation (empty = schedule passed).  [check] injects an extra
@@ -99,12 +86,12 @@ val run_spec :
     Default [trials] is 80. *)
 
 val shrink :
-  ?check:(spec -> violation option) ->
+  ?check:(Ls_local.Faults.t -> violation option) ->
   ?async:Ls_local.Async.mode ->
   ?shards:int ->
   ?trials:int ->
-  spec ->
-  spec
+  Ls_local.Faults.t ->
+  Ls_local.Faults.t
 (** {!Harness.shrink} over this workload's one-step simplifications
     (drop an interval, zero a rate, collapse a bound): a minimal
     reproducer of the input's failure.  On a passing schedule it returns
@@ -112,10 +99,10 @@ val shrink :
 
 type params = { trials : int; overrides : overrides }
 
-type summary = (spec, params) Harness.summary
+type summary = (Ls_local.Faults.t, params) Harness.summary
 
 val run :
-  ?check:(spec -> violation option) ->
+  ?check:(Ls_local.Faults.t -> violation option) ->
   ?overrides:overrides ->
   ?schedules:int ->
   ?trials:int ->

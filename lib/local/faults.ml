@@ -97,10 +97,19 @@ let law_of_string = function
             uniform|exp|heavy)"
            other)
 
-let make ?(seed = 1L) ?(drop = 0.) ?(duplicate = 0.) ?(delay = 0.)
-    ?(max_delay = 1) ?(crash = 0.) ?(crash_horizon = 64) ?(recovery = 0.)
-    ?(recovery_delay = 4) ?(corrupt = 0.) ?(partitions = []) ?(bursts = [])
-    ?(law = Uniform) ?(skew = 0.) ?(reorder = 0.) () =
+(* Every field defaults to [base]'s, so a preset merged with explicit
+   flags is one call, and the merged plan passes the same validation as
+   a plan built from scratch.  Schedules go back to their tuple form so
+   base intervals are re-checked alongside explicit ones. *)
+let make ?(base = { none with seed = 1L }) ?(seed = base.seed)
+    ?(drop = base.drop) ?(duplicate = base.duplicate) ?(delay = base.delay)
+    ?(max_delay = base.max_delay) ?(crash = base.crash)
+    ?(crash_horizon = base.crash_horizon) ?(recovery = base.recovery)
+    ?(recovery_delay = base.recovery_delay) ?(corrupt = base.corrupt)
+    ?(partitions =
+      List.map (fun p -> (p.p_from, p.p_until, p.p_parts)) base.partitions)
+    ?(bursts = List.map (fun b -> (b.b_from, b.b_until, b.b_drop)) base.bursts)
+    ?(law = base.law) ?(skew = base.skew) ?(reorder = base.reorder) () =
   check_rate "drop (--fault-rate)" drop;
   check_rate "duplicate" duplicate;
   check_rate "delay" delay;
@@ -373,54 +382,13 @@ let describe t =
 
 (* --- profile presets -------------------------------------------------- *)
 
-type preset = {
-  pr_drop : float;
-  pr_duplicate : float;
-  pr_delay : float;
-  pr_max_delay : int;
-  pr_crash : float;
-  pr_recovery : float;
-  pr_recovery_delay : int;
-  pr_corrupt : float;
-  pr_partitions : (int * int * int) list;
-  pr_bursts : (int * int * float) list;
-}
-
-let zero_preset =
-  {
-    pr_drop = 0.;
-    pr_duplicate = 0.;
-    pr_delay = 0.;
-    pr_max_delay = 1;
-    pr_crash = 0.;
-    pr_recovery = 0.;
-    pr_recovery_delay = 4;
-    pr_corrupt = 0.;
-    pr_partitions = [];
-    pr_bursts = [];
-  }
-
 let preset = function
-  | "lossy" -> { zero_preset with pr_drop = 0.1 }
+  | "lossy" -> make ~drop:0.1 ()
   | "flaky" ->
-      {
-        zero_preset with
-        pr_drop = 0.05;
-        pr_duplicate = 0.05;
-        pr_delay = 0.3;
-        pr_max_delay = 2;
-        pr_crash = 0.05;
-        pr_recovery = 1.;
-        pr_recovery_delay = 4;
-        pr_corrupt = 0.02;
-      }
+      make ~drop:0.05 ~duplicate:0.05 ~delay:0.3 ~max_delay:2 ~crash:0.05
+        ~recovery:1. ~recovery_delay:4 ~corrupt:0.02 ()
   | "partitioned" ->
-      {
-        zero_preset with
-        pr_drop = 0.02;
-        pr_partitions = [ (2, 6, 2) ];
-        pr_bursts = [ (8, 10, 0.5) ];
-      }
+      make ~drop:0.02 ~partitions:[ (2, 6, 2) ] ~bursts:[ (8, 10, 0.5) ] ()
   | other ->
       invalid_arg
         (Printf.sprintf

@@ -73,6 +73,7 @@ val none : t
 val is_none : t -> bool
 
 val make :
+  ?base:t ->
   ?seed:int64 ->
   ?drop:float ->
   ?duplicate:float ->
@@ -90,8 +91,14 @@ val make :
   ?reorder:float ->
   unit ->
   t
-(** Build a validated plan.  All rates must lie in [\[0,1]]; [max_delay],
-    [crash_horizon] and [recovery_delay] must be ≥ 1; partition intervals
+(** Build a validated plan.  Every field omitted takes [base]'s value
+    ([base] defaults to {!none} with seed [1L]); every field given
+    overrides it — also when the value given equals the default.  This
+    is the one merge rule of a [--fault-profile] preset and explicit
+    flags: [make ?base:(Option.map preset profile) ?drop ...].
+
+    All rates must lie in [\[0,1]]; [max_delay], [crash_horizon] and
+    [recovery_delay] must be ≥ 1; partition intervals
     [(from, until, parts)] need [0 <= from < until] and [parts >= 2];
     burst intervals [(from, until, rate)] need [0 <= from < until] and a
     rate in [\[0,1]] — else [Invalid_argument] naming the offending
@@ -182,30 +189,12 @@ val describe : t -> string
     Mentions {e every} nonzero field — including corrupt, max_delay,
     recovery, and every scheduled interval. *)
 
-(** {1 Profile presets}
+(** {1 Profile presets} *)
 
-    The CLI's [--fault-profile] shorthand: named parameter bundles that
-    callers merge with their explicit flags and feed through {!make} (so
-    validation is identical either way). *)
-
-type preset = {
-  pr_drop : float;
-  pr_duplicate : float;
-  pr_delay : float;
-  pr_max_delay : int;
-  pr_crash : float;
-  pr_recovery : float;
-  pr_recovery_delay : int;
-  pr_corrupt : float;
-  pr_partitions : (int * int * int) list;
-  pr_bursts : (int * int * float) list;
-}
-
-val zero_preset : preset
-(** All rates zero — the merge identity. *)
-
-val preset : string -> preset
-(** ["lossy"] (pure message loss), ["flaky"] (loss + duplication + delay +
-    crash-recovery + corruption), ["partitioned"] (partition interval +
-    burst over light loss).  Raises [Invalid_argument] naming the flag on
-    any other string. *)
+val preset : string -> t
+(** The CLI's [--fault-profile] shorthand, as a full plan (seed [1L]):
+    ["lossy"] (pure message loss), ["flaky"] (loss + duplication + delay
+    + crash-recovery + corruption), ["partitioned"] (partition interval +
+    burst over light loss).  Callers merge explicit flags into it with
+    [make ~base].  Raises [Invalid_argument] naming the flag on any other
+    string. *)

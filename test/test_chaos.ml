@@ -19,7 +19,8 @@ let contains s sub =
 
 (* The planted "bug": it fires whenever a schedule combines a positive
    drop rate with a partition interval. *)
-let planted spec = spec.Chaos.drop > 0. && spec.Chaos.partitions <> []
+let planted spec =
+  spec.Ls_local.Faults.drop > 0. && spec.Ls_local.Faults.partitions <> []
 
 let injected spec =
   if planted spec then
@@ -56,17 +57,18 @@ let test_injected_failure_is_caught_and_shrunk () =
       checkb "the shrunk schedule still fails" true
         (f.H.f_shrunk_violations <> []);
       let m = f.H.f_shrunk in
-      checkb "shrunk keeps a positive drop" true (m.Chaos.drop > 0.);
+      checkb "shrunk keeps a positive drop" true (m.Ls_local.Faults.drop > 0.);
       checki "shrunk keeps exactly one partition" 1
-        (List.length m.Chaos.partitions);
+        (List.length m.Ls_local.Faults.partitions);
       checkb "every irrelevant rate zeroed" true
-        (m.Chaos.duplicate = 0. && m.Chaos.delay = 0. && m.Chaos.crash = 0.
-        && m.Chaos.recovery = 0. && m.Chaos.corrupt = 0.
-        && m.Chaos.bursts = []);
+        (m.Ls_local.Faults.duplicate = 0. && m.Ls_local.Faults.delay = 0.
+        && m.Ls_local.Faults.crash = 0. && m.Ls_local.Faults.recovery = 0.
+        && m.Ls_local.Faults.corrupt = 0.
+        && m.Ls_local.Faults.bursts = []);
       checkb "timing dimensions stripped too" true
-        (m.Chaos.skew = 0. && m.Chaos.reorder = 0.
-        && m.Chaos.law = Ls_local.Faults.Uniform);
-      checki "delay bound collapsed" 1 m.Chaos.max_delay)
+        (m.Ls_local.Faults.skew = 0. && m.Ls_local.Faults.reorder = 0.
+        && m.Ls_local.Faults.law = Ls_local.Faults.Uniform);
+      checki "delay bound collapsed" 1 m.Ls_local.Faults.max_delay)
     s.H.failures;
   let r = Chaos.reproducer s in
   checkb "reproducer names the violated invariant" true
@@ -150,7 +152,7 @@ let test_shrink_ignores_decoy () =
       let m = Chaos.shrink ~check ~trials:10 f.H.f_spec in
       checkb "shrunk keeps the planted failure" true (planted m);
       checki "shrunk keeps exactly one partition" 1
-        (List.length m.Chaos.partitions)
+        (List.length m.Ls_local.Faults.partitions)
 
 let test_shrink_is_identity_on_passing_specs () =
   let spec = Chaos.quiet 9L in
@@ -186,7 +188,7 @@ let test_reproducer_round_trip () =
     }
   in
   let check spec =
-    if spec.Chaos.drop > 0. then
+    if spec.Ls_local.Faults.drop > 0. then
       Some { Chaos.invariant = "injected"; detail = "any loss at all" }
     else None
   in

@@ -28,6 +28,7 @@ let () =
       ("robustness", Test_robustness.suite);
       ("recovery", Test_recovery.suite);
       ("chaos", Test_chaos.suite);
+      ("faults", Test_faults.suite);
       ("async", Test_async.suite);
       ("broadcast", Test_broadcast.suite);
       ("local", Test_local.suite);

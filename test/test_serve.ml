@@ -1249,6 +1249,27 @@ let test_cli_rejects_bad_values () =
       "--transcript"; "/nonexistent/dir/t.txt" ]
     "--transcript"
 
+(* --fault-profile is the base plan and an explicit fault flag overrides
+   its field even when set to the flag's default value: lossy with
+   --fault-rate 0 is no faults at all, and flaky with --max-delay 1
+   delays by one round at most. *)
+let test_cli_explicit_default_overrides_profile () =
+  let sample extra =
+    let code, out, _err =
+      run_cli ~extra_env:[] ([ "sample"; "-g"; "cycle:12"; "--seed"; "42" ] @ extra)
+    in
+    checki (String.concat " " extra ^ " exits 0") 0 code;
+    out
+  in
+  let plain = sample [] in
+  checkb "lossy with --fault-rate 0 prints the fault-free run" true
+    (sample [ "--fault-profile"; "lossy"; "--fault-rate"; "0" ] = plain);
+  let flaky = sample [ "--fault-profile"; "flaky"; "--max-delay"; "1" ] in
+  checkb "flaky with --max-delay 1 still runs under faults" true
+    (contains flaky "faults(seed=43");
+  checkb "flaky with --max-delay 1 no longer delays by 2" false
+    (contains flaky "(max 2)")
+
 let suite =
   [
     Alcotest.test_case "protocol round-trip" `Quick test_protocol_roundtrip;
@@ -1300,6 +1321,9 @@ let suite =
       test_cli_env_exit2;
     Alcotest.test_case "cli: rejected values exit 2 before output" `Quick
       test_cli_rejects_bad_values;
+    Alcotest.test_case "cli: an explicit default-valued flag overrides the \
+                        profile" `Quick
+      test_cli_explicit_default_overrides_profile;
     Alcotest.test_case "engine: a bad model is refused alone" `Quick
       test_engine_bad_model_alone;
     Alcotest.test_case "engine: weight-table cap" `Quick test_engine_table_cap;
