@@ -821,21 +821,15 @@ let e12_profile : string option ref = ref None
    E12-E14 table is a pure function of it (and the trial seed), at any
    domain count.  LOCSAMPLE_FAULT_SEED overrides it, like
    LOCSAMPLE_DOMAINS overrides the domain count; unset or empty means
-   2026.  bench/main.ml checks it at startup, so a malformed value is a
-   named error, never a silent 2026. *)
-let fault_seed_env () =
-  match Sys.getenv_opt "LOCSAMPLE_FAULT_SEED" with
-  | None | Some "" -> Ok 2026L
-  | Some s -> (
-      match Int64.of_string_opt (String.trim s) with
-      | Some seed -> Ok seed
-      | None ->
-          Error
-            (Printf.sprintf "LOCSAMPLE_FAULT_SEED=%S: expected a 64-bit integer"
-               s))
+   2026.  bench/main.ml checks it at startup (Env.check_all), so a
+   malformed value is a named error, never a silent 2026. *)
+let fault_seed_var =
+  Ls_obs.Env.declare "LOCSAMPLE_FAULT_SEED" ~default:(fun () -> 2026L)
+    (fun s ->
+      Option.to_result ~none:"expected a 64-bit integer"
+        (Int64.of_string_opt (String.trim s)))
 
-let fault_seed () =
-  match fault_seed_env () with Ok seed -> seed | Error msg -> invalid_arg msg
+let fault_seed () = Ls_obs.Env.get fault_seed_var
 
 (* --async MODE from the bench driver: the supervised runs in E12/E13
    flood over the event-driven executor instead of lockstep rounds.  A

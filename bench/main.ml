@@ -55,15 +55,12 @@ let usage () =
 
 let metrics_on = ref false
 
+(* Run a library constructor for its validation: its rejection is the
+   message, so the text matches the locsample CLI's exactly. *)
+let or_exit f =
+  try f () with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2
+
 let parse_args argv =
-  (* Each flag also accepts --flag=VALUE, like --domains. *)
-  let split_eq prefix arg =
-    let p = prefix ^ "=" in
-    let lp = String.length p in
-    if String.length arg > lp && String.sub arg 0 lp = p then
-      Some (String.sub arg lp (String.length arg - lp))
-    else None
-  in
   let rec go acc = function
     | [] -> List.rev acc
     | "--domains" :: k :: rest -> set_domains k; go acc rest
@@ -82,30 +79,14 @@ let parse_args argv =
         Ls_obs.Metrics.set_enabled true;
         go acc rest
     | "--help" :: _ -> usage ()
-    | arg :: rest ->
-        let eq_flags =
-          [
-            ("--domains", set_domains);
-            ("--fault-rate", set_fault_rate);
-            ("--crash-rate", set_crash_rate);
-            ("--retry-budget", set_retry_budget);
-            ("--max-delay", set_max_delay);
-            ("--corrupt-rate", set_corrupt_rate);
-            ("--fault-profile", set_fault_profile);
-            ("--async", set_async);
-            ("--sketch", set_sketch);
-            ("--sketch-k", set_sketch_k);
-            ("--trace", set_trace);
-          ]
-        in
-        let rec try_eq = function
-          | [] -> go (arg :: acc) rest
-          | (p, set) :: more -> (
-              match split_eq p arg with
-              | Some v -> set v; go acc rest
-              | None -> try_eq more)
-        in
-        try_eq eq_flags
+    | arg :: rest -> (
+        (* Each valued flag also accepts --flag=VALUE: the token is split
+           in two and matched again. *)
+        match String.index_opt arg '=' with
+        | Some i when String.starts_with ~prefix:"--" arg ->
+            let v = String.sub arg (i + 1) (String.length arg - i - 1) in
+            go acc (String.sub arg 0 i :: v :: rest)
+        | _ -> go (arg :: acc) rest)
   and set_domains k =
     match int_of_string_opt k with
     | Some k when k >= 1 -> Ls_par.Par.set_domains k
@@ -114,78 +95,72 @@ let parse_args argv =
         exit 2
   and set_fault_rate p =
     match float_of_string_opt p with
-    | Some x when x >= 0. && x <= 1. -> Experiments.e12_rates := [ x ]
-    | _ ->
+    | Some x ->
+        or_exit (fun () -> ignore (Ls_local.Faults.make ~drop:x ()));
+        Experiments.e12_rates := [ x ]
+    | None ->
         Printf.eprintf "--fault-rate expects a probability in [0,1], got %S\n" p;
         exit 2
   and set_crash_rate p =
     match float_of_string_opt p with
-    | Some x when x >= 0. && x <= 1. -> Experiments.e12_crash_rate := x
-    | _ ->
+    | Some x ->
+        or_exit (fun () -> ignore (Ls_local.Faults.make ~crash:x ()));
+        Experiments.e12_crash_rate := x
+    | None ->
         Printf.eprintf "--crash-rate expects a probability in [0,1], got %S\n" p;
         exit 2
   and set_retry_budget r =
     match int_of_string_opt r with
-    | Some x when x >= 0 -> Experiments.e12_retry_budget := x
-    | _ ->
+    | Some x ->
+        or_exit (fun () ->
+            ignore (Ls_local.Resilient.policy ~retry_budget:x ()));
+        Experiments.e12_retry_budget := x
+    | None ->
         Printf.eprintf "--retry-budget expects an integer >= 0, got %S\n" r;
         exit 2
   and set_max_delay k =
-    (* Validation lives in Faults.make, so the error text matches the
-       locsample CLI's exactly. *)
     match int_of_string_opt k with
-    | Some x -> (
-        try
-          ignore (Ls_local.Faults.make ~max_delay:x ());
-          Experiments.e12_max_delay := Some x
-        with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2)
+    | Some x ->
+        or_exit (fun () -> ignore (Ls_local.Faults.make ~max_delay:x ()));
+        Experiments.e12_max_delay := Some x
     | None ->
         Printf.eprintf "--max-delay expects an integer >= 1, got %S\n" k;
         exit 2
   and set_corrupt_rate p =
     match float_of_string_opt p with
-    | Some x -> (
-        try
-          ignore (Ls_local.Faults.make ~corrupt:x ());
-          Experiments.e12_corrupt_rate := Some x
-        with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2)
+    | Some x ->
+        or_exit (fun () -> ignore (Ls_local.Faults.make ~corrupt:x ()));
+        Experiments.e12_corrupt_rate := Some x
     | None ->
         Printf.eprintf "--corrupt-rate expects a probability in [0,1], got %S\n"
           p;
         exit 2
   and set_fault_profile name =
-    (try ignore (Ls_local.Faults.preset name)
-     with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2);
+    or_exit (fun () -> ignore (Ls_local.Faults.preset name));
     Experiments.e12_profile := Some name
   and set_async mode =
-    (* Validation lives in Async.mode_of_string, so the error text matches
-       the locsample CLI's exactly.  E12/E13's supervised runs then flood
-       over the event-driven executor; in synchronizer mode stdout stays
-       byte-identical to the synchronous run. *)
-    (try ignore (Ls_local.Async.mode_of_string mode)
-     with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2);
+    (* E12/E13's supervised runs then flood over the event-driven
+       executor; in synchronizer mode stdout stays byte-identical to the
+       synchronous run. *)
+    or_exit (fun () -> ignore (Ls_local.Async.mode_of_string mode));
     Experiments.async_mode := Some mode
   and set_sketch wd =
-    (* Pin E15's grid to a single width,depth point.  Validation lives in
-       Cms.create, so the error text matches the locsample CLI's. *)
+    (* Pin E15's grid to a single width,depth point. *)
     let parts = String.split_on_char ',' wd in
     match List.map int_of_string_opt parts with
-    | [ Some w; Some d ] -> (
-        try
-          ignore (Ls_sketch.Cms.create ~width:w ~depth:d ~seed:0L);
-          Experiments.e15_grid := [ (w, d) ]
-        with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2)
+    | [ Some w; Some d ] ->
+        or_exit (fun () ->
+            ignore (Ls_sketch.Cms.create ~width:w ~depth:d ~seed:0L));
+        Experiments.e15_grid := [ (w, d) ]
     | _ ->
         Printf.eprintf "--sketch expects WIDTH,DEPTH (two integers), got %S\n"
           wd;
         exit 2
   and set_sketch_k k =
     match int_of_string_opt k with
-    | Some x -> (
-        try
-          ignore (Ls_sketch.Bottomk.create ~k:x ~seed:0L);
-          Experiments.e15_k := x
-        with Invalid_argument msg -> Printf.eprintf "%s\n" msg; exit 2)
+    | Some x ->
+        or_exit (fun () -> ignore (Ls_sketch.Bottomk.create ~k:x ~seed:0L));
+        Experiments.e15_k := x
     | None ->
         Printf.eprintf "--sketch-k expects an integer >= 1, got %S\n" k;
         exit 2
@@ -198,17 +173,11 @@ let parse_args argv =
 
 let () =
   (* Same env contract as bin/locsample: malformed LOCSAMPLE_* values are
-     named errors at startup, not backtraces from the first parallel call. *)
-  List.iter
-    (fun check ->
-      match check () with
-      | Ok () -> ()
-      | Error msg -> Printf.eprintf "%s\n" msg; exit 2)
-    [
-      Ls_par.Par.env_check;
-      Ls_shard.Ckpt.env_check;
-      (fun () -> Result.map ignore (Experiments.fault_seed_env ()));
-    ];
+     named errors at startup, not backtraces from the first parallel call
+     or from a daemon forked mid-section. *)
+  (match Ls_obs.Env.check_all () with
+  | Ok () -> ()
+  | Error msg -> Printf.eprintf "%s\n" msg; exit 2);
   let requested =
     match parse_args Sys.argv with
     | [] -> List.filter (fun id -> not (String.contains id '/')) (List.map fst sections)

@@ -592,23 +592,13 @@ let serve_chaos seed schedules requests reproducer_path no_sysfault =
 
 open Cmdliner
 
-(* Validate every LOCSAMPLE_* environment variable up front, before any
-   subcommand runs.  Without this, a malformed LOCSAMPLE_DOMAINS only
-   surfaces at the first parallel call deep inside a subcommand — as an
-   Invalid_argument backtrace instead of the CLI's named-error exit-2
-   contract. *)
-let env_checks =
-  [ Par.env_check; Ls_shard.Ckpt.env_check; Ls_serve.Server.env_check;
-    Ls_chaos.Sysfault.env_check ]
-
-let validate_env () =
-  List.iter
-    (fun check ->
-      or_die (check ()))
-    env_checks
-
 let setup_log style_renderer level domains trace metrics =
-  validate_env ();
+  (* Validate every LOCSAMPLE_* environment variable up front, before any
+     subcommand runs.  Without this, a malformed LOCSAMPLE_DOMAINS only
+     surfaces at the first parallel call deep inside a subcommand — as an
+     Invalid_argument backtrace instead of the CLI's named-error exit-2
+     contract. *)
+  or_die (Ls_obs.Env.check_all ());
   (* Validated above, so this cannot raise; quiet or unset is a no-op. *)
   Ls_chaos.Sysfault.install_from_env ();
   Fmt_tty.setup_std_outputs ?style_renderer ();

@@ -225,21 +225,12 @@ let injected () = List.rev !log
 
 (* --- environment ------------------------------------------------------- *)
 
-let env_var = "LOCSAMPLE_SYSFAULT"
-
-let env_check () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> Ok ()
-  | Some s -> (
-      match of_string s with
-      | Ok _ -> Ok ()
-      | Error msg -> Error (Printf.sprintf "%s: %s" env_var msg))
+let env =
+  Ls_obs.Env.declare "LOCSAMPLE_SYSFAULT"
+    ~default:(fun () -> None)
+    (fun s -> Result.map Option.some (of_string s))
 
 let install_from_env () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> ()
-  | Some s -> (
-      match of_string s with
-      | Ok spec when not (is_quiet spec) -> install spec
-      | Ok _ -> ()
-      | Error msg -> invalid_arg (Printf.sprintf "%s: %s" env_var msg))
+  match Ls_obs.Env.get env with
+  | Some spec when not (is_quiet spec) -> install spec
+  | _ -> ()

@@ -70,11 +70,8 @@ val injected : unit -> string list
 (** The non-Pass verdicts applied since {!install}, oldest first, as
     ["op|site|count|verdict"] lines — the replay bit-identity witness. *)
 
-val env_check : unit -> (unit, string) result
-(** Validate [LOCSAMPLE_SYSFAULT] at CLI startup (unset or empty is
-    fine). *)
-
 val install_from_env : unit -> unit
-(** {!install} the [LOCSAMPLE_SYSFAULT] schedule if the variable is set,
-    non-empty and not quiet.  Raises [Invalid_argument] on a malformed
-    value (callers run {!env_check} first). *)
+(** {!install} the [LOCSAMPLE_SYSFAULT] schedule (the {!of_string} form)
+    if the variable is set, non-empty and not quiet.  A malformed value
+    raises as {!Ls_obs.Env} states; the CLI runs
+    {!Ls_obs.Env.check_all} first. *)

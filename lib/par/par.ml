@@ -2,28 +2,11 @@ module Rng = Ls_rng.Rng
 
 type timing = { wall : float; per_trial : float array; domains : int }
 
-let default_domains () =
-  (* A set-but-empty variable counts as unset, matching the other
-     LOCSAMPLE_* env accessors (`LOCSAMPLE_DOMAINS= locsample ...` must
-     not differ from leaving it out). *)
-  match Sys.getenv_opt "LOCSAMPLE_DOMAINS" with
-  | None | Some "" -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= 1 -> k
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "LOCSAMPLE_DOMAINS=%S: expected an integer >= 1" s))
+let domains_env =
+  Ls_obs.Env.declare "LOCSAMPLE_DOMAINS"
+    ~default:Domain.recommended_domain_count (Ls_obs.Env.int_at_least 1)
 
-let env_check () =
-  match Sys.getenv_opt "LOCSAMPLE_DOMAINS" with
-  | None | Some "" -> Ok ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= 1 -> Ok ()
-      | _ ->
-          Error
-            (Printf.sprintf "LOCSAMPLE_DOMAINS=%S: expected an integer >= 1" s))
+let default_domains () = Ls_obs.Env.get domains_env
 
 let override = Atomic.make None
 

@@ -21,7 +21,7 @@
 
     The default comes from the [LOCSAMPLE_DOMAINS] environment variable
     when set, else [Domain.recommended_domain_count ()] (the number of
-    cores).  More domains than cores buys nothing; fewer helps when the
+    cores); {!Ls_obs.Env} owns the unset/empty/malformed rule.  More domains than cores buys nothing; fewer helps when the
     machine is shared.  [--domains] flags in [bench/main.exe] and
     [bin/locsample.exe] call {!set_domains}.  One global pool is reused
     across calls and torn down at exit; the per-call [?domains] override
@@ -37,15 +37,9 @@ type timing = {
     {e not} covered by the determinism contract. *)
 
 val default_domains : unit -> int
-(** [LOCSAMPLE_DOMAINS] when set (must parse as an int ≥ 1, else
-    [Invalid_argument]), otherwise [Domain.recommended_domain_count ()]. *)
-
-val env_check : unit -> (unit, string) result
-(** Validate [LOCSAMPLE_DOMAINS] without touching the pool.  CLIs call
-    this at startup so a malformed value (e.g. [LOCSAMPLE_DOMAINS=abc])
-    surfaces as a named error on their exit-2 path instead of an
-    [Invalid_argument] backtrace escaping from the first parallel call
-    deep inside a subcommand. *)
+(** [LOCSAMPLE_DOMAINS] (an integer ≥ 1) when set, otherwise
+    [Domain.recommended_domain_count ()]; a malformed value raises as
+    {!Ls_obs.Env} states. *)
 
 val domains : unit -> int
 (** The current effective domain count: {!set_domains} override when

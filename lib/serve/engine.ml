@@ -567,22 +567,7 @@ let snapshot_version = 1
 let max_snapshot_key = 4096
 let max_snapshot_entries = 1 lsl 20
 
-let add_string buf s =
-  Codec.add_int buf (String.length s);
-  Buffer.add_string buf s
-
-let read_string s cur ~cap =
-  let ( let* ) = Result.bind in
-  let* len = Codec.read_int s cur in
-  if len < 0 || len > cap then
-    Error (Printf.sprintf "Engine: snapshot string length %d outside [0, %d]" len cap)
-  else if len > Codec.remaining s cur then
-    Error "Engine: snapshot string exceeds bytes present"
-  else begin
-    let v = String.sub s !cur len in
-    cur := !cur + len;
-    Ok v
-  end
+let read_string = Codec.read_string ~what:"Engine: snapshot string"
 
 let read_count s cur ~what =
   Result.bind (Codec.read_int s cur) (fun n ->
@@ -649,18 +634,18 @@ let snapshot t =
   Codec.add_int buf (List.length instances);
   List.iter
     (fun (key, c) ->
-      add_string buf key;
-      add_string buf c.c_spec.Protocol.graph;
-      add_string buf c.c_spec.Protocol.model;
+      Codec.add_string buf key;
+      Codec.add_string buf c.c_spec.Protocol.graph;
+      Codec.add_string buf c.c_spec.Protocol.model;
       Codec.add_int buf c.c_spec.Protocol.t;
-      add_string buf c.c_spec.Protocol.engine;
+      Codec.add_string buf c.c_spec.Protocol.engine;
       Codec.add_i64 buf c.c_spec.Protocol.seed)
     instances;
   let plans = Lru.to_list t.plans in
   Codec.add_int buf (List.length plans);
   List.iter
     (fun (key, p) ->
-      add_string buf key;
+      Codec.add_string buf key;
       add_plan buf p)
     plans;
   Buffer.contents buf

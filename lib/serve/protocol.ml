@@ -157,22 +157,7 @@ let validate_request r =
 
 (* --- payload codec ---------------------------------------------------- *)
 
-let add_string buf s =
-  Codec.add_int buf (String.length s);
-  Buffer.add_string buf s
-
-let read_string s cur ~cap =
-  let ( let* ) = Result.bind in
-  let* len = Codec.read_int s cur in
-  if len < 0 || len > cap then
-    Error (Printf.sprintf "Protocol: string length %d outside [0, %d]" len cap)
-  else if len > Codec.remaining s cur then
-    Error "Protocol: string length exceeds the bytes present"
-  else begin
-    let v = String.sub s !cur len in
-    cur := !cur + len;
-    Ok v
-  end
+let read_string = Codec.read_string ~what:"Protocol: string"
 
 let request_payload r =
   let buf = Buffer.create 64 in
@@ -184,9 +169,9 @@ let request_payload r =
   Codec.add_int buf r.trials;
   Codec.add_int buf r.vertex;
   Codec.add_int buf r.deadline_ms;
-  add_string buf r.graph;
-  add_string buf r.model;
-  add_string buf r.engine;
+  Codec.add_string buf r.graph;
+  Codec.add_string buf r.model;
+  Codec.add_string buf r.engine;
   Buffer.contents buf
 
 let request_of_payload s =
@@ -274,13 +259,13 @@ let response_payload { rid; body } =
       Codec.add_int buf (List.length reasons);
       List.iter
         (fun (sub, reason) ->
-          add_string buf sub;
-          add_string buf reason)
+          Codec.add_string buf sub;
+          Codec.add_string buf reason)
         reasons
   | Error_r { code; message } ->
       Codec.add_int buf 4;
       Codec.add_int buf (err_tag code);
-      add_string buf message);
+      Codec.add_string buf message);
   Buffer.contents buf
 
 let response_of_payload s =

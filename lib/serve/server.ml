@@ -54,82 +54,38 @@ let parse_address s =
 
 (* --- environment ------------------------------------------------------ *)
 
-let env_int_check name ~min =
-  match Sys.getenv_opt name with
-  | None | Some "" -> Ok ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= min -> Ok ()
-      | _ ->
-          Error
-            (Printf.sprintf "%s=%S: expected an integer >= %d" name s min))
+module Env = Ls_obs.Env
 
-let env_float_check name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> Ok ()
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f when f > 0. -> Ok ()
-      | _ -> Error (Printf.sprintf "%s=%S: expected a number > 0" name s))
-
-let env_check () =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Sys.getenv_opt "LOCSAMPLE_SERVE_SOCKET" with
-    | None | Some "" -> Ok ()
-    | Some s -> (
-        match parse_address s with
-        | Ok _ -> Ok ()
-        | Error msg -> Error (Printf.sprintf "LOCSAMPLE_SERVE_SOCKET: %s" msg))
-  in
-  let* () = env_int_check "LOCSAMPLE_SERVE_QUEUE" ~min:1 in
-  let* () = env_int_check "LOCSAMPLE_SERVE_CACHE" ~min:1 in
-  let* () = env_float_check "LOCSAMPLE_SERVE_SEND_TIMEOUT" in
-  match Sys.getenv_opt "LOCSAMPLE_SERVE_STATE" with
-  | None | Some "" -> Ok ()
-  | Some d ->
-      (* Same discipline as LOCSAMPLE_SHARD_DIR: the dir is created on
-         first snapshot, but a path that exists and is not a directory
-         would fail deep inside the first cache write. *)
-      if Sys.file_exists d && not (Sys.is_directory d) then
-        Error
-          (Printf.sprintf "LOCSAMPLE_SERVE_STATE=%S: exists but is not a directory" d)
-      else Ok ()
-
-(* Same validation as [env_check], so library callers that skip the
-   CLI's startup check get a raised error rather than a silently
-   ignored setting. *)
-let env_int name ~default =
-  match env_int_check name ~min:1 with
-  | Error msg -> invalid_arg msg
-  | Ok () -> (
-      match Sys.getenv_opt name with
-      | None | Some "" -> default
-      | Some s -> int_of_string (String.trim s))
-
-let default_address () =
-  match Sys.getenv_opt "LOCSAMPLE_SERVE_SOCKET" with
-  | Some s when s <> "" -> (
-      match parse_address s with Ok a -> a | Error _ -> Unix_path s)
-  | _ ->
+let socket_env =
+  Env.declare "LOCSAMPLE_SERVE_SOCKET"
+    ~default:(fun () ->
       Unix_path
-        (Filename.concat (Filename.get_temp_dir_name ()) "locsample-serve.sock")
+        (Filename.concat (Filename.get_temp_dir_name ()) "locsample-serve.sock"))
+    parse_address
 
-let default_queue () = env_int "LOCSAMPLE_SERVE_QUEUE" ~default:64
-let default_cache () = env_int "LOCSAMPLE_SERVE_CACHE" ~default:64
+let queue_env =
+  Env.declare "LOCSAMPLE_SERVE_QUEUE" ~default:(fun () -> 64)
+    (Env.int_at_least 1)
 
-let default_send_timeout () =
-  match env_float_check "LOCSAMPLE_SERVE_SEND_TIMEOUT" with
-  | Error msg -> invalid_arg msg
-  | Ok () -> (
-      match Sys.getenv_opt "LOCSAMPLE_SERVE_SEND_TIMEOUT" with
-      | None | Some "" -> 10.
-      | Some s -> float_of_string (String.trim s))
+let cache_env =
+  Env.declare "LOCSAMPLE_SERVE_CACHE" ~default:(fun () -> 64)
+    (Env.int_at_least 1)
 
-let default_state_dir () =
-  match Sys.getenv_opt "LOCSAMPLE_SERVE_STATE" with
-  | Some d when d <> "" -> Some d
-  | _ -> None
+let send_timeout_env =
+  Env.declare "LOCSAMPLE_SERVE_SEND_TIMEOUT" ~default:(fun () -> 10.)
+    (fun s ->
+      match float_of_string_opt (String.trim s) with
+      | Some f when f > 0. -> Ok f
+      | _ -> Error "expected a number > 0")
+
+let state_env =
+  Env.declare "LOCSAMPLE_SERVE_STATE" ~default:(fun () -> None) (fun d ->
+      Result.map Option.some (Env.dir d))
+
+let default_address () = Env.get socket_env
+let default_queue () = Env.get queue_env
+let default_cache () = Env.get cache_env
+let default_send_timeout () = Env.get send_timeout_env
 
 (* --- configuration ---------------------------------------------------- *)
 
@@ -160,7 +116,7 @@ let config ?address ?queue_bound ?(batch_max = 32) ?instance_cache
     match send_timeout with Some s -> s | None -> default_send_timeout ()
   in
   let state_dir =
-    match state_dir with Some d -> Some d | None -> default_state_dir ()
+    match state_dir with Some d -> Some d | None -> Env.get state_env
   in
   if queue_bound < 1 then invalid_arg "Server.config: queue bound must be >= 1";
   if batch_max < 1 then invalid_arg "Server.config: batch max must be >= 1";

@@ -46,31 +46,26 @@ val parse_address : string -> (address, string) result
 
 val address_to_string : address -> string
 
-val env_check : unit -> (unit, string) result
-(** Validate [LOCSAMPLE_SERVE_SOCKET] (must parse as an address),
-    [LOCSAMPLE_SERVE_QUEUE] and [LOCSAMPLE_SERVE_CACHE] (integers ≥ 1),
-    [LOCSAMPLE_SERVE_SEND_TIMEOUT] (a number > 0) and
-    [LOCSAMPLE_SERVE_STATE] (must not name an existing non-directory).
-    Called from the CLI's startup validation alongside
-    {!Ls_par.Par.env_check}. *)
+(** {1 Environment defaults}
+
+    Each reads one [LOCSAMPLE_SERVE_*] variable; {!Ls_obs.Env} owns the
+    rule (unset or empty gives the default shown, a malformed value
+    raises [Invalid_argument] naming the variable).  {!config} reads
+    [LOCSAMPLE_SERVE_STATE] the same way: a directory, or a path that
+    does not exist yet, else no persistence. *)
 
 val default_address : unit -> address
-(** [LOCSAMPLE_SERVE_SOCKET] when set, else a fixed socket under the
-    system temp dir. *)
+(** [LOCSAMPLE_SERVE_SOCKET] (a {!parse_address} form), else a fixed
+    socket under the system temp dir. *)
 
 val default_queue : unit -> int
-(** [LOCSAMPLE_SERVE_QUEUE] when set, else 64.  Raises
-    [Invalid_argument] on a malformed or non-positive value — the same
-    values {!env_check} rejects (the CLI reports them via that check
-    first; library callers are not silently defaulted). *)
+(** [LOCSAMPLE_SERVE_QUEUE] (an integer ≥ 1), else 64. *)
 
 val default_cache : unit -> int
-(** [LOCSAMPLE_SERVE_CACHE] when set, else 64.  Raises
-    [Invalid_argument] exactly as {!default_queue} does. *)
+(** [LOCSAMPLE_SERVE_CACHE] (an integer ≥ 1), else 64. *)
 
 val default_send_timeout : unit -> float
-(** [LOCSAMPLE_SERVE_SEND_TIMEOUT] when set, else 10 s.  Raises
-    [Invalid_argument] exactly as {!default_queue} does. *)
+(** [LOCSAMPLE_SERVE_SEND_TIMEOUT] (a number > 0), else 10 s. *)
 
 type config = {
   address : address;

@@ -23,23 +23,13 @@ let version = 1
 
 type meta = { run_id : int64; shard : int; phase : int; round : int }
 
-let default_dir () =
-  match Sys.getenv_opt "LOCSAMPLE_SHARD_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> Filename.concat (Filename.get_temp_dir_name ()) "locsample-shard-ckpt"
+let dir_env =
+  Ls_obs.Env.declare "LOCSAMPLE_SHARD_DIR"
+    ~default:(fun () ->
+      Filename.concat (Filename.get_temp_dir_name ()) "locsample-shard-ckpt")
+    Ls_obs.Env.dir
 
-let env_check () =
-  match Sys.getenv_opt "LOCSAMPLE_SHARD_DIR" with
-  | None | Some "" -> Ok ()
-  | Some d ->
-      (* The dir need not exist yet (ensure_dir creates it), but a path
-         that exists and is not a directory would make every checkpoint
-         write fail with an unhelpful Unix_error much later. *)
-      if Sys.file_exists d && not (Sys.is_directory d) then
-        Error
-          (Printf.sprintf "LOCSAMPLE_SHARD_DIR=%S: exists but is not a directory"
-             d)
-      else Ok ()
+let default_dir () = Ls_obs.Env.get dir_env
 
 let path ~dir ~run_id ~shard =
   Filename.concat dir (Printf.sprintf "shard-%016Lx-%d.ckpt" run_id shard)

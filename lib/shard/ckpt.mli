@@ -10,13 +10,9 @@
 type meta = { run_id : int64; shard : int; phase : int; round : int }
 
 val default_dir : unit -> string
-(** [$LOCSAMPLE_SHARD_DIR] when set and non-empty, else a fixed
-    subdirectory of the system temp dir. *)
-
-val env_check : unit -> (unit, string) result
-(** Validate [$LOCSAMPLE_SHARD_DIR] at CLI startup: a set, non-empty
-    value that exists but is not a directory is a named error (it would
-    otherwise fail deep inside the first checkpoint write). *)
+(** [$LOCSAMPLE_SHARD_DIR] when set (a directory, or a path that does
+    not exist yet), else a fixed subdirectory of the system temp dir; a
+    path naming a file raises as {!Ls_obs.Env} states. *)
 
 val path : dir:string -> run_id:int64 -> shard:int -> string
 

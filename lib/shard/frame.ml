@@ -50,10 +50,10 @@ let encode f =
   Buffer.add_string buf f.payload;
   Buffer.contents buf
 
-(* Decode exactly one frame spanning the whole string.  Every failure is
-   a named [Error]; no allocation is sized by the length field until it
-   has been checked against both [max_payload] and the bytes present. *)
-let decode s =
+(* The 7-field header at the front of [s], the payload left empty: the
+   one parse [decode], [decode_prefix] and [read_fd] share.  The length
+   is checked against [cap] before anything is sized by it. *)
+let header ~cap s =
   let ( let* ) = Result.bind in
   let cur = ref 0 in
   let* () = Codec.read_magic s cur magic in
@@ -64,17 +64,24 @@ let decode s =
   let* len = Codec.read_int s cur in
   let* dg = Codec.read_i64 s cur in
   if len < 0 then Error "Frame: negative payload length"
-  else if len > max_payload then Error "Frame: payload length exceeds maximum"
-  else if len > Codec.remaining s cur then
-    Error "Frame: payload length exceeds bytes present"
-  else begin
-    let payload = String.sub s !cur len in
-    cur := !cur + len;
-    if !cur <> String.length s then Error "Frame: trailing bytes after payload"
-    else if not (Int64.equal (digest64 payload) dg) then
-      Error "Frame: payload digest mismatch"
-    else Ok { kind; a; b; c; payload }
-  end
+  else if len > cap then Error "Frame: payload length exceeds maximum"
+  else Ok ({ kind; a; b; c; payload = "" }, len, dg)
+
+let with_payload (f, _, dg) payload =
+  if not (Int64.equal (digest64 payload) dg) then
+    Error "Frame: payload digest mismatch"
+  else Ok { f with payload }
+
+(* Decode exactly one frame spanning the whole string.  Every failure is
+   a named [Error]; no allocation is sized by the length field until it
+   has been checked against both [max_payload] and the bytes present. *)
+let decode s =
+  Result.bind (header ~cap:max_payload s) (fun ((_, len, _) as h) ->
+      if len > String.length s - header_bytes then
+        Error "Frame: payload length exceeds bytes present"
+      else if header_bytes + len <> String.length s then
+        Error "Frame: trailing bytes after payload"
+      else with_payload h (String.sub s header_bytes len))
 
 (* Decode one frame from the front of [s], for callers that accumulate
    bytes from a non-blocking stream.  [Ok None] means the bytes so far
@@ -84,35 +91,14 @@ let decode s =
    resynchronize on.  [max_frame_payload] lets a server cap hostile
    length claims below the generous default. *)
 let decode_prefix ?(max_frame_payload = max_payload) s =
-  let avail = String.length s in
-  if avail < header_bytes then Ok None
-  else begin
-    let ( let* ) = Result.bind in
-    let parsed =
-      let cur = ref 0 in
-      let* () = Codec.read_magic s cur magic in
-      let* kind = Codec.read_int s cur in
-      let* a = Codec.read_int s cur in
-      let* b = Codec.read_int s cur in
-      let* c = Codec.read_int s cur in
-      let* len = Codec.read_int s cur in
-      let* dg = Codec.read_i64 s cur in
-      Ok (kind, a, b, c, len, dg)
-    in
-    match parsed with
-    | Error e -> Error e
-    | Ok (kind, a, b, c, len, dg) ->
-        if len < 0 then Error "Frame: negative payload length"
-        else if len > max_frame_payload then
-          Error "Frame: payload length exceeds maximum"
-        else if avail < header_bytes + len then Ok None
-        else begin
-          let payload = String.sub s header_bytes len in
-          if not (Int64.equal (digest64 payload) dg) then
-            Error "Frame: payload digest mismatch"
-          else Ok (Some ({ kind; a; b; c; payload }, header_bytes + len))
-        end
-  end
+  if String.length s < header_bytes then Ok None
+  else
+    Result.bind (header ~cap:max_frame_payload s) (fun ((_, len, _) as h) ->
+        if String.length s < header_bytes + len then Ok None
+        else
+          Result.map
+            (fun f -> Some (f, header_bytes + len))
+            (with_payload h (String.sub s header_bytes len)))
 
 (* {1 File-descriptor IO}
 
@@ -159,35 +145,13 @@ let read_fd fd =
   let got = read_exact fd hdr 0 header_bytes in
   if got = 0 then Error Closed
   else if got < header_bytes then Error Truncated
-  else begin
-    let s = Bytes.unsafe_to_string hdr in
-    let ( let* ) = Result.bind in
-    let parsed =
-      let cur = ref 0 in
-      let* () = Codec.read_magic s cur magic in
-      let* kind = Codec.read_int s cur in
-      let* a = Codec.read_int s cur in
-      let* b = Codec.read_int s cur in
-      let* c = Codec.read_int s cur in
-      let* len = Codec.read_int s cur in
-      let* dg = Codec.read_i64 s cur in
-      Ok (kind, a, b, c, len, dg)
-    in
-    match parsed with
+  else
+    match header ~cap:max_payload (Bytes.unsafe_to_string hdr) with
     | Error e -> Error (Malformed e)
-    | Ok (kind, a, b, c, len, dg) ->
-        if len < 0 then Error (Malformed "Frame: negative payload length")
-        else if len > max_payload then
-          Error (Malformed "Frame: payload length exceeds maximum")
-        else begin
-          let pay = Bytes.create len in
-          let got = read_exact fd pay 0 len in
-          if got < len then Error Truncated
-          else begin
-            let payload = Bytes.unsafe_to_string pay in
-            if not (Int64.equal (digest64 payload) dg) then
-              Error (Malformed "Frame: payload digest mismatch")
-            else Ok { kind; a; b; c; payload }
-          end
-        end
-  end
+    | Ok ((_, len, _) as h) ->
+        let pay = Bytes.create len in
+        if read_exact fd pay 0 len < len then Error Truncated
+        else
+          Result.map_error
+            (fun e -> Malformed e)
+            (with_payload h (Bytes.unsafe_to_string pay))

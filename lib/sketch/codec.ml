@@ -55,6 +55,22 @@ let read_magic s cur magic =
 
 let remaining s cur = String.length s - !cur
 
+let add_string buf s =
+  add_int buf (String.length s);
+  Buffer.add_string buf s
+
+let read_string ~what s cur ~cap =
+  match read_int s cur with
+  | Error _ as e -> e
+  | Ok len when len < 0 || len > cap ->
+      Error (Printf.sprintf "%s length %d outside [0, %d]" what len cap)
+  | Ok len when len > remaining s cur ->
+      Error (Printf.sprintf "%s length exceeds the bytes present" what)
+  | Ok len ->
+      let v = String.sub s !cur len in
+      cur := !cur + len;
+      Ok v
+
 let digest s =
   let h = ref 0x5345454BL in
   String.iter

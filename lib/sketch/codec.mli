@@ -39,6 +39,15 @@ val remaining : string -> int ref -> int
 (** Bytes left after the cursor — the bound every length-prefixed
     allocation must be validated against before it happens. *)
 
+val add_string : Buffer.t -> string -> unit
+(** Append a length-prefixed byte string. *)
+
+val read_string :
+  what:string -> string -> int ref -> cap:int -> (string, string) result
+(** Read an {!add_string} field whose length must lie in [[0, cap]] and
+    within the bytes present; errors start with [what] (e.g.
+    ["Protocol: string"]). *)
+
 val digest : string -> string
 (** 16-hex-digit digest of a byte string (a SplitMix64 fold): the
     fingerprint the benches print so a stdout diff across domain counts

@@ -1085,66 +1085,110 @@ let with_env pairs f =
         saved)
     f
 
+(* One row per LOCSAMPLE_* variable this binary links: its library
+   accessor (rendered as a string), the default that accessor gives
+   unset or empty, values it must reject and values it must accept. *)
+let env_rows ~file =
+  let module Sysfault = Ls_chaos.Sysfault in
+  let tmp = Filename.get_temp_dir_name () in
+  let int = string_of_int and float = Printf.sprintf "%g" in
+  [
+    ( "LOCSAMPLE_DOMAINS",
+      (fun () -> int (Par.default_domains ())),
+      int (Domain.recommended_domain_count ()),
+      [ "abc"; "0" ], [ "4" ] );
+    ( "LOCSAMPLE_SHARD_DIR",
+      Ls_shard.Ckpt.default_dir,
+      Filename.concat tmp "locsample-shard-ckpt",
+      [ file ], [ tmp ] );
+    ( "LOCSAMPLE_SERVE_SOCKET",
+      (fun () -> Server.address_to_string (Server.default_address ())),
+      "unix:" ^ Filename.concat tmp "locsample-serve.sock",
+      [ "tcp:notaport:xyz"; "tcp:0" ], [ "unix:/tmp/x.sock"; "tcp:7000" ] );
+    ( "LOCSAMPLE_SERVE_QUEUE",
+      (fun () -> int (Server.default_queue ())),
+      "64", [ "-3"; "lots" ], [ "8" ] );
+    ( "LOCSAMPLE_SERVE_CACHE",
+      (fun () -> int (Server.default_cache ())),
+      "64", [ "zero"; "-1" ], [ "16" ] );
+    ( "LOCSAMPLE_SERVE_SEND_TIMEOUT",
+      (fun () -> float (Server.default_send_timeout ())),
+      "10", [ "abc"; "0"; "nope" ], [ "2.5" ] );
+    ( "LOCSAMPLE_SERVE_STATE",
+      (fun () -> Option.value (Server.config ()).Server.state_dir ~default:"none"),
+      "none", [ file ], [ tmp ] );
+    ( "LOCSAMPLE_SYSFAULT",
+      (fun () ->
+        Sysfault.uninstall ();
+        Fun.protect ~finally:Sysfault.uninstall (fun () ->
+            Sysfault.install_from_env ();
+            Option.fold ~none:"none" ~some:Sysfault.to_string (Sysfault.current ()))),
+      "none", [ "bogus=1"; "write=2" ], [ "seed=3,write=0.5" ] );
+  ]
+
 let test_env_checks_unit () =
-  let expect_error what check var =
-    match check () with
-    | Ok () -> Alcotest.fail (what ^ ": expected a validation error")
-    | Error msg -> checkb (what ^ " names the variable") true (contains msg var)
-  in
-  with_env [ ("LOCSAMPLE_DOMAINS", "abc") ] (fun () ->
-      expect_error "malformed domain count" Par.env_check "LOCSAMPLE_DOMAINS");
-  with_env [ ("LOCSAMPLE_DOMAINS", "0") ] (fun () ->
-      expect_error "zero domains" Par.env_check "LOCSAMPLE_DOMAINS");
-  with_env [ ("LOCSAMPLE_DOMAINS", "4") ] (fun () ->
-      checkb "valid domains pass" true (Par.env_check () = Ok ()));
-  with_env [ ("LOCSAMPLE_SERVE_QUEUE", "-3") ] (fun () ->
-      expect_error "negative queue bound" Server.env_check "LOCSAMPLE_SERVE_QUEUE");
-  with_env [ ("LOCSAMPLE_SERVE_CACHE", "zero") ] (fun () ->
-      expect_error "malformed cache size" Server.env_check "LOCSAMPLE_SERVE_CACHE");
-  (* The library accessors reject exactly what env_check rejects — no
-     silent fallback to the default (regression). *)
-  with_env [ ("LOCSAMPLE_SERVE_QUEUE", "lots") ] (fun () ->
-      match Server.default_queue () with
-      | exception Invalid_argument msg ->
-          checkb "library accessor names the variable" true
-            (contains msg "LOCSAMPLE_SERVE_QUEUE")
-      | _ -> Alcotest.fail "malformed LOCSAMPLE_SERVE_QUEUE must raise");
-  with_env [ ("LOCSAMPLE_SERVE_CACHE", "-1") ] (fun () ->
-      match Server.default_cache () with
-      | exception Invalid_argument msg ->
-          checkb "non-positive cache size raises" true
-            (contains msg "LOCSAMPLE_SERVE_CACHE")
-      | _ -> Alcotest.fail "non-positive LOCSAMPLE_SERVE_CACHE must raise");
-  with_env [ ("LOCSAMPLE_SERVE_SOCKET", "tcp:notaport:xyz") ] (fun () ->
-      expect_error "malformed serve socket" Server.env_check "LOCSAMPLE_SERVE_SOCKET");
-  with_env [ ("LOCSAMPLE_SERVE_SEND_TIMEOUT", "abc") ] (fun () ->
-      expect_error "malformed send timeout" Server.env_check
-        "LOCSAMPLE_SERVE_SEND_TIMEOUT");
-  with_env [ ("LOCSAMPLE_SERVE_SEND_TIMEOUT", "0") ] (fun () ->
-      expect_error "zero send timeout" Server.env_check
-        "LOCSAMPLE_SERVE_SEND_TIMEOUT");
-  with_env [ ("LOCSAMPLE_SERVE_SEND_TIMEOUT", "2.5") ] (fun () ->
-      checkb "valid send timeout passes" true (Server.env_check () = Ok ()));
-  with_env [ ("LOCSAMPLE_SERVE_SEND_TIMEOUT", "nope") ] (fun () ->
-      match Server.default_send_timeout () with
-      | exception Invalid_argument msg ->
-          checkb "send-timeout accessor names the variable" true
-            (contains msg "LOCSAMPLE_SERVE_SEND_TIMEOUT")
-      | _ -> Alcotest.fail "malformed LOCSAMPLE_SERVE_SEND_TIMEOUT must raise");
-  let state_file = Filename.temp_file "ls-serve-state-notadir" ".txt" in
-  with_env [ ("LOCSAMPLE_SERVE_STATE", state_file) ] (fun () ->
-      expect_error "state dir is a file" Server.env_check
-        "LOCSAMPLE_SERVE_STATE");
-  Sys.remove state_file;
+  let file = Filename.temp_file "ls-serve-notadir" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  List.iter
+    (fun (var, get, default, bad, good) ->
+      (* Unset (when the ambient environment leaves it so) and empty
+         both give the default. *)
+      if Sys.getenv_opt var = None then
+        Alcotest.(check string) (var ^ " unset gives the default") default (get ());
+      with_env [ (var, "") ] (fun () ->
+          Alcotest.(check string) (var ^ " empty gives the default") default
+            (get ());
+          checkb (var ^ " empty passes") true (Ls_obs.Env.check_all () = Ok ()));
+      List.iter
+        (fun v ->
+          with_env [ (var, v) ] (fun () ->
+              match Ls_obs.Env.check_all () with
+              | Ok () -> Alcotest.failf "%s=%S: expected a validation error" var v
+              | Error msg -> (
+                  checkb (var ^ " error names the variable") true
+                    (contains msg (var ^ "="));
+                  (* The accessor rejects exactly what the check rejects,
+                     in the same words: no silent fallback to the default. *)
+                  match get () with
+                  | exception Invalid_argument m ->
+                      Alcotest.(check string) (var ^ " accessor raises the same message")
+                        msg m
+                  | _ -> Alcotest.failf "%s=%S: the accessor must raise" var v)))
+        bad;
+      List.iter
+        (fun v ->
+          with_env [ (var, v) ] (fun () ->
+              checkb (Printf.sprintf "%s=%S passes" var v) true
+                (Ls_obs.Env.check_all () = Ok ());
+              ignore (get ())))
+        good)
+    (env_rows ~file);
   with_env
     [ ("LOCSAMPLE_SERVE_SOCKET", "unix:/tmp/x.sock");
       ("LOCSAMPLE_SERVE_QUEUE", "8"); ("LOCSAMPLE_SERVE_CACHE", "16") ]
-    (fun () -> checkb "valid serve env passes" true (Server.env_check () = Ok ()));
-  let file = Filename.temp_file "ls-serve-notadir" ".txt" in
+    (fun () ->
+      checkb "valid serve env passes" true (Ls_obs.Env.check_all () = Ok ()))
+
+(* The library accessors once accepted values the CLI's startup check
+   rejected: a malformed socket became a unix path of that name, and a
+   shard dir naming a file was handed to the first checkpoint write. *)
+let test_env_socket_accessor () =
+  with_env [ ("LOCSAMPLE_SERVE_SOCKET", "tcp:notaport:xyz") ] (fun () ->
+      match Server.default_address () with
+      | exception Invalid_argument msg ->
+          checkb "names the variable" true (contains msg "LOCSAMPLE_SERVE_SOCKET")
+      | a ->
+          Alcotest.failf "malformed socket accepted as %s"
+            (Server.address_to_string a))
+
+let test_env_shard_dir_accessor () =
+  let file = Filename.temp_file "ls-shard-notadir" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   with_env [ ("LOCSAMPLE_SHARD_DIR", file) ] (fun () ->
-      expect_error "shard dir is a file" Ls_shard.Ckpt.env_check
-        "LOCSAMPLE_SHARD_DIR");
-  Sys.remove file
+      match Ls_shard.Ckpt.default_dir () with
+      | exception Invalid_argument msg ->
+          checkb "names the variable" true (contains msg "LOCSAMPLE_SHARD_DIR")
+      | d -> Alcotest.failf "a file accepted as the shard dir: %s" d)
 
 (* Exec the real binary: a malformed LOCSAMPLE_* variable must exit 2
    with a named message — never escape as an uncaught backtrace (the
@@ -1327,4 +1371,8 @@ let suite =
     Alcotest.test_case "engine: a bad model is refused alone" `Quick
       test_engine_bad_model_alone;
     Alcotest.test_case "engine: weight-table cap" `Quick test_engine_table_cap;
+    Alcotest.test_case "env: a malformed serve socket raises in the accessor"
+      `Quick test_env_socket_accessor;
+    Alcotest.test_case "env: a shard dir naming a file raises in the accessor"
+      `Quick test_env_shard_dir_accessor;
   ]
