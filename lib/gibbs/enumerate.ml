@@ -1,4 +1,5 @@
 module Graph = Ls_graph.Graph
+module Stamp = Ls_graph.Stamp
 module Dist = Ls_dist.Dist
 
 (* Index of [x] in the sorted array [a], or -1. *)
@@ -15,41 +16,13 @@ let strictly_increasing a =
   let rec go i = i >= Array.length a || (a.(i - 1) < a.(i) && go (i + 1)) in
   go 1
 
-(* Per-domain scratch indexing the members of one call (the pattern of
-   [Graph.with_ball]): [stamp.(u) = epoch] marks [u] as a member and
-   [slot.(u)] is where its value sits in the working configuration, so
-   nothing of length n is cleared or allocated per call.  [ent] holds the
-   completion entries, three ints each, grown by doubling.  A call made
-   from inside [f] gets a fresh scratch. *)
-type scratch = {
-  mutable stamp : int array;
-  mutable slot : int array;
-  mutable ent : int array;
-  mutable epoch : int;
-  mutable busy : bool;
-}
+(* This module's {!Stamp} scratch: [stamp.(u) = epoch] marks [u] as a
+   member and [ints.(0)] holds where its value sits in the working
+   configuration.  Its payload [ent] holds the completion entries, three
+   ints each, grown by doubling. *)
+type entries = { mutable ent : int array }
 
-let fresh_scratch () = { stamp = [||]; slot = [||]; ent = [||]; epoch = 0; busy = false }
-
-let scratch_key = Domain.DLS.new_key fresh_scratch
-
-let with_scratch n k =
-  let sc = Domain.DLS.get scratch_key in
-  let sc = if sc.busy then fresh_scratch () else sc in
-  if Array.length sc.stamp < n then begin
-    sc.stamp <- Array.make n 0;
-    sc.slot <- Array.make n 0;
-    sc.epoch <- 0
-  end;
-  sc.epoch <- sc.epoch + 1;
-  sc.busy <- true;
-  match k sc with
-  | x ->
-      sc.busy <- false;
-      x
-  | exception e ->
-      sc.busy <- false;
-      raise e
+let scratch = Stamp.key ~ints:1 (fun () -> { ent = [||] })
 
 (* A completion entry is [kind; base; other].  With the working
    configuration [x] and the completing vertex's value [c], its factor's
@@ -58,15 +31,15 @@ let with_scratch n k =
    - 1, an edge factor: [edge.(base + c·q + x.(other))], [other] the
      other endpoint's slot (pinned, or assigned earlier);
    - 2, a factor of a general spec: the closure of [general.(base)]. *)
-let push sc i kind base other =
-  if 3 * (i + 1) > Array.length sc.ent then begin
-    let ent = Array.make (max 48 (2 * Array.length sc.ent)) 0 in
-    Array.blit sc.ent 0 ent 0 (3 * i);
-    sc.ent <- ent
+let push b i kind base other =
+  if 3 * (i + 1) > Array.length b.ent then begin
+    let ent = Array.make (max 48 (2 * Array.length b.ent)) 0 in
+    Array.blit b.ent 0 ent 0 (3 * i);
+    b.ent <- ent
   end;
-  sc.ent.(3 * i) <- kind;
-  sc.ent.((3 * i) + 1) <- base;
-  sc.ent.((3 * i) + 2) <- other
+  b.ent.(3 * i) <- kind;
+  b.ent.((3 * i) + 1) <- base;
+  b.ent.((3 * i) + 2) <- other
 
 (* A factor of a general spec, its scope resolved once to slots of the
    working configuration; [vals] is its one values buffer, refilled at
@@ -92,7 +65,7 @@ let slot_of (tb : Spec.tables) u w =
    or that is assigned no later than [v]?  Free members are assigned in
    ascending order, so with [v] free this says that assigning [v]
    completes the factor; with [v = -1], that [tau] fixes it. *)
-let rec completes sc tau scope v j =
+let rec completes (sc : _ Stamp.t) tau scope v j =
   j = Array.length scope
   ||
   let u = scope.(j) in
@@ -111,12 +84,12 @@ let rec completes sc tau scope v j =
 let enumerate spec ~members tau ~local x ~leaf =
   let n = Graph.n (Spec.graph spec) in
   let q = Spec.q spec and factors = Spec.factors spec and tables = Spec.tables spec in
-  with_scratch n (fun sc ->
-      let epoch = sc.epoch and k = ref 0 in
+  Stamp.use scratch n (fun sc ->
+      let epoch = sc.epoch and stamp = sc.stamp and slot = sc.ints.(0) and k = ref 0 in
       Array.iteri
         (fun m u ->
-          sc.stamp.(u) <- epoch;
-          sc.slot.(u) <- (if local then m else u);
+          stamp.(u) <- epoch;
+          slot.(u) <- (if local then m else u);
           let c = tau.(u) in
           if c = Config.unassigned then incr k
           else begin
@@ -170,7 +143,7 @@ let enumerate spec ~members tau ~local x ~leaf =
         Array.iter
           (fun v ->
             if tau.(v) = Config.unassigned then begin
-              pos.(!i) <- sc.slot.(v);
+              pos.(!i) <- slot.(v);
               start.(!i) <- !e;
               incr i;
               Array.iter
@@ -178,15 +151,15 @@ let enumerate spec ~members tau ~local x ~leaf =
                   let scope = factors.(fi).Spec.scope in
                   if completes sc tau scope v 0 then begin
                     (match tables with
-                    | Some _ when Array.length scope = 1 -> push sc !e 0 (v * q) (-1)
+                    | Some _ when Array.length scope = 1 -> push sc.payload !e 0 (v * q) (-1)
                     | Some tb ->
                         let o = if scope.(0) = v then scope.(1) else scope.(0) in
-                        push sc !e 1 (slot_of tb v o * q * q) sc.slot.(o)
+                        push sc.payload !e 1 (slot_of tb v o * q * q) slot.(o)
                     | None ->
-                        let src = Array.map (fun u -> sc.slot.(u)) scope in
+                        let src = Array.map (fun u -> slot.(u)) scope in
                         let vals = Array.make (Array.length scope) 0 in
                         general := { table = factors.(fi).Spec.table; src; vals } :: !general;
-                        push sc !e 2 !ngeneral (-1);
+                        push sc.payload !e 2 !ngeneral (-1);
                         incr ngeneral);
                     incr e
                   end)
@@ -198,7 +171,7 @@ let enumerate spec ~members tau ~local x ~leaf =
         let vertex, edge =
           match tables with Some tb -> (tb.vertex, tb.edge) | None -> ([||], [||])
         in
-        let ent = sc.ent in
+        let ent = sc.payload.ent in
         (* [ws.(i)] is the weight of the partial assignment of ranks below
            [i]; keeping it in a float array spares a boxed float per node. *)
         let ws = Array.make (k + 1) prefix in

@@ -8,7 +8,7 @@
     instances for validation, radius-bounded balls in the algorithms).
 
     One enumerator serves every entry point.  Its set-up visits only the
-    factors of the set's vertices, over per-domain stamp scratch, and
+    factors of the set's vertices, over {!Ls_graph.Stamp} scratch, and
     builds two things: the product of the factors [tau] already fixes, and
     for each free vertex the list of factors that assigning it completes,
     each resolved once (a pairwise factor to its entry in {!Spec.tables},

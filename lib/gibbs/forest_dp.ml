@@ -1,58 +1,29 @@
 module Graph = Ls_graph.Graph
+module Stamp = Ls_graph.Stamp
 module Dist = Ls_dist.Dist
 
 type outcome = Not_forest | Marginal of Dist.t option
 
-(* Per-domain scratch indexing the vertex set of one call: [stamp.(u) =
-   epoch] marks [u] as a member and [slot.(u)] is its local index, so
-   nothing of length n is cleared or allocated per call and the cost is
-   the size of the set (the pattern of [Graph.with_ball]).  A nested call
-   on the same domain gets a fresh scratch instead of clobbering the one
-   in use. *)
-type scratch = {
-  mutable stamp : int array;
-  mutable slot : int array;
-  mutable epoch : int;
-  mutable busy : bool;
-}
+(* The indexed set, over this module's {!Stamp} scratch: [vs.(i)] is the
+   vertex of local index [i], and [st] stamps each member with its local
+   index in [ints.(0)]. *)
+type set = { g : Graph.t; vs : int array; st : unit Stamp.t }
 
-let fresh_scratch () = { stamp = [||]; slot = [||]; epoch = 0; busy = false }
+let scratch = Stamp.key ~ints:1 (fun () -> ())
 
-let scratch_key = Domain.DLS.new_key fresh_scratch
-
-(* The indexed set: [vs.(i)] is the vertex of local index [i]. *)
-type set = { g : Graph.t; vs : int array; stamp : int array; slot : int array; epoch : int }
-
-let local s u = if s.stamp.(u) = s.epoch then s.slot.(u) else -1
+let local { st; _ } u = if st.stamp.(u) = st.epoch then st.ints.(0).(u) else -1
 
 let with_set g vs k =
-  let sc = Domain.DLS.get scratch_key in
-  let sc = if sc.busy then fresh_scratch () else sc in
-  let n = Graph.n g in
-  if Array.length sc.stamp < n then begin
-    sc.stamp <- Array.make n 0;
-    sc.slot <- Array.make n 0;
-    sc.epoch <- 0
-  end;
-  sc.epoch <- sc.epoch + 1;
-  sc.busy <- true;
-  let epoch = sc.epoch and stamp = sc.stamp and slot = sc.slot in
-  match
-    Array.iteri
-      (fun i u ->
-        if stamp.(u) = epoch then
-          invalid_arg "Forest_dp.ball_marginal: duplicate vertex in ball";
-        stamp.(u) <- epoch;
-        slot.(u) <- i)
-      vs;
-    k { g; vs; stamp; slot; epoch }
-  with
-  | x ->
-      sc.busy <- false;
-      x
-  | exception e ->
-      sc.busy <- false;
-      raise e
+  Stamp.use scratch (Graph.n g) (fun st ->
+      let epoch = st.epoch and stamp = st.stamp and slot = st.ints.(0) in
+      Array.iteri
+        (fun i u ->
+          if stamp.(u) = epoch then
+            invalid_arg "Forest_dp.ball_marginal: duplicate vertex in ball";
+          stamp.(u) <- epoch;
+          slot.(u) <- i)
+        vs;
+      k { g; vs; st })
 
 (* One traversal of the induced subgraph: label its components and count
    its edges.  Returns the component of each local index and the smallest

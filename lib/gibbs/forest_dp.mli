@@ -8,10 +8,10 @@
     bit up to floating-point rounding (property-tested) — and it is what
     makes the large-[n] round-complexity sweeps (E5–E9) feasible.
 
-    The kernel works on the ball itself: one pass over per-domain scratch
-    indexes the set, decides whether it induces a forest and runs the
-    sum-product, so its cost is proportional to the ball and its boundary
-    edges, never to [n]. *)
+    The kernel works on the ball itself: one pass over per-domain
+    {!Ls_graph.Stamp} scratch indexes the set, decides whether it induces
+    a forest and runs the sum-product, so its cost is proportional to the
+    ball and its boundary edges, never to [n]. *)
 
 type outcome =
   | Not_forest  (** The spec is not pairwise or the ball does not induce a forest. *)

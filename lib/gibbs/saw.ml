@@ -1,4 +1,5 @@
 module Graph = Ls_graph.Graph
+module Stamp = Ls_graph.Stamp
 module Dist = Ls_dist.Dist
 
 let supported spec = Spec.q spec = 2 && Spec.tables spec <> None
@@ -7,16 +8,12 @@ let supported spec = Spec.q spec = 2 && Spec.tables spec <> None
    so writing a result into it allocates nothing. *)
 type pair = { mutable p0 : float; mutable p1 : float }
 
-(* Per-domain scratch of the cycle-closing rule: [mark.(u) = epoch] while
-   [u] is on the current walk's path, and [exit_rank.(u)] is then the
-   rank, in [u]'s row, of the edge the walk left [u] by.  One epoch per
-   call, so a call reads and writes only the vertices its walks reach,
-   and the marks a raising walk leaves behind are stale at the next
-   epoch (the pattern of [Graph.with_ball]).  No callback runs inside a
-   walk, so calls never nest on a domain. *)
-type scratch = { mutable mark : int array; mutable exit_rank : int array; mutable epoch : int }
-
-let scratch_key = Domain.DLS.new_key (fun () -> { mark = [||]; exit_rank = [||]; epoch = 0 })
+(* This module's {!Stamp} scratch holds the cycle-closing rule's state:
+   [stamp.(u) = epoch] while [u] is on the current walk's path (0 once
+   the walk leaves it), and [ints.(0).(u)] is then the rank, in [u]'s
+   row, of the edge the walk left [u] by.  A call reads and writes only
+   the vertices its walks reach. *)
+let scratch = Stamp.key ~ints:1 (fun () -> ())
 
 (* The spin that the pins in [v]'s row force: [c'] when a pinned
    neighbour's leaf factor is exactly 0 for spin [1 - c'] and none is for
@@ -45,14 +42,8 @@ let forced_spin { Spec.off; dst; edge = a; live; _ } tau v =
 (* The depth-[depth] walk from the free vertex [v]. *)
 let walk ~depth { Spec.vertex; off; dst; edge = a; rev; _ } n tau v =
   (* With q = 2, [vertex.(2u + c)] and [a.(4s + 2su + sw)]. *)
-  let sc = Domain.DLS.get scratch_key in
-  if Array.length sc.mark < n then begin
-    sc.mark <- Array.make n 0;
-    sc.exit_rank <- Array.make n 0;
-    sc.epoch <- 0
-  end;
-  sc.epoch <- sc.epoch + 1;
-  let epoch = sc.epoch and mark = sc.mark and exit_rank = sc.exit_rank in
+  Stamp.use scratch n @@ fun sc ->
+  let epoch = sc.epoch and mark = sc.stamp and exit_rank = sc.ints.(0) in
   let ret = { p0 = 0.; p1 = 0. } in
   (* [pair u ~parent budget] leaves in [ret] the unnormalized (p0, p1)
      at the SAW-tree node for vertex [u], reached from [parent] (-1 at

@@ -26,9 +26,8 @@
     {!Spec.create_pairwise} made the spec, so every call costs the same,
     the first on a spec included: O(walks), independent of [n].  The path
     marks and exit ranks of the cycle-closing rule live in per-domain
-    scratch stamped with one epoch per call, so a call reads and writes
-    only [B_depth(v)] and allocates a few words of fixed size and the
-    result; the scratch grows once per domain to the largest [n] seen.
+    {!Ls_graph.Stamp} scratch, so a call reads and writes only
+    [B_depth(v)] and allocates a few words of fixed size and the result.
     Per tree node it allocates nothing and calls no closure.
 
     {b Forced roots.}  Hard constraints (hardcore, matchings, 2-colourings)

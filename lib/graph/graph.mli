@@ -52,7 +52,7 @@ val iter_ball : t -> int -> int -> (int -> int -> unit) -> unit
 (** [iter_ball g v r f] calls [f u (dist g v u)] once for every [u] in
     [B_r(v)], in BFS order from [v] (so [v] first and distances
     non-decreasing).  The search stops at depth [r] and runs over
-    reusable per-domain scratch, so it costs the size of the ball, not
+    per-domain {!Stamp} scratch, so it costs the size of the ball, not
     [n].  At [r = max_int] the ball is every vertex: those unreachable
     from [v] come last, at distance [max_int]. *)
 

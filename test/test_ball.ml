@@ -4,7 +4,9 @@
    one radius-bounded search.  Each is diffed against a copy of the
    whole-graph version it replaced (one [Graph.bfs_distances] plus an
    n-length scan per query), bit for bit, and [Graph.ball] is checked to
-   allocate a number of words that does not grow with n. *)
+   allocate a number of words that does not grow with n.  The per-domain
+   scratch under the search, [Stamp], has its unit test here, and
+   [scratch_hygiene], the check that each of its clients runs. *)
 
 module Graph = Ls_graph.Graph
 module Generators = Ls_graph.Generators
@@ -15,6 +17,9 @@ module Spec = Ls_gibbs.Spec
 module Models = Ls_gibbs.Models
 module Network = Ls_local.Network
 module Slocal = Ls_local.Slocal
+module Stamp = Ls_graph.Stamp
+module Forest_dp = Ls_gibbs.Forest_dp
+module Par = Ls_par.Par
 
 open Ls_core
 
@@ -356,6 +361,114 @@ let test_nested_ball () =
     (List.for_all (fun (u, b) -> b = Reference.ball g u 1) !inner);
   checkb "outer scratch intact" true (Graph.ball g 4 2 = [| 2; 3; 4; 5; 6 |])
 
+(* --- the shared stamp scratch --- *)
+
+let test_stamp () =
+  let a = Stamp.key ~ints:1 (fun () -> ()) and b = Stamp.key ~ints:2 (fun () -> ()) in
+  let mark (s : _ Stamp.t) u = s.stamp.(u) <- s.epoch in
+  let current (s : _ Stamp.t) u = s.stamp.(u) = s.epoch in
+  (* Two keys on one domain, one use live inside the other. *)
+  Stamp.use a 16 (fun sa ->
+      Stamp.use b 16 (fun sb ->
+          checkb "two keys never share arrays" true
+            (sa.stamp != sb.stamp && sa.ints.(0) != sb.ints.(0) && sa.ints.(0) != sb.ints.(1))));
+  (* A nested use gets a fresh scratch, and the outer marks survive. *)
+  Stamp.use a 16 (fun outer ->
+      mark outer 3;
+      outer.ints.(0).(3) <- 42;
+      Stamp.use a 16 (fun inner ->
+          checkb "nested use: a fresh scratch" true (inner.stamp != outer.stamp);
+          checkb "nested use: no current mark" true
+            (List.for_all (fun u -> not (current inner u)) (List.init 16 Fun.id));
+          mark inner 3;
+          inner.ints.(0).(3) <- 7);
+      checkb "outer marks survive" true (current outer 3 && outer.ints.(0).(3) = 42));
+  (* A raise releases the scratch: the next use gets the same arrays. *)
+  let held = Stamp.use a 16 Fun.id in
+  (match Stamp.use a 16 (fun s -> mark s 5; failwith "boom") with
+  | () -> Alcotest.fail "the use did not raise"
+  | exception Failure _ -> ());
+  checkb "busy is clear after a raise" false held.busy;
+  Stamp.use a 16 (fun s ->
+      checkb "the same scratch after a raise" true (s == held);
+      checkb "the raising use's mark is stale" false (current s 5));
+  (* Growing from 16 to 4096: no stale mark reads as current, at either
+     size afterwards. *)
+  Stamp.use a 16 (fun s -> List.iter (mark s) (List.init 16 Fun.id));
+  Stamp.use a 4096 (fun s ->
+      checkb "grown to 4096" true (Array.length s.stamp >= 4096 && Array.length s.ints.(0) >= 4096);
+      checkb "no current mark after growing" true
+        (Array.for_all (fun x -> x <> s.epoch) s.stamp);
+      List.iter (mark s) [ 0; 4095 ]);
+  Stamp.use a 16 (fun s ->
+      checkb "no current mark back at 16" true (Array.for_all (fun x -> x <> s.epoch) s.stamp))
+
+(* One check for every client of {!Stamp}: each query's answer must
+   equal [reference q] bit for bit, with [queries] alternating between a
+   graph on 16 vertices and one on 4096, so one domain's scratch serves
+   both sizes, and every third query made right after [raising q], a
+   call that raises [Invalid_argument] inside the client's scratch.  The
+   same sequence then runs through [Par.map ~domains:2], where each
+   domain's scratch is its own. *)
+let scratch_hygiene ~raising ~answer ~reference queries =
+  let want = Array.map reference queries in
+  let run (i, q) =
+    let raised =
+      i mod 3 <> 0 || match raising q with () -> false | exception Invalid_argument _ -> true
+    in
+    (raised, answer q)
+  in
+  let queries = Array.mapi (fun i q -> (i, q)) queries in
+  Array.iter
+    (fun ((i, _) as q) ->
+      checkb (Printf.sprintf "query %d: raised, then = reference" i) true
+        (run q = (true, want.(i))))
+    queries;
+  checkb "2 domains: raised, then = reference" true
+    (Par.map ~domains:2 run queries = Array.map (fun w -> (true, w)) want)
+
+(* Radius-r balls, r in 0..6, alternating between grid:4x4 and a random
+   tree on 4096 vertices. *)
+let test_ball_hygiene () =
+  let rng = Rng.of_int 23 in
+  let small = Generators.grid 4 4 and large = Generators.random_tree rng 4096 in
+  let queries =
+    Array.init 24 (fun i ->
+        let g = if i mod 2 = 0 then small else large in
+        (g, Rng.int rng (Graph.n g), Rng.int rng 7))
+  in
+  scratch_hygiene queries
+    ~raising:(fun (g, _, _) -> ignore (Graph.ball g (Graph.n g) 1))
+    ~answer:(fun (g, v, r) -> (Graph.ball g v r, Graph.sphere g v r))
+    ~reference:(fun (g, v, r) -> (Reference.ball g v r, Reference.sphere g v r))
+
+(* The forest kernel on radius-r balls, r in 0..5, alternating between
+   cycle:16 and a random tree on 4096 vertices, each under a random
+   instance's spec and pinning.  It has no frozen reference: the same
+   call on a freshly spawned domain, whose scratch no other call has
+   touched, is the reference. *)
+let test_forest_hygiene () =
+  let rng = Rng.of_int 29 in
+  let small = random_instance rng (Generators.cycle 16)
+  and large = random_instance rng (Generators.random_tree rng 4096) in
+  let queries =
+    Array.init 24 (fun i ->
+        let inst = if i mod 2 = 0 then small else large in
+        let g = Instance.graph inst in
+        let v = Rng.int rng (Graph.n g) in
+        (inst.Instance.spec, Graph.ball g v (Rng.int rng 6), inst.Instance.pinned, v))
+  in
+  let answer (spec, ball, tau, v) =
+    match Forest_dp.ball_marginal spec ~ball tau v with
+    | Forest_dp.Marginal m -> Some (Option.map dist_bits m)
+    | Forest_dp.Not_forest -> None
+  in
+  scratch_hygiene queries
+    ~raising:(fun (spec, ball, tau, v) ->
+      ignore (Forest_dp.ball_marginal spec ~ball:(Array.append ball [| v |]) tau v))
+    ~answer
+    ~reference:(fun q -> Domain.join (Domain.spawn (fun () -> answer q)))
+
 let suite =
   [
     Alcotest.test_case "ball allocates O(1) words at any n" `Quick test_ball_allocation;
@@ -367,4 +480,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ssm_infer;
     QCheck_alcotest.to_alcotest qcheck_gather;
     QCheck_alcotest.to_alcotest qcheck_slocal;
+    Alcotest.test_case "Stamp: keys, nesting, raises and growth" `Quick test_stamp;
+    Alcotest.test_case "ball scratch: after a raise, n=16/4096, 2 domains" `Quick
+      test_ball_hygiene;
+    Alcotest.test_case "forest DP scratch: after a raise, n=16/4096, 2 domains" `Quick
+      test_forest_hygiene;
   ]

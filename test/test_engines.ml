@@ -871,9 +871,9 @@ let alternating_saw_queries k =
       (spec, random_pinning rng n 2, Rng.int rng n, depth))
 
 (* A walk that raises leaves its path marked under an old epoch; the
-   next call, at either size, must not read those marks.  [raise_deep]
-   pins nothing in the root's row, so the root is never forced and the
-   walk runs. *)
+   next call, at either size and on either of 2 domains, must not read
+   those marks ({!Test_ball.scratch_hygiene}).  [raise_deep] pins nothing
+   in the root's row, so the root is never forced and the walk runs. *)
 let test_saw_scratch_hygiene () =
   let same msg (spec, tau, v, depth) =
     checkb msg true
@@ -882,23 +882,22 @@ let test_saw_scratch_hygiene () =
   let raise_deep spec v =
     let n = Graph.n (Spec.graph spec) in
     let far = Graph.sphere (Spec.graph spec) v 3 in
-    let bad = Config.of_pinning n [ (far.(0), 2) ] in
+    ignore (Saw.marginal ~depth:8 spec (Config.of_pinning n [ (far.(0), 2) ]) v)
+  in
+  let raised spec v =
     checkb "the walk raised" true
-      (match Saw.marginal ~depth:8 spec bad v with
-      | _ -> false
-      | exception Invalid_argument _ -> true)
+      (match raise_deep spec v with () -> false | exception Invalid_argument _ -> true)
   in
   let cycle16 = Models.hardcore (Generators.cycle 16) ~lambda:0.7 in
-  raise_deep cycle16 0;
+  raised cycle16 0;
   (* Depth 8 meets the raising walk's path; depth 20 closes the cycle. *)
   same "after a raise, depth 8" (cycle16, Config.empty 16, 0, 8);
-  raise_deep cycle16 0;
+  raised cycle16 0;
   same "after a raise, depth 20" (cycle16, Config.empty 16, 1, 20);
-  Array.iteri
-    (fun i ((spec, _, v, _) as query) ->
-      if i mod 3 = 0 then raise_deep spec v;
-      same (Printf.sprintf "alternating query %d" i) query)
-    (alternating_saw_queries 12)
+  let answer marginal (spec, tau, v, depth) = bits (marginal ~depth spec tau v) in
+  Test_ball.scratch_hygiene (alternating_saw_queries 12)
+    ~raising:(fun (spec, _, v, _) -> raise_deep spec v)
+    ~answer:(answer Saw.marginal) ~reference:(answer Reference.marginal)
 
 (* The same queries from 2 domains: each domain's scratch is its own. *)
 let test_saw_two_domains () =

@@ -327,9 +327,47 @@ let test_ball_marginal_allocation () =
         true (major < 200.))
     [ 8; 128 ]
 
+(* The enumerator's stamp scratch, through {!Test_ball.scratch_hygiene}:
+   radius-1 and radius-2 balls of grid:4x4 and grid:64x64, the sphere of
+   a radius-2 ball pinned to 0 as a boundary extension would pin it.  The
+   raising call pins the ball's last member other than [v] outside the
+   alphabet, so the members before it are stamped when the set-up
+   raises. *)
+let test_enumerate_hygiene () =
+  let rng = Rng.of_int 31 in
+  let spec_on g =
+    match Rng.int rng 3 with
+    | 0 -> Models.hardcore g ~lambda:(0.3 +. Rng.float rng)
+    | 1 -> Models.coloring g ~q:3
+    | _ -> oriented rng g
+  in
+  let small = Generators.grid 4 4 and large = Generators.grid 64 64 in
+  let queries =
+    Array.init 24 (fun i ->
+        let g = if i mod 2 = 0 then small else large in
+        let spec = spec_on g and v = Rng.int rng (Graph.n g) in
+        let r = 1 + Rng.int rng 2 in
+        let ball, d = Graph.ball_dist g v r in
+        let tau = random_pinning rng spec ~bad:false in
+        tau.(v) <- Config.unassigned;
+        Array.iteri (fun j u -> if d.(j) = 2 then tau.(u) <- 0) ball;
+        (spec, ball, tau, v))
+  in
+  Test_ball.scratch_hygiene queries
+    ~raising:(fun (spec, ball, tau, v) ->
+      let k = Array.length ball in
+      let bad = Array.copy tau in
+      bad.(if ball.(k - 1) = v then ball.(k - 2) else ball.(k - 1)) <- Spec.q spec;
+      ignore (Enumerate.ball_marginal spec ~ball bad v))
+    ~answer:(fun (spec, ball, tau, v) -> dist_bits (Enumerate.ball_marginal spec ~ball tau v))
+    ~reference:(fun (spec, ball, tau, v) ->
+      dist_bits (Reference.ball_marginal spec ~ball tau v))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_enumerator_bitwise;
     Alcotest.test_case "ball_marginal allocates O(ball) words at any n" `Quick
       test_ball_marginal_allocation;
+    Alcotest.test_case "scratch: after a raise, n=16/4096, 2 domains" `Quick
+      test_enumerate_hygiene;
   ]

@@ -437,6 +437,39 @@ let test_ball_contract () =
              Exact.ball_marginal inst ~ball:[| 2; 3; 2; 4 |] 3)))
     [ ("hardcore", Models.hardcore g ~lambda:1.); ("three-body", three_body g (Rng.of_int 5)) ]
 
+(* --- allocation --- *)
+
+(* The forest kernel indexes the ball in per-domain stamp scratch, so a
+   call costs the ball: on the radius-2 ball of cycle:n around n/2, its
+   sphere pinned to 0 as a boundary extension would pin it, a call after
+   a warm-up allocates no major words and the same minor words at 2^10
+   and 2^14, and gives the same bits. *)
+let test_forest_ball_allocation () =
+  let at n =
+    let g = Generators.cycle n in
+    let spec = Models.hardcore g ~lambda:1. in
+    let v = n / 2 in
+    let ball, d = Graph.ball_dist g v 2 in
+    let tau = Config.empty n in
+    Array.iteri (fun i u -> if d.(i) = 2 then tau.(u) <- 0) ball;
+    let call () =
+      match Forest_dp.ball_marginal spec ~ball tau v with
+      | Forest_dp.Marginal m -> bits m
+      | Forest_dp.Not_forest -> Alcotest.fail "cycle ball: not a forest"
+    in
+    ignore (call ());
+    let r, minor, major = Test_ball.words call in
+    Alcotest.(check bool) (Printf.sprintf "cycle:%d: %.0f major words" n major) true (major = 0.);
+    (r, minor)
+  in
+  let small, small_minor = at 1024 in
+  let large, large_minor = at 16384 in
+  Alcotest.(check bool) "same marginal at both sizes" true (small = large);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words at 2^10, %.0f at 2^14" small_minor large_minor)
+    true
+    (small_minor = large_minor)
+
 (* --- Spec.create's scope diameters --- *)
 
 let qcheck_scope_diameter =
@@ -473,4 +506,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ball_kernels_bitwise;
     QCheck_alcotest.to_alcotest qcheck_scope_diameter;
     QCheck_alcotest.to_alcotest qcheck_forest_oriented_bitwise;
+    Alcotest.test_case "forest ball_marginal: no major words, same minor words at 2^10 and 2^14"
+      `Quick test_forest_ball_allocation;
   ]
