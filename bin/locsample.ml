@@ -46,6 +46,11 @@ let or_die = function Ok v -> v | Error msg -> die msg
 (* Library constructors reject bad values with [Invalid_argument]. *)
 let or_invalid f = try f () with Invalid_argument msg -> die msg
 
+(* A worker supervisor that gave up (restart budget spent, fleet-wide
+   death) is a runtime failure, not a usage error: exit 1. *)
+let or_failed cmd f =
+  try f () with Ls_shard.Supervisor.Failed (_, msg) -> die ~code:1 (cmd ^ ": " ^ msg)
+
 let make_instance ~graph ~model ~seed =
   let rng = Rng.create (Int64.of_int seed) in
   let g = or_die (Engine.parse_graph rng graph) in
@@ -426,11 +431,9 @@ let serve listen queue_bound batch_max cache plan_cache max_vertices
       (if supervised then ", supervised" else "")
   in
   let st =
-    if supervised then (
-      try Server.run_supervised ~cfg ~on_ready ?worker_pid_file ()
-      with Ls_shard.Supervisor.Failed (_, msg) ->
-        (* Restart budget spent: a runtime failure, not a usage error. *)
-        die ~code:1 ("serve: " ^ msg))
+    if supervised then
+      or_failed "serve" (fun () ->
+          Server.run_supervised ~cfg ~on_ready ?worker_pid_file ())
     else Server.run ~cfg ~on_ready ()
   in
   Printf.printf "served %d request(s) in %d batch(es): %s\n"
@@ -793,7 +796,7 @@ let sample_cmd =
                last checkpoint; the run's output must be unchanged.")
   in
   Cmd.v (Cmd.info "sample" ~doc:"Sample a configuration in the LOCAL model")
-    Term.(const (fun () a b c d e f g h i j k l m n o p q r s t u v -> sample a b c d e f g h i j k l m n o p q r s t u v) $ setup_log_term $ graph_arg $ model_arg $ t_arg $ seed_arg $ engine_arg $ jvv $ eps $ trials $ fault_rate $ crash_rate $ max_delay_arg $ corrupt_rate_arg $ skew $ delay_law $ async_arg $ timeout_base $ profile_arg $ retry_budget $ sketch $ sketch_k $ shards $ shard_kill)
+    Term.(const (fun () a b c d e f g h i j k l m n o p q r s t u v -> or_failed "sample" (fun () -> sample a b c d e f g h i j k l m n o p q r s t u v)) $ setup_log_term $ graph_arg $ model_arg $ t_arg $ seed_arg $ engine_arg $ jvv $ eps $ trials $ fault_rate $ crash_rate $ max_delay_arg $ corrupt_rate_arg $ skew $ delay_law $ async_arg $ timeout_base $ profile_arg $ retry_budget $ sketch $ sketch_k $ shards $ shard_kill)
 
 let infer_cmd =
   let vertex = Arg.(value & opt int 0 & info [ "vertex" ] ~docv:"V" ~doc:"Vertex.") in

@@ -76,7 +76,6 @@ let serve_rejections = def "serve" "serve_rejections"
 let serve_expired = def "serve-robustness" "serve_expired"
 let serve_snapshot_hits = def "serve-robustness" "serve_snapshot_hits"
 let serve_drains = def "serve-robustness" "serve_drains"
-let serve_restarts = def "serve-robustness" "serve_restarts"
 let sysfaults = def "resource-faults" "sysfaults"
 let degraded_enters = def "resource-faults" "degraded_enters"
 let degraded_exits = def "resource-faults" "degraded_exits"

@@ -147,9 +147,6 @@ val serve_snapshot_hits : counter
 
 val serve_drains : counter  (** Graceful drains completed (SIGTERM path). *)
 
-val serve_restarts : counter
-(** Supervised worker respawns after a death or hang. *)
-
 (** {2 Resource faults ([resource-faults])} *)
 
 val sysfaults : counter

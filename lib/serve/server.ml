@@ -28,6 +28,7 @@ module Ckpt = Ls_shard.Ckpt
 module Sysio = Ls_shard.Sysio
 module Metrics = Ls_obs.Metrics
 module Health = Ls_obs.Health
+module Trace = Ls_obs.Trace
 
 let src = Logs.Src.create "locsample.serve" ~doc:"sampling-as-a-service daemon"
 
@@ -642,10 +643,10 @@ let run ?(cfg = config ()) ?trace ?on_ready ?listen_fd ?(incarnation = 0)
 
 (* --- supervised mode --------------------------------------------------- *)
 
-(* Control-channel frames from worker to supervisor.  Any frame resets
-   the silence clock (frames double as heartbeats, as in Ls_shard);
-   [kind_done] additionally carries the final stats as a Stats_r
-   response payload and marks a graceful exit. *)
+(* The worker's frames to the supervisor carry its incarnation in [a] and
+   its pid in [b].  Any frame resets the silence clock (frames double as
+   heartbeats, as in Ls_shard); [kind_done] also carries the final stats
+   and the worker's metrics delta, and marks a graceful exit. *)
 let kind_heartbeat = 0x48 (* 'H' *)
 let kind_done = 0x44 (* 'D' *)
 
@@ -684,8 +685,26 @@ let zero_stats ~restarts =
 
 let run_supervised ?(cfg = config ()) ?(policy = default_supervision) ?trace
     ?on_ready ?worker_pid_file () =
-  stop_flag := false;
-  install_signals ();
+  (* [worker] is the current incarnation's pid, once its first frame
+     has named it; a stop that arrives before then is forwarded when
+     that frame does. *)
+  let draining = ref false in
+  let worker = ref None in
+  let forward () =
+    match !worker with
+    | Some pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    | None -> ()
+  in
+  List.iter
+    (fun signal ->
+      try
+        Sys.set_signal signal
+          (Sys.Signal_handle
+             (fun _ ->
+               draining := true;
+               forward ()))
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigterm; Sys.sigint ];
   (* The parent owns the listener for the whole supervised lifetime:
      clients connected during a worker's death park in the accept
      backlog and are picked up by the replacement. *)
@@ -694,149 +713,68 @@ let run_supervised ?(cfg = config ()) ?(policy = default_supervision) ?trace
       m "supervising on %s (budget %d)" (address_to_string cfg.address)
         policy.Supervisor.restart_budget);
   (match on_ready with Some f -> f () | None -> ());
-  (* The worker forks; any Ls_par domain would make fork refuse. *)
-  Ls_par.Par.quiesce ();
-  let incarnation = ref 0 in
-  let budget = ref policy.Supervisor.restart_budget in
-  let backoff = ref policy.Supervisor.backoff_base_ms in
+  (* One writer per trace file: the worker.  The parent lifts the ambient
+     sink for the run, so neither it nor the supervisor's lifecycle
+     events write into the file; each incarnation reinstalls the sink
+     and closes (flushes) it before its done frame.  A killed
+     incarnation loses its unflushed tail. *)
+  let sink = Trace.resolve trace in
+  let ambient = Trace.ambient () in
+  Trace.uninstall ();
+  let body ~shard:_ ~incarnation fd =
+    Option.iter Trace.install sink;
+    Metrics.reset ();
+    let send kind payload =
+      Frame.write_fd fd
+        { Frame.kind; a = incarnation; b = Unix.getpid (); c = 0; payload }
+    in
+    send kind_heartbeat "";
+    let beat () =
+      (* [run] clears the loop's flag on entry, so a stop that reached
+         this worker before then is re-raised here. *)
+      if !draining then stop_flag := true;
+      try send kind_heartbeat ""
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        (* The supervisor is gone: drain what we have and exit. *)
+        stop_flag := true
+    in
+    let stats = run ~cfg ~listen_fd ~incarnation ~heartbeat:beat () in
+    Option.iter Trace.close sink;
+    send kind_done (Marshal.to_string (stats, Metrics.snapshot ()) [])
+  in
   let final = ref None in
-  let term_sent = ref false in
-  let spawn () =
-    let parent_end, child_end =
-      Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
-    in
-    flush stdout;
-    flush stderr;
-    let fork () =
-      (* EAGAIN burns the retry helper's own attempt budget (with
-         backoff), never the restart budget: a fork that could not
-         happen is not a worker death. *)
-      try Supervisor.fork_with_retry ~site:"serve.fork" ()
-      with e ->
-        (try Unix.close parent_end with Unix.Unix_error _ -> ());
-        (try Unix.close child_end with Unix.Unix_error _ -> ());
-        raise e
-    in
-    match fork () with
-    | 0 ->
-        (try Unix.close parent_end with Unix.Unix_error _ -> ());
-        let beat () =
-          try
-            Frame.write_fd child_end
-              {
-                Frame.kind = kind_heartbeat;
-                a = !incarnation;
-                b = 0;
-                c = 0;
-                payload = "";
-              }
-          with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-            (* The supervisor is gone: drain what we have and exit. *)
-            stop_flag := true
-        in
-        let stats =
-          run ~cfg ?trace ~listen_fd ~incarnation:!incarnation ~heartbeat:beat
-            ()
-        in
-        (try
-           Frame.write_fd child_end
-             {
-               Frame.kind = kind_done;
-               a = !incarnation;
-               b = 0;
-               c = 0;
-               payload =
-                 Protocol.encode_response
-                   { Protocol.rid = 0; body = Protocol.Stats_r stats };
-             }
-         with Unix.Unix_error _ -> ());
-        (try Unix.close child_end with Unix.Unix_error _ -> ());
-        Unix._exit 0
-    | pid ->
-        (try Unix.close child_end with Unix.Unix_error _ -> ());
-        (match worker_pid_file with
-        | Some path -> write_pid_file path pid
-        | None -> ());
-        Log.info (fun m -> m "worker %d spawned (incarnation %d)" pid !incarnation);
-        (pid, parent_end)
+  let restarts = ref 0 in
+  let on_frame ctx ~shard (f : Frame.t) =
+    if !worker = None then begin
+      worker := Some f.Frame.b;
+      Option.iter (fun path -> write_pid_file path f.Frame.b) worker_pid_file;
+      Log.info (fun m ->
+          m "worker %d spawned (incarnation %d)" f.Frame.b f.Frame.a);
+      if !draining then forward ()
+    end;
+    if f.Frame.kind = kind_done then begin
+      let stats, metrics =
+        (Marshal.from_string f.Frame.payload 0
+          : Protocol.stats * Metrics.snapshot)
+      in
+      final := Some stats;
+      Metrics.absorb metrics;
+      ctx.Supervisor.mark_done ~shard
+    end
   in
-  let reap pid =
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-  in
-  (* Watch one worker until it finishes (done frame) or dies/hangs. *)
-  let monitor pid parent_end =
-    let rec go last_heard probes =
-      if !stop_flag && not !term_sent then begin
-        term_sent := true;
-        try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()
-      end;
-      match Unix.select [ parent_end ] [] [] 0.2 with
-      | [ _ ], _, _ -> (
-          match Frame.read_fd parent_end with
-          | Ok f when f.Frame.kind = kind_done ->
-              (match Protocol.decode_response_bytes f.Frame.payload with
-              | Ok { Protocol.body = Protocol.Stats_r st; _ } ->
-                  final := Some st
-              | Ok _ | Error _ -> ());
-              reap pid;
-              `Done
-          | Ok _ -> go (Unix.gettimeofday ()) 0
-          | Error _ ->
-              (* EOF or a torn frame: the worker is dead. *)
-              reap pid;
-              `Died)
-      | _ ->
-          let now = Unix.gettimeofday () in
-          if
-            (now -. last_heard) *. 1000.
-            > float_of_int policy.Supervisor.hang_timeout_ms
-          then
-            if probes + 1 >= policy.Supervisor.hang_probes then begin
-              Log.warn (fun m -> m "worker %d hung; killing" pid);
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              reap pid;
-              `Died
-            end
-            else go now (probes + 1)
-          else go last_heard probes
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go last_heard probes
-    in
-    let outcome = go (Unix.gettimeofday ()) 0 in
-    (try Unix.close parent_end with Unix.Unix_error _ -> ());
-    outcome
-  in
-  let rec supervise () =
-    let pid, parent_end = spawn () in
-    match monitor pid parent_end with
-    | `Done -> ()
-    | `Died ->
-        if !stop_flag then
-          (* Drain was requested and the worker died before finishing:
-             nothing left to answer its queue with — exit without the
-             final stats rather than respawn just to stop again. *)
-          Log.warn (fun m -> m "worker died during drain")
-        else if !budget = 0 then
-          raise
-            (Supervisor.Failed
-               ( Supervisor.Transient,
-                 Printf.sprintf
-                   "serve worker exhausted its restart budget after %d respawns"
-                   !incarnation ))
-        else begin
-          decr budget;
-          Supervisor.sleep_ms !backoff;
-          backoff := !backoff * policy.Supervisor.backoff_factor;
-          incr incarnation;
-          term_sent := false;
-          Metrics.bump Metrics.serve_restarts;
-          Log.warn (fun m ->
-              m "worker died; restarting (incarnation %d, %d restarts left)"
-                !incarnation !budget);
-          supervise ()
-        end
+  let exception Drained in
+  let on_restart ~shard:_ ~incarnation =
+    if !draining then raise Drained;
+    worker := None;
+    restarts := incarnation;
+    Log.warn (fun m ->
+        m "worker died; restarting (incarnation %d, %d restarts left)"
+          incarnation
+          (policy.Supervisor.restart_budget - incarnation))
   in
   Fun.protect
     ~finally:(fun () ->
+      Option.iter Trace.install ambient;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (match cfg.address with
       | Unix_path path -> ( try Unix.unlink path with _ -> ())
@@ -846,7 +784,13 @@ let run_supervised ?(cfg = config ()) ?(policy = default_supervision) ?trace
           (try Sys.remove path with Sys_error _ -> ());
           (try Sys.remove (path ^ ".tmp") with Sys_error _ -> ())
       | None -> ())
-    supervise;
+    (fun () ->
+      try Supervisor.run ~policy ~shards:1 ~body ~on_frame ~on_restart ()
+      with (Drained | Supervisor.Failed _) when !draining ->
+        (* The worker died during the drain: nothing is left to answer
+           its queue with, so stop without its final stats rather than
+           respawn just to stop again. *)
+        Log.warn (fun m -> m "worker died during drain"));
   match !final with
   | Some st -> st
-  | None -> zero_stats ~restarts:!incarnation
+  | None -> zero_stats ~restarts:!restarts

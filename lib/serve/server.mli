@@ -129,17 +129,27 @@ val run_supervised :
   ?worker_pid_file:string ->
   unit ->
   Protocol.stats
-(** Fork the select loop as a worker and supervise it: the parent holds
-    the listening socket (so a killed worker restarts without dropping
-    it — clients in the accept backlog are picked up by the
-    replacement), watches heartbeat frames, SIGKILLs a worker silent
-    past the policy's hang probes, and respawns after death with
-    exponential backoff until the restart budget is spent (then raises
-    {!Ls_shard.Supervisor.Failed}[ (Transient, _)]).  Each incarnation
+(** Run the select loop as the one worker of a
+    {!Ls_shard.Supervisor.run}[ ~shards:1] fleet, so the restart budget,
+    backoff, heartbeat frames, hang probes and SIGKILL are the shard
+    layer's own.  The parent holds the listening socket (so a killed
+    worker restarts without dropping it — clients in the accept backlog
+    are picked up by the replacement); a spent budget raises
+    {!Ls_shard.Supervisor.Failed}[ (Transient, _)].  Each incarnation
     warm-starts from the latest cache snapshot when [state_dir] is set.
-    SIGTERM/SIGINT are forwarded to the worker, which drains, snapshots
-    and reports its final stats back; those stats are returned.
+    SIGTERM/SIGINT are forwarded to the worker (once its first frame has
+    named its pid), which drains, snapshots and reports its final stats
+    back; those stats are returned.  A worker that dies during the drain
+    is not replaced: the run returns zeroed stats.
     [worker_pid_file] publishes the current worker's pid (atomic
-    tmp+rename rewrite on every spawn) so tests and CI can aim kill -9.
+    tmp+rename rewrite when each incarnation's first frame arrives) so
+    tests and CI can aim kill -9; the parent removes it on return.
+    The trace sink ([trace], else the ambient one) has one writer, the
+    worker: the parent lifts the ambient sink for the run and emits
+    nothing, each incarnation closes the sink before its done frame, and
+    a killed incarnation's unflushed events are lost.  The worker resets
+    its {!Ls_obs.Metrics} and ships its counters back in the done frame,
+    where the parent absorbs them; spawns and restarts are counted by
+    the supervisor's [shard_spawns]/[shard_restarts].
     Must be called before any domain is created ({!Ls_par.Par.quiesce}
     is invoked, but a live domain elsewhere makes fork refuse). *)

@@ -15,7 +15,9 @@
 
    - Every live worker dead inside one grace window is {e permanent},
      reported with the budgets unspent: when the whole fleet dies at
-     once, restarting shards one by one cannot help.
+     once, restarting shards one by one cannot help.  The rule needs at
+     least two workers dying together; a fleet of one restarts like any
+     other shard.
 
    A worker that hangs without dying (alive but silent past the probe
    threshold) is SIGKILLed and takes the normal restart path — a hang is
@@ -290,7 +292,8 @@ let run ?(policy = default_policy) ?trace
       workers;
     let dead = List.filter (fun w -> w == first || reaped w) !live_or_dead in
     if
-      List.length dead = List.length !live_or_dead
+      shards >= 2
+      && List.length dead = List.length !live_or_dead
       && List.length dead = shards
     then
       raise

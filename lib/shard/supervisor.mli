@@ -10,9 +10,11 @@
     repeatedly burns its restart budget with deterministic exponential
     backoff and an exhausted budget raises {!Failed}[ (Transient, _)];
     the whole fleet dead inside one grace window raises
-    {!Failed}[ (Permanent, _)] with the budgets unspent.  A worker that
-    hangs without dying (silent past [hang_probes] consecutive probes)
-    is SIGKILLed and takes the normal restart path.
+    {!Failed}[ (Permanent, _)] with the budgets unspent.  That fleet-wide
+    rule needs at least two workers dying together: the one worker of
+    a [~shards:1] fleet dying is an ordinary death and restarts.  A
+    worker that hangs without dying (silent past [hang_probes]
+    consecutive probes) is SIGKILLed and takes the normal restart path.
 
     Lifecycle is observable: incarnation 0 emits
     {!Ls_obs.Trace.Shard_spawn}, restarts emit
@@ -83,4 +85,8 @@ val run :
     per-shard state; [restored_round] supplies the round recorded in the
     shard's checkpoint for the {!Ls_obs.Trace.Shard_restart} event.
     Raises {!Failed} on budget exhaustion (transient) or fleet-wide
-    death (permanent); always reaps and closes everything it opened. *)
+    death (permanent).  An exception raised by [on_frame] or
+    [on_restart] ends the run the same way: it propagates after every
+    worker is SIGKILLed and reaped, so a protocol layer can stop a run
+    by raising from [on_restart] instead of letting the replacement
+    fork.  Always reaps and closes everything it opened. *)

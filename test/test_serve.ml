@@ -1201,7 +1201,9 @@ let locsample_exe =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "locsample.exe")
 
-let run_cli ~extra_env args =
+(* Start the CLI in the background; [wait_cli] reaps it and returns its
+   exit code, stdout and stderr. *)
+let spawn_cli ~extra_env args =
   let keep s = not (contains s "LOCSAMPLE_") in
   let env =
     Array.of_list
@@ -1218,6 +1220,9 @@ let run_cli ~extra_env args =
   in
   Unix.close fd_out;
   Unix.close fd_err;
+  (pid, out_file, err_file)
+
+let wait_cli (pid, out_file, err_file) =
   let _, status = Unix.waitpid [] pid in
   let slurp path =
     let ic = open_in_bin path in
@@ -1230,6 +1235,8 @@ let run_cli ~extra_env args =
   let err = slurp err_file in
   let code = match status with Unix.WEXITED c -> c | _ -> -1 in
   (code, out, err)
+
+let run_cli ~extra_env args = wait_cli (spawn_cli ~extra_env args)
 
 let test_cli_env_exit2 () =
   let cheap = [ "phase"; "--depth"; "1" ] in
@@ -1314,6 +1321,82 @@ let test_cli_explicit_default_overrides_profile () =
   checkb "flaky with --max-delay 1 no longer delays by 2" false
     (contains flaky "(max 2)")
 
+(* A sweep whose worker outlives its restart budget is a runtime
+   failure: exit 1 under the command's name, never an uncaught
+   exception. *)
+let test_cli_sample_budget_exhausted () =
+  let code, _out, err =
+    run_cli ~extra_env:[]
+      [ "sample"; "-g"; "cycle:12"; "--seed"; "3"; "--trials"; "40";
+        "--shards"; "2"; "--shard-kill";
+        "1:0:30:0,1:0:30:1,1:0:30:2,1:0:30:3" ]
+  in
+  checki "a spent restart budget exits 1" 1 code;
+  checkb "the message names the command and the shard" true
+    (contains err "locsample: sample: shard 1: restart budget exhausted");
+  checkb "it is not an uncaught exception" true (not (contains err "uncaught"))
+
+(* A supervised daemon run through the CLI with [--trace]: [requests]
+   sample requests over one connection, then SIGTERM.  Returns the exit
+   code, stdout and the trace file's lines. *)
+let supervised_session ~requests extra =
+  let path = sock_path () in
+  let trace = Filename.temp_file "ls-serve-sup" ".jsonl" in
+  let proc =
+    spawn_cli ~extra_env:[]
+      ([ "serve"; "--supervised"; "--listen"; "unix:" ^ path;
+         "--trace"; trace ] @ extra)
+  in
+  let pid, _, _ = proc in
+  let c = connect_or_fail (Server.Unix_path path) in
+  for i = 0 to requests - 1 do
+    ignore (call_or_fail c (req ~id:i ~seed:(Int64.of_int i) ()))
+  done;
+  Client.close c;
+  Unix.kill pid Sys.sigterm;
+  let code, out, _err = wait_cli proc in
+  let ic = open_in trace in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = lines [] in
+  close_in ic;
+  Sys.remove trace;
+  (code, out, lines)
+
+(* The worker is the trace file's one writer: its events reach the file
+   once each, and the parent writes none. *)
+let test_server_supervised_trace () =
+  let code, _, lines = supervised_session ~requests:8 [] in
+  checki "the supervisor exits 0 on SIGTERM" 0 code;
+  let batches = List.filter (fun l -> contains l "\"serve_batch\"") lines in
+  let answered =
+    List.fold_left
+      (fun acc l ->
+        Scanf.sscanf l "{\"ts\":%f,\"ev\":\"serve_batch\",\"requests\":%d"
+          (fun _ r -> acc + r))
+      0 batches
+  in
+  checki "serve_batch lines account for every request once" 8 answered;
+  checki "no line is written twice" (List.length lines)
+    (List.length (List.sort_uniq compare lines));
+  checkb "no supervisor lifecycle event in the worker's file" true
+    (not (List.exists (fun l -> contains l "\"shard_") lines))
+
+(* --metrics on a supervised daemon folds the worker's counters into the
+   parent's table, beside the supervisor's own spawn count. *)
+let test_server_supervised_metrics () =
+  let code, out, _ = supervised_session ~requests:8 [ "--metrics" ] in
+  checki "the supervisor exits 0 on SIGTERM" 0 code;
+  checkb "the worker's request counter reaches the table" true
+    (contains out "serve_requests 8 ");
+  checkb "the worker's drain reaches the table" true
+    (contains out "serve_drains 1");
+  checkb "the supervisor's spawn is counted" true
+    (contains out "shard_spawns 1 ")
+
 let suite =
   [
     Alcotest.test_case "protocol round-trip" `Quick test_protocol_roundtrip;
@@ -1375,4 +1458,10 @@ let suite =
       `Quick test_env_socket_accessor;
     Alcotest.test_case "env: a shard dir naming a file raises in the accessor"
       `Quick test_env_shard_dir_accessor;
+    Alcotest.test_case "cli: sample maps a spent restart budget to exit 1"
+      `Quick test_cli_sample_budget_exhausted;
+    Alcotest.test_case "server supervised: the worker writes the trace once"
+      `Quick test_server_supervised_trace;
+    Alcotest.test_case "server supervised: --metrics has the worker's counters"
+      `Quick test_server_supervised_metrics;
   ]

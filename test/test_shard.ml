@@ -681,6 +681,26 @@ let test_supervisor_sleep_signal_storm () =
         true
         (elapsed >= 0.055))
 
+let test_supervisor_fleet_of_one () =
+  (* The one worker of a one-shard fleet killed: an ordinary death, not
+     a fleet-wide one — it restarts and finishes. *)
+  let finished, restarts =
+    run_lifecycle ~shards:1
+      ~plan:(fun ~shard:_ ~incarnation ->
+        if incarnation = 0 then `Kill else `Finish)
+      ()
+  in
+  checki "the worker finished on incarnation 1" 1 finished.(0);
+  checkb "one restart" true (restarts = [ (0, 1) ]);
+  (* Dying on every incarnation spends the budget: transient, like any
+     other shard. *)
+  match
+    run_lifecycle ~shards:1 ~plan:(fun ~shard:_ ~incarnation:_ -> `Exit) ()
+  with
+  | _ -> Alcotest.fail "expected Supervisor.Failed"
+  | exception Supervisor.Failed (Supervisor.Transient, msg) ->
+      checks "named by shard" "shard 0: restart budget exhausted" msg
+
 let suite =
   [
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -720,4 +740,6 @@ let suite =
       test_sweep_identity_with_events;
     Alcotest.test_case "sharded sweep double kill -9 recovery" `Quick
       test_sweep_kill_recovery;
+    Alcotest.test_case "supervisor: a fleet of one restarts after kill -9"
+      `Quick test_supervisor_fleet_of_one;
   ]
